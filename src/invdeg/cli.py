@@ -12,7 +12,7 @@ independent verification trials over a thread pool; it never changes output,
 and is therefore not echoed into the params block.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 invariant
-violation (positivity, polynomiality, or a nonzero graph residual).
+violation (positivity, polynomiality, nonzero graph residual), 4 out of memory.
 """
 
 from __future__ import annotations
@@ -473,6 +473,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print(f"out of memory: {config.command} needs more memory than this process may use", file=sys.stderr)
+        return 4
     if text:
         print(text)
     return code

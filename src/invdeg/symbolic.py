@@ -9,14 +9,15 @@ graph, checks the swap symmetry X <-> Y, checks that the generators plus the
 (1,1) product entry span every entry of X*Y in bidegree (1,1), and produces
 exact rational witness pairs of complementary rank with product zero.
 
-Determinants and adjugates are computed division-free by dynamic programming
-over column subsets, which works verbatim over int, Fraction, or polynomial
-entries. Cost is O(2^k * k) ring operations, fine for the small symbolic
-sizes used here and for numeric spot checks.
+Matrices of numbers get rank, determinant and adjugate from one fraction-free
+Gauss-Jordan elimination, O(k^3). Polynomial entries cannot be divided, so
+``determinant`` and ``adjugate`` run a division-free DP over column subsets,
+O(2^k * k) ring operations, which serves only the small symbolic sizes.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -252,6 +253,44 @@ def _as_poly(x: Union[SparsePoly, Scalar]) -> SparsePoly:
 Entry = Union[SparsePoly, Scalar]
 
 
+def _eliminate(rows: Sequence[Sequence[Scalar]]) -> tuple[int, Scalar, Optional[list[list[Scalar]]]]:
+    """(rank, det, adj) of an int/Fraction matrix; adj is None and det is 0
+    unless the matrix is square of full rank.
+
+    Bareiss's fraction-free Gauss-Jordan elimination on [B | I], B the matrix
+    scaled to integers: every entry stays a minor of [B | I], so each division
+    is exact, and at full rank the blocks end as (+-det B) * I and +-adj B.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    work = [[int(x * scale) for x in row] + [int(i == j) for j in range(nrows)] for i, row in enumerate(rows)]
+    rank, prev, sign = 0, 1, 1
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if work[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            work[rank], work[pivot] = work[pivot], work[rank]
+            sign = -sign
+        prow = work[rank]
+        lead = prow[col]
+        for r in range(nrows):
+            if r != rank:
+                f = work[r][col]
+                work[r] = [(lead * a - f * b) // prev for a, b in zip(work[r], prow)]
+        prev = lead
+        rank += 1
+    if rank != nrows or nrows != ncols:
+        return rank, 0, None
+    det = sign * prev
+    adj = [[sign * v for v in row[ncols:]] for row in work]
+    if scale > 1:
+        det = Fraction(det, scale ** nrows)
+        adj = [[Fraction(v, scale ** (nrows - 1)) for v in row] for row in adj]
+    return rank, det, adj
+
+
 def determinant(rows: Sequence[Sequence[Entry]]):
     """Division-free determinant by DP over column subsets (any ring)."""
     k = len(rows)
@@ -395,9 +434,9 @@ def swap_sides(p: SparsePoly) -> SparsePoly:
 
 def swap_symmetry_holds(n: int) -> bool:
     """Generator set is stable (up to sign) under exchanging X and Y."""
-    gens = {g.sign_normalized().canonical() for g in graph_ideal_generators(n)}
-    swapped = {swap_sides(g).sign_normalized().canonical() for g in graph_ideal_generators(n)}
-    return gens == swapped
+    gens = graph_ideal_generators(n)
+    swapped = {swap_sides(g).sign_normalized().canonical() for g in gens}
+    return swapped == {g.sign_normalized().canonical() for g in gens}
 
 
 def adjugate_identity_holds(n: int) -> bool:
@@ -471,19 +510,25 @@ class VanishingReport:
     trials: int
 
 
-def _random_symmetric(rng: random.Random, n: int) -> list[list[int]]:
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            v = rng.randint(-10, 10)
-            rows[i][j] = v
-            rows[j][i] = v
-    return rows
+def _invertible_symmetric(rng: random.Random, n: int) -> tuple[list[list[int]], int, list[list[int]]]:
+    """Random integer symmetric M, redrawn until det M != 0, with det M and adj M."""
+    while True:
+        upper = {(i, j): rng.randint(-10, 10) for i in range(n) for j in range(i, n)}
+        rows = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+        _, det, adj = _eliminate(rows)
+        if adj is not None:
+            return rows, det, adj
 
 
-def _scalar_assignment(m: Sequence[Sequence[Scalar]], y: Sequence[Sequence[Scalar]]) -> dict[VarId, Scalar]:
+def _product(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
+    """Exact matrix product of int/Fraction matrices."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _pair_assignment(m: Sequence[Sequence[Entry]], y: Sequence[Sequence[Entry]]) -> dict[VarId, Entry]:
+    """X[i,j] -> m[i][j] and Y[i,j] -> y[i][j] on the upper triangle."""
     n = len(m)
-    out: dict[VarId, Scalar] = {}
+    out: dict[VarId, Entry] = {}
     for i in range(n):
         for j in range(i, n):
             out[xvar(i + 1, j + 1)] = m[i][j]
@@ -519,11 +564,7 @@ def verify_graph_vanishing(
             )
         x = generic_sym_matrix(n, "X")
         adj = adjugate_sym(x)
-        assignment: dict[VarId, Union[SparsePoly, Scalar]] = {}
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                assignment[xvar(i, j)] = SparsePoly.variable(xvar(i, j))
-                assignment[yvar(i, j)] = adj.entries[i - 1][j - 1]
+        assignment = _pair_assignment(x.entries, adj.entries)
         for g in gens:
             if not g.substitute(assignment).is_zero:
                 raise InvariantViolation(f"graph generator does not vanish on inverse pairs: {g}")
@@ -532,11 +573,8 @@ def verify_graph_vanishing(
         raise ValueError(f"trials must be >= 1, got {trials}")
 
     def trial(t: int) -> Optional[str]:
-        rng = random.Random(seed * 1_000_003 + t)
-        m = _random_symmetric(rng, n)
-        while determinant(m) == 0:
-            m = _random_symmetric(rng, n)
-        assignment = _scalar_assignment(m, adjugate(m))
+        m, _, adj = _invertible_symmetric(random.Random(seed * 1_000_003 + t), n)
+        assignment = _pair_assignment(m, adj)
         for g in gens:
             if g.evaluate(assignment) != 0:
                 return f"trial {t}: generator {g} evaluates to nonzero"
@@ -550,19 +588,11 @@ def verify_graph_vanishing(
 
 
 def adjugate_identity_numeric(n: int, trials: int, seed: int, executor=None) -> bool:
-    """Exact spot check of A * adj(A) = det(A) * Id on random symmetric A."""
+    """Exact spot check of A * adj(A) = det(A) * Id on random nonsingular symmetric A."""
 
     def trial(t: int) -> bool:
-        rng = random.Random(seed * 2_000_003 + t)
-        m = _random_symmetric(rng, n)
-        adj = adjugate(m)
-        det = determinant(m)
-        for i in range(n):
-            for j in range(n):
-                want = det if i == j else 0
-                if sum(m[i][k] * adj[k][j] for k in range(n)) != want:
-                    return False
-        return True
+        m, det, adj = _invertible_symmetric(random.Random(seed * 2_000_003 + t), n)
+        return _product(m, adj) == [[det if i == j else 0 for j in range(n)] for i in range(n)]
 
     runner = executor.map if executor is not None else map
     return all(runner(trial, range(trials)))
@@ -571,43 +601,8 @@ def adjugate_identity_numeric(n: int, trials: int, seed: int, executor=None) -> 
 # ------------------------------------------------------------- rational witnesses
 
 def matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Exact rank over the rationals by Gaussian elimination."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        lead = work[rank][col]
-        for r in range(rank + 1, nrows):
-            f = work[r][col] / lead
-            if f:
-                for c in range(col, ncols):
-                    work[r][c] -= f * work[rank][c]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _invert(rows: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
-    n = len(rows)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        lead = work[col][col]
-        work[col] = [x / lead for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+    """Exact rank over the rationals of an int/Fraction matrix of any shape."""
+    return _eliminate(rows)[0]
 
 
 @dataclass(frozen=True)
@@ -647,11 +642,12 @@ def witness_rank_pair(n: int, r: int, seed: int = 0) -> tuple[RationalSymMatrix,
     rng = random.Random(seed)
     while True:
         a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        if matrix_rank(a) == n:
+        _, det, adj = _eliminate(a)
+        if adj is not None:
             break
     d = [rng.randint(1, 9) * rng.choice((1, -1)) for _ in range(r)]
     e = [rng.randint(1, 9) * rng.choice((1, -1)) for _ in range(n - r)]
-    a_inv = _invert(a)
+    a_inv = [[Fraction(v, det) for v in row] for row in adj]
     # M[i][j] = sum_k a[i][k] d_k a[j][k]  (first r columns of A weighted by D)
     m_rows = [
         [sum((Fraction(a[i][k] * d[k] * a[j][k]) for k in range(r)), Fraction(0)) for j in range(n)]
@@ -666,9 +662,8 @@ def witness_rank_pair(n: int, r: int, seed: int = 0) -> tuple[RationalSymMatrix,
 
 
 def witness_pair_valid(n: int, r: int, seed: int = 0) -> bool:
-    """Ranks are exactly (r, n - r) and every product entry vanishes at the pair."""
+    """Ranks are exactly (r, n - r) and every entry of M * N vanishes."""
     m, w = witness_rank_pair(n, r, seed)
     if m.rank() != r or w.rank() != n - r:
         return False
-    assignment = _scalar_assignment(m.rows, w.rows)
-    return all(g.evaluate(assignment) == 0 for g in product_entries(n))
+    return all(v == 0 for row in _product(m.rows, w.rows) for v in row)

@@ -158,6 +158,17 @@ def test_mldeg_invariant_violation_exits_3(capsys, monkeypatch):
     assert "invariant violation" in err and "polynomiality violated" in err
 
 
+def test_out_of_memory_exits_4(capsys, monkeypatch):
+    def exhausted(n):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "multidegree_table", exhausted)
+    code, out, err = run_cli(capsys, ["multidegree", "--n", "3"])
+    assert code == 4
+    assert out == ""
+    assert err == "out of memory: multidegree needs more memory than this process may use\n"
+
+
 def test_verify_symbolic(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--n", "3"])
     assert code == 0

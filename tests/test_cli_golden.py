@@ -1,0 +1,50 @@
+"""Byte-for-byte CLI goldens: the sha256 of stdout, the exit code and stderr
+of small commands in every output format. A digest changes only when the
+printed bytes change, and such a change must be deliberate."""
+
+import hashlib
+
+import pytest
+
+from invdeg.cli import main
+
+GOLDENS = [
+    ("psi --n 1 --format json", "d0b097163d46c6110a47ee6d2e5a06a633d88aedc0fbbb28421faf22f036b626"),
+    ("psi --n 1 --format csv", "9201539566d6af9c10b30fa1346a95485be3267e9cf97aa8dac1e1f5005cec07"),
+    ("psi --n 1 --format latex", "eea77ebe56e7c8877a48e1a14fe538ace0ebb49357f0cd29c6fb4d4dca446568"),
+    ("psi --n 5 --format json", "6a68125a0f731f331efb96e1b2417f992a5b0891b42372f49e0467b71115c504"),
+    ("psi --n 5 --format csv", "78810d1b270f4c2750302bea7c2713ea049092c6f793e9a9e9fb760f1f6e9571"),
+    ("psi --n 5 --format latex", "bc7e5f79f8bb9e362f91b84dbaf3cd9bd456eda8da984384266b456aaa6c1de2"),
+    ("multidegree --n 1 --format json", "0d722a1013b58183a67c469175f6da64be51f4e47aba5756ced94c890241f48e"),
+    ("multidegree --n 1 --format csv", "32b6c697b3e1cda919205b229d9dc5b5fdd03078607af2840cac315c8b061fd6"),
+    ("multidegree --n 1 --format latex", "edf9755053f3805563d17f76e742e4858af1a636d41ea7a6093d617095f30b4b"),
+    ("multidegree --n 4 --format json", "c558418cd52018887473e8e074900f87d1521a3c82ebafd4f835f149abbe5126"),
+    ("multidegree --n 4 --format csv", "9360d54a4173eb950eed4c995cd0467c680eab6ca28e7f0ea98f910cba876fb1"),
+    ("multidegree --n 4 --format latex", "bbb61e79d7e27f3c2023555a32fd30d2b86e31d09af7ce4fa65d959243f1ab57"),
+    ("mldeg --n-max 4 --format json", "0958d31d408919a28b6de0baf6d66a4cdd09a9f6b9ff129f12134bd7e847896c"),
+    ("mldeg --n-max 4 --format csv", "2467a75e0573b8c4cd1b0ccfb015e8d0badc29ceb469c10848e64896b0364928"),
+    ("mldeg --n-max 4 --format latex", "b305dc7181eb0cbb8b039fde831c0d1646b09fb1ffcf12da59be3bd8261c7d03"),
+    ("mldeg --d 1 --poly --format json", "fa52a8ba9b36414f07df56f34382dc9343f38d9131f755573715f04e3c60f72d"),
+    ("mldeg --d 1 --poly --format csv", "bcf2f6eeb1e755c777fa861229cb8255c33e94c6174aac55f4bae553c1210a46"),
+    ("mldeg --d 1 --poly --format latex", "a6b29c4a59ec183ee1822d7839dd53f5cc02ba2980f7947bfb66ad25f7782cd8"),
+    ("mldeg --d 3 --poly --format json", "2b2fba526dcbebd76ee83a6c897db133db2371fc51f4e3eb5cbe20de9ebb3a8f"),
+    ("mldeg --d 3 --poly --format csv", "1b1afe36027bc59103c72b838f11c353e828e82d82fe1928bff87cbaccfba74b"),
+    ("mldeg --d 3 --poly --format latex", "be8a26cbc807cc39def21094e9bd2e60f3fa054affa003ef4afb8ec5374e8013"),
+    ("mldeg --d 4 --window 7 --format json", "52cce81be4b6c3bda89ab03f37e3796592d051255f8dff42d2e11a0381af4b70"),
+    ("mldeg --d 4 --window 7 --format csv", "115688d21845182457ec155080a52588c117a7ca0233449b96de734e4bb280f6"),
+    ("mldeg --d 4 --window 7 --format latex", "146e2d2d134b9c910fb2564c829ad66a6209726860ea66b549126b3a19e0f3ef"),
+    ("verify --n 3 --format json", "9a59cec5dc67e6eb0834610d169260b31515ec232a58a8ecf9b36c6aae52e6d1"),
+    ("verify --n 3 --format csv", "b8ed4ac05bb889b9a29c28cc08321c8c83bda8b8a57b05f8401c33f0d88296dd"),
+    ("verify --n 3 --format latex", "eed9fe0ad55298be5f805d126e9b816fa5f40f120059a7dc33de5be3c1b01c65"),
+    ("verify --n 4 --mode numeric --trials 3 --seed 5 --format json", "40d15cec1d0777247a9bc26224b7250f690926f3afd253c530a2ad24ca366332"),
+    ("verify --n 4 --mode numeric --trials 3 --seed 5 --format csv", "8a938fdcbc5d03937b4c2a2beab9daffe00677cef5259ae7e10d1b0c177c966c"),
+    ("verify --n 4 --mode numeric --trials 3 --seed 5 --format latex", "71559acde45e86acc04b9b30cf0d8c5e19d31ed231a7be2a960e3167f4376d72"),
+]
+
+
+@pytest.mark.parametrize("args, digest", GOLDENS, ids=[a for a, _ in GOLDENS])
+def test_cli_output_golden(capsys, args, digest):
+    code = main(args.split())
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest

@@ -3,8 +3,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import invdeg.symbolic as symbolic
+from invdeg.cli import main
 from invdeg.exact import InvariantViolation
 from invdeg.symbolic import (
     RationalSymMatrix,
@@ -162,6 +164,16 @@ def test_adjugate_small():
     assert adjugate([[1, 2], [3, 4]]) == [[4, -2], [-3, 1]]
 
 
+def test_adjugate_rank_deficient():
+    # rank n - 1: the adjugate is nonzero of rank 1 and A * adj(A) = 0
+    rows = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+    adj = adjugate(rows)
+    assert adj == [[-3, 6, -3], [6, -12, 6], [-3, 6, -3]]
+    assert matrix_rank(adj) == 1
+    assert all(sum(rows[i][k] * adj[k][j] for k in range(3)) == 0 for i in range(3) for j in range(3))
+    assert symbolic._eliminate(rows) == (2, 0, None)
+
+
 def test_adjugate_identity_numeric_random():
     rng = random.Random(5)
     for size in range(1, 6):
@@ -173,6 +185,65 @@ def test_adjugate_identity_numeric_random():
                 for j in range(size):
                     got = sum(rows[i][k] * adj[k][j] for k in range(size))
                     assert got == (det if i == j else 0)
+
+
+# Mostly zeros, so that pivot swaps and singular matrices are common.
+sparse_entries = st.sampled_from([0, 0, 0, 1, -1, 2])
+
+
+@st.composite
+def square_matrices(draw):
+    size = draw(st.integers(0, 7))
+    return [draw(st.lists(sparse_entries, min_size=size, max_size=size)) for _ in range(size)]
+
+
+@st.composite
+def rational_matrices(draw):
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    entry = st.builds(Fraction, sparse_entries, st.sampled_from([1, 1, 2, 3]))
+    return [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+
+
+def sparse_rows(rows):
+    return [{c: x for c, x in enumerate(row)} for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_eliminate_matches_subset_dp(rows):
+    rank, det, adj = symbolic._eliminate(rows)
+    assert rank == sparse_rank(sparse_rows(rows))
+    assert det == determinant(rows) == det_fraction(rows)
+    assert adj == (adjugate(rows) if det else None)
+    assert all(type(v) is int for v in [det] + [x for row in adj or [] for x in row])
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_eliminate_rational_and_rectangular(rows):
+    rank, det, adj = symbolic._eliminate(rows)
+    assert rank == matrix_rank(rows) == sparse_rank(sparse_rows(rows))
+    if len(rows) != len(rows[0] if rows else []) or rank < len(rows):
+        assert (det, adj) == (0, None)
+    else:
+        assert det == det_fraction(rows)
+        assert adj == adjugate(rows)
+
+
+def test_numeric_checks_never_reach_subset_dp(monkeypatch, capsys):
+    def numeric_guard(fn):
+        def guarded(rows):
+            if any(isinstance(x, (int, Fraction)) for row in rows for x in row):
+                raise AssertionError(f"{fn.__name__} called with numeric entries")
+            return fn(rows)
+        return guarded
+
+    monkeypatch.setattr(symbolic, "determinant", numeric_guard(determinant))
+    monkeypatch.setattr(symbolic, "adjugate", numeric_guard(adjugate))
+    assert verify_graph_vanishing(5, mode="numeric", trials=5, seed=3).trials == 5
+    assert adjugate_identity_numeric(5, trials=5, seed=3)
+    assert main(["verify", "--n", "4", "--mode", "numeric", "--trials", "3", "--format", "csv"]) == 0
+    assert "fail" not in capsys.readouterr().out
 
 
 def test_adjugate_identity_symbolic():
@@ -307,6 +378,9 @@ def test_matrix_rank_examples():
     assert matrix_rank([[1, 0], [0, 1]]) == 2
     assert matrix_rank([[0, 0], [0, 0]]) == 0
     assert matrix_rank([[Fraction(1, 2), 1], [1, 2]]) == 1
+    assert matrix_rank([]) == 0
+    assert matrix_rank([[1, 2, 3], [2, 4, 6]]) == 1
+    assert matrix_rank([[0], [Fraction(2, 3)], [1]]) == 1
 
 
 def test_rational_sym_matrix_validation():
