@@ -5,11 +5,13 @@ coefficient lists plus the product identity check), ``mldeg`` (ML-degree
 tables, interpolated polynomials, difference checks) and ``verify`` (the
 symbolic/numeric certificate suite). Output formats are json, csv and latex;
 JSON carries every integer as a decimal string since the values outgrow 64
-bits quickly, and is shaped as {command, params, results, checks}.
+bits quickly, and is shaped as {command, params, results, checks}. Each
+command returns one report; one renderer per format prints it.
 
 Identical invocations produce byte-identical stdout. ``--threads`` only fans
 independent verification trials over a thread pool; it never changes output,
-and is therefore not echoed into the params block.
+and is therefore not echoed into the params block. On a standard (GIL) build
+it gives no speed-up.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 invariant
 violation (positivity, polynomiality, nonzero graph residual), 4 out of memory.
@@ -26,7 +28,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .exact import InvariantViolation
 from .mldegree import finite_difference_check, ml_polynomial, ml_table, smallest_valid_n
@@ -54,40 +56,36 @@ class _Parser(argparse.ArgumentParser):
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Fully validated invocation; equal configs give byte-identical output."""
+class _Report:
+    """What one command computed, ready for any output format.
 
-    command: str
-    fmt: str = "json"
-    threads: str = "1"
-    n: Optional[int] = None
-    n_max: Optional[int] = None
-    d: Optional[int] = None
-    poly: bool = False
-    window: Optional[int] = None
-    mode: str = "symbolic"
-    trials: int = 100
-    seed: int = 0
-    symbolic_cap: int = 4
+    ``params`` and ``checks`` are plain values; ``results``, ``rows`` and
+    ``latex`` are built only by the renderer that prints them.
+    """
 
-    def resolved_threads(self) -> int:
-        if self.threads == "auto":
-            return os.cpu_count() or 1
-        return int(self.threads)
+    params: dict
+    checks: list[dict]
+    results: Callable[[], dict]
+    csv_header: list[str]
+    rows: Callable[[], list[list]]
+    latex: Callable[[], list[str]]
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="invdeg", description=__doc__.splitlines()[0])
-    parser.add_argument("--threads", default="1", help="worker threads for verification fan-out (N or auto)")
+    parser.add_argument(
+        "--threads",
+        default="1",
+        help="worker threads for verification fan-out (N or auto); never changes output, "
+        "and gives no speed-up on a standard (GIL) build",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_psi = sub.add_parser("psi", help="psi value tables")
     p_psi.add_argument("--n", type=int, required=True)
-    p_psi.add_argument("--format", default="json", choices=("csv", "json", "latex"))
 
     p_multi = sub.add_parser("multidegree", help="multidegree coefficient lists")
     p_multi.add_argument("--n", type=int, required=True)
-    p_multi.add_argument("--format", default="json", choices=("csv", "json", "latex"))
 
     p_ml = sub.add_parser("mldeg", help="ML-degree tables and polynomials")
     which = p_ml.add_mutually_exclusive_group(required=True)
@@ -95,7 +93,6 @@ def build_parser() -> _Parser:
     which.add_argument("--d", type=int)
     p_ml.add_argument("--poly", action="store_true", help="interpolate the polynomial in n for fixed d")
     p_ml.add_argument("--window", type=int, help="sample count for the difference check (default d + 10)")
-    p_ml.add_argument("--format", default="json", choices=("csv", "json", "latex"))
 
     p_ver = sub.add_parser("verify", help="run the certificate suite")
     p_ver.add_argument("--n", type=int, required=True)
@@ -103,53 +100,48 @@ def build_parser() -> _Parser:
     p_ver.add_argument("--trials", type=int, default=100)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--symbolic-cap", type=int, default=4)
-    p_ver.add_argument("--format", default="json", choices=("csv", "json", "latex"))
+
+    for command_parser in (p_psi, p_multi, p_ml, p_ver):
+        command_parser.add_argument("--format", default="json", choices=sorted(_RENDERERS))
     return parser
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    threads = str(ns.threads)
-    if threads != "auto":
+def _validate(ns: argparse.Namespace) -> None:
+    """Reject a bad invocation; fill in ``window`` and the thread count.
+
+    Equal namespaces after this step give byte-identical output.
+    """
+    if ns.threads != "auto":
         try:
-            if int(threads) < 1:
+            if int(ns.threads) < 1:
                 raise ValueError
         except ValueError:
-            raise UsageError(f"--threads must be a positive integer or 'auto', got {threads!r}")
+            raise UsageError(f"--threads must be a positive integer or 'auto', got {ns.threads!r}")
+    ns.threads = (os.cpu_count() or 1) if ns.threads == "auto" else int(ns.threads)
     if ns.command in ("psi", "multidegree", "verify") and ns.n < 1:
         raise UsageError(f"--n must be >= 1, got {ns.n}")
-    if ns.command == "psi" or ns.command == "multidegree":
-        return RunConfig(command=ns.command, fmt=ns.format, threads=threads, n=ns.n)
     if ns.command == "mldeg":
         if ns.n_max is not None:
             if ns.n_max < 1:
                 raise UsageError(f"--n-max must be >= 1, got {ns.n_max}")
             if ns.poly or ns.window is not None:
                 raise UsageError("--poly/--window require --d")
-            return RunConfig(command="mldeg", fmt=ns.format, threads=threads, n_max=ns.n_max)
+            return
         if ns.d < 1:
             raise UsageError(f"--d must be >= 1, got {ns.d}")
-        window = ns.window if ns.window is not None else ns.d + 10
-        if window < ns.d + 1:
-            raise UsageError(f"--window must be >= d + 1, got {window}")
-        return RunConfig(command="mldeg", fmt=ns.format, threads=threads, d=ns.d, poly=ns.poly, window=window)
-    if ns.trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {ns.trials}")
-    if ns.symbolic_cap < 1:
-        raise UsageError(f"--symbolic-cap must be >= 1, got {ns.symbolic_cap}")
-    if ns.mode == "symbolic" and ns.n > ns.symbolic_cap:
-        raise UsageError(
-            f"symbolic mode is capped at n <= {ns.symbolic_cap}; use --mode numeric or raise --symbolic-cap"
-        )
-    return RunConfig(
-        command="verify",
-        fmt=ns.format,
-        threads=threads,
-        n=ns.n,
-        mode=ns.mode,
-        trials=ns.trials,
-        seed=ns.seed,
-        symbolic_cap=ns.symbolic_cap,
-    )
+        if ns.window is None:
+            ns.window = ns.d + 10
+        if ns.window < ns.d + 1:
+            raise UsageError(f"--window must be >= d + 1, got {ns.window}")
+    elif ns.command == "verify":
+        if ns.trials < 1:
+            raise UsageError(f"--trials must be >= 1, got {ns.trials}")
+        if ns.symbolic_cap < 1:
+            raise UsageError(f"--symbolic-cap must be >= 1, got {ns.symbolic_cap}")
+        if ns.mode == "symbolic" and ns.n > ns.symbolic_cap:
+            raise UsageError(
+                f"symbolic mode is capped at n <= {ns.symbolic_cap}; use --mode numeric or raise --symbolic-cap"
+            )
 
 
 # ------------------------------------------------------------------- rendering
@@ -170,17 +162,35 @@ def _jsonable(value):
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _render_json(payload: dict) -> str:
+def _render_json(command: str, report: _Report) -> str:
+    payload = {
+        "command": command,
+        "params": {**report.params, "format": "json"},
+        "results": report.results(),
+        "checks": report.checks,
+    }
     return json.dumps(_jsonable(payload), indent=2)
 
 
-def _render_csv(header: list[str], rows: list[list]) -> str:
+def _render_csv(command: str, report: _Report) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
+    writer.writerow(report.csv_header)
+    for row in report.rows():
         writer.writerow(["" if v is None else str(v) for v in row])
     return buf.getvalue().rstrip("\n")
+
+
+def _render_latex(command: str, report: _Report) -> str:
+    return "\n".join(report.latex())
+
+
+_RENDERERS = {"csv": _render_csv, "json": _render_json, "latex": _render_latex}
+
+
+def _tabular(spec: str, rows: list[list]) -> list[str]:
+    body = [" & ".join(map(str, row)) + " \\\\" for row in rows]
+    return [f"\\begin{{tabular}}{{{spec}}}", *body, "\\end{tabular}"]
 
 
 def _latex_bipoly(coeffs: list[int], m: int) -> str:
@@ -230,160 +240,151 @@ def _latex_poly_in_n(coeffs: tuple[Fraction, ...]) -> str:
 
 # ------------------------------------------------------------------- commands
 
-def _cmd_psi(config: RunConfig) -> tuple[int, str]:
-    n = config.n
+def _cmd_psi(ns: argparse.Namespace) -> _Report:
+    n = ns.n
     table = psi_table(n)
     pairs = [(i, j, table.pair(i, j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    if config.fmt == "json":
-        payload = {
-            "command": "psi",
-            "params": {"n": n, "format": config.fmt},
-            "results": {
-                "singles": list(table.singles),
-                "pairs": [{"i": i, "j": j, "value": v} for i, j, v in pairs],
-            },
-            "checks": [],
-        }
-        return 0, _render_json(payload)
-    if config.fmt == "csv":
-        rows = [["single", i, None, table.singles[i - 1]] for i in range(1, n + 1)]
-        rows += [["pair", i, j, v] for i, j, v in pairs]
-        return 0, _render_csv(["kind", "i", "j", "value"], rows)
-    singles = ",\\quad ".join(f"\\psi_{{{i}}} = {table.singles[i - 1]}" for i in range(1, n + 1))
-    lines = [f"% psi values, n = {n}", f"\\[ {singles} \\]"]
-    if pairs:
-        body = ",\\quad ".join(f"\\psi_{{{i},{j}}} = {v}" for i, j, v in pairs)
-        lines.append(f"\\[ {body} \\]")
-    return 0, "\n".join(lines)
+
+    def latex() -> list[str]:
+        singles = ",\\quad ".join(f"\\psi_{{{i}}} = {table.singles[i - 1]}" for i in range(1, n + 1))
+        lines = [f"% psi values, n = {n}", f"\\[ {singles} \\]"]
+        if pairs:
+            body = ",\\quad ".join(f"\\psi_{{{i},{j}}} = {v}" for i, j, v in pairs)
+            lines.append(f"\\[ {body} \\]")
+        return lines
+
+    return _Report(
+        params={"n": n},
+        checks=[],
+        results=lambda: {
+            "singles": list(table.singles),
+            "pairs": [{"i": i, "j": j, "value": v} for i, j, v in pairs],
+        },
+        csv_header=["kind", "i", "j", "value"],
+        rows=lambda: [["single", i, None, table.singles[i - 1]] for i in range(1, n + 1)]
+        + [["pair", i, j, v] for i, j, v in pairs],
+        latex=latex,
+    )
 
 
-def _cmd_multidegree(config: RunConfig) -> tuple[int, str]:
-    n = config.n
+def _cmd_multidegree(ns: argparse.Namespace) -> _Report:
+    n = ns.n
     if n > LARGE_N_WARNING:
         print(f"warning: n = {n} needs ~2^{n + 1} cached bigints; expect minutes and real memory", file=sys.stderr)
     tb = multidegree_table(n)
     identity = tb.identity
     detail = f"{len(identity.coefficients)} coefficients of (t1+t2)*C_Gamma match t1^m + t2^m + C_Sigma"
-    if config.fmt == "json":
-        payload = {
-            "command": "multidegree",
-            "params": {"n": n, "format": config.fmt},
-            "results": {
-                "m": tb.m,
-                "beta": list(tb.beta),
-                "gamma": list(tb.gamma_degs),
-                "sigma": list(tb.sigma_coeffs),
-            },
-            "checks": [{"name": "multidegree_identity", "pass": identity.ok, "detail": detail}],
-        }
-        return 0 if identity.ok else 2, _render_json(payload)
-    if config.fmt == "csv":
+
+    def rows() -> list[list]:
         rows = [["beta", d, v] for d, v in enumerate(tb.beta)]
         rows += [["gamma", d, v] for d, v in enumerate(tb.gamma_degs)]
         rows += [["sigma", d + 1, v] for d, v in enumerate(tb.sigma_coeffs)]
         rows.append(["identity", None, "pass" if identity.ok else "fail"])
-        return 0 if identity.ok else 2, _render_csv(["quantity", "d", "value"], rows)
-    lhs = [c.lhs for c in identity.coefficients]
-    lines = [
-        f"% multidegrees, n = {n}, m = {tb.m}",
-        "\\begin{tabular}{rrr}",
-        "d & \\beta & \\gamma \\\\",
-    ]
-    for d in range(tb.m + 1):
-        gamma = str(tb.gamma_degs[d]) if d < tb.m else ""
-        lines.append(f"{d} & {tb.beta[d]} & {gamma} \\\\")
-    lines.append("\\end{tabular}")
-    lines.append(f"\\[ (t_1 + t_2)\\, C_\\Gamma = {_latex_bipoly(lhs, tb.m)} = t_1^{{{tb.m}}} + t_2^{{{tb.m}}} + C_\\Sigma \\]")
-    return 0 if identity.ok else 2, "\n".join(lines)
+        return rows
 
+    def latex() -> list[str]:
+        table = [["d", "\\beta", "\\gamma"]]
+        table += [[d, tb.beta[d], tb.gamma_degs[d] if d < tb.m else ""] for d in range(tb.m + 1)]
+        lhs = _latex_bipoly([c.lhs for c in identity.coefficients], tb.m)
+        return [
+            f"% multidegrees, n = {n}, m = {tb.m}",
+            *_tabular("rrr", table),
+            f"\\[ (t_1 + t_2)\\, C_\\Gamma = {lhs} = t_1^{{{tb.m}}} + t_2^{{{tb.m}}} + C_\\Sigma \\]",
+        ]
 
-def _cmd_mldeg(config: RunConfig) -> tuple[int, str]:
-    if config.n_max is not None and config.n_max > LARGE_N_WARNING:
-        print(f"warning: n up to {config.n_max} needs ~2^{config.n_max + 1} cached bigints; expect minutes and real memory", file=sys.stderr)
-    if config.d is not None:
-        top = smallest_valid_n(config.d) + (config.d + 2 if config.poly else config.window - 1)
-        if top > LARGE_N_WARNING:
-            print(f"warning: d = {config.d} samples the table up to n = {top}; expect minutes and real memory", file=sys.stderr)
-    if config.n_max is not None:
-        rows = ml_table(config.n_max)
-        if config.fmt == "json":
-            payload = {
-                "command": "mldeg",
-                "params": {"n_max": config.n_max, "format": config.fmt},
-                "results": {"rows": [{"n": i + 1, "values": list(r)} for i, r in enumerate(rows)]},
-                "checks": [],
-            }
-            return 0, _render_json(payload)
-        flat = [[i + 1, d + 1, v] for i, r in enumerate(rows) for d, v in enumerate(r)]
-        if config.fmt == "csv":
-            return 0, _render_csv(["n", "d", "value"], flat)
-        lines = [f"% ML-degrees, n <= {config.n_max}", "\\begin{tabular}{rrr}", "n & d & \\varphi(n, d) \\\\"]
-        lines += [f"{n} & {d} & {v} \\\\" for n, d, v in flat]
-        lines.append("\\end{tabular}")
-        return 0, "\n".join(lines)
-    d = config.d
-    if config.poly:
-        poly = ml_polynomial(d)
-        check = {
-            "name": "polynomiality_validation",
-            "pass": True,
-            "detail": f"interpolant reproduces the table at n = {', '.join(map(str, poly.validated_at))}",
-        }
-        if config.fmt == "json":
-            payload = {
-                "command": "mldeg",
-                "params": {"d": d, "poly": True, "format": config.fmt},
-                "results": {
-                    "degree": poly.degree,
-                    "coefficients": [str(c) for c in poly.coeffs],
-                    "sample_start": poly.sample_start,
-                    "validated_at": list(poly.validated_at),
-                },
-                "checks": [check],
-            }
-            return 0, _render_json(payload)
-        if config.fmt == "csv":
-            rows = [["coefficient", k, str(c)] for k, c in enumerate(poly.coeffs)]
-            rows.append(["sample_start", None, poly.sample_start])
-            rows += [["validated", n, "pass"] for n in poly.validated_at]
-            return 0, _render_csv(["field", "key", "value"], rows)
-        return 0, f"% ML-degree polynomial, d = {d}\n\\[ \\varphi_{{{d}}}(n) = {_latex_poly_in_n(poly.coeffs)} \\]"
-    report = finite_difference_check(d, config.window)
-    check = {
-        "name": "difference_vanishing",
-        "pass": report.ok,
-        "detail": f"{len(report.differences)} forward differences of order {d} from n = {report.start_n}",
-    }
-    code = 0 if report.ok else 2
-    if config.fmt == "json":
-        payload = {
-            "command": "mldeg",
-            "params": {"d": d, "window": report.window, "format": config.fmt},
-            "results": {"start_n": report.start_n, "differences": list(report.differences)},
-            "checks": [check],
-        }
-        return code, _render_json(payload)
-    if config.fmt == "csv":
-        rows = [["difference", k, v] for k, v in enumerate(report.differences)]
-        rows.append(["vanish", None, "pass" if report.ok else "fail"])
-        return code, _render_csv(["field", "key", "value"], rows)
-    verdict = "0" if report.ok else "\\text{nonzero}"
-    return code, (
-        f"% difference check, d = {d}, window = {report.window}\n"
-        f"\\[ \\Delta^{{{d}}} \\varphi_{{{d}}}(n) = {verdict}, \\quad n = {report.start_n}, \\ldots \\]"
+    return _Report(
+        params={"n": n},
+        checks=[{"name": "multidegree_identity", "pass": identity.ok, "detail": detail}],
+        results=lambda: {
+            "m": tb.m,
+            "beta": list(tb.beta),
+            "gamma": list(tb.gamma_degs),
+            "sigma": list(tb.sigma_coeffs),
+        },
+        csv_header=["quantity", "d", "value"],
+        rows=rows,
+        latex=latex,
     )
 
 
-def _cmd_verify(config: RunConfig) -> tuple[int, str]:
-    n = config.n
-    threads = config.resolved_threads()
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+def _cmd_mldeg(ns: argparse.Namespace) -> _Report:
+    if ns.n_max is not None and ns.n_max > LARGE_N_WARNING:
+        print(f"warning: n up to {ns.n_max} needs ~2^{ns.n_max + 1} cached bigints; expect minutes and real memory", file=sys.stderr)
+    if ns.d is not None:
+        top = smallest_valid_n(ns.d) + (ns.d + 2 if ns.poly else ns.window - 1)
+        if top > LARGE_N_WARNING:
+            print(f"warning: d = {ns.d} samples the table up to n = {top}; expect minutes and real memory", file=sys.stderr)
+    if ns.n_max is not None:
+        table = ml_table(ns.n_max)
+
+        def flat() -> list[list]:
+            return [[i + 1, d + 1, v] for i, r in enumerate(table) for d, v in enumerate(r)]
+
+        return _Report(
+            params={"n_max": ns.n_max},
+            checks=[],
+            results=lambda: {"rows": [{"n": i + 1, "values": list(r)} for i, r in enumerate(table)]},
+            csv_header=["n", "d", "value"],
+            rows=flat,
+            latex=lambda: [
+                f"% ML-degrees, n <= {ns.n_max}",
+                *_tabular("rrr", [["n", "d", "\\varphi(n, d)"], *flat()]),
+            ],
+        )
+    d = ns.d
+    if ns.poly:
+        poly = ml_polynomial(d)
+        return _Report(
+            params={"d": d, "poly": True},
+            checks=[{
+                "name": "polynomiality_validation",
+                "pass": True,
+                "detail": f"interpolant reproduces the table at n = {', '.join(map(str, poly.validated_at))}",
+            }],
+            results=lambda: {
+                "degree": poly.degree,
+                "coefficients": [str(c) for c in poly.coeffs],
+                "sample_start": poly.sample_start,
+                "validated_at": list(poly.validated_at),
+            },
+            csv_header=["field", "key", "value"],
+            rows=lambda: [["coefficient", k, str(c)] for k, c in enumerate(poly.coeffs)]
+            + [["sample_start", None, poly.sample_start]]
+            + [["validated", n, "pass"] for n in poly.validated_at],
+            latex=lambda: [
+                f"% ML-degree polynomial, d = {d}",
+                f"\\[ \\varphi_{{{d}}}(n) = {_latex_poly_in_n(poly.coeffs)} \\]",
+            ],
+        )
+    report = finite_difference_check(d, ns.window)
+    verdict = "0" if report.ok else "\\text{nonzero}"
+    return _Report(
+        params={"d": d, "window": report.window},
+        checks=[{
+            "name": "difference_vanishing",
+            "pass": report.ok,
+            "detail": f"{len(report.differences)} forward differences of order {d} from n = {report.start_n}",
+        }],
+        results=lambda: {"start_n": report.start_n, "differences": list(report.differences)},
+        csv_header=["field", "key", "value"],
+        rows=lambda: [["difference", k, v] for k, v in enumerate(report.differences)]
+        + [["vanish", None, "pass" if report.ok else "fail"]],
+        latex=lambda: [
+            f"% difference check, d = {d}, window = {report.window}",
+            f"\\[ \\Delta^{{{d}}} \\varphi_{{{d}}}(n) = {verdict}, \\quad n = {report.start_n}, \\ldots \\]",
+        ],
+    )
+
+
+def _cmd_verify(ns: argparse.Namespace) -> _Report:
+    n = ns.n
+    executor = ThreadPoolExecutor(max_workers=ns.threads) if ns.threads > 1 else None
     checks = []
     try:
         try:
             report = verify_graph_vanishing(
-                n, mode=config.mode, trials=config.trials, seed=config.seed,
-                symbolic_cap=config.symbolic_cap, executor=executor,
+                n, mode=ns.mode, trials=ns.trials, seed=ns.seed,
+                symbolic_cap=ns.symbolic_cap, executor=executor,
             )
             if report.mode == "symbolic":
                 detail = f"{report.generators} generators vanish identically under Y -> adj(X)"
@@ -392,12 +393,12 @@ def _cmd_verify(config: RunConfig) -> tuple[int, str]:
             checks.append({"name": "graph_vanishing", "pass": True, "detail": detail})
         except InvariantViolation as exc:
             checks.append({"name": "graph_vanishing", "pass": False, "detail": str(exc)})
-        if config.mode == "symbolic":
+        if ns.mode == "symbolic":
             ok = adjugate_identity_holds(n)
             detail = "X * adj(X) = det(X) * Id symbolically"
         else:
-            ok = adjugate_identity_numeric(n, config.trials, config.seed, executor=executor)
-            detail = f"X * adj(X) = det(X) * Id on {config.trials} exact samples"
+            ok = adjugate_identity_numeric(n, ns.trials, ns.seed, executor=executor)
+            detail = f"X * adj(X) = det(X) * Id on {ns.trials} exact samples"
         checks.append({"name": "adjugate_identity", "pass": ok, "detail": detail})
         checks.append({
             "name": "swap_symmetry",
@@ -414,7 +415,7 @@ def _cmd_verify(config: RunConfig) -> tuple[int, str]:
 
         def witness_case(case: tuple[int, int]) -> bool:
             r, k = case
-            return witness_pair_valid(n, r, config.seed * 1_000_003 + 101 * r + k)
+            return witness_pair_valid(n, r, ns.seed * 1_000_003 + 101 * r + k)
 
         runner = executor.map if executor is not None else map
         witness_ok = all(runner(witness_case, cases))
@@ -426,30 +427,17 @@ def _cmd_verify(config: RunConfig) -> tuple[int, str]:
     finally:
         if executor is not None:
             executor.shutdown()
-    all_ok = all(c["pass"] for c in checks)
-    code = 0 if all_ok else 2
-    if config.fmt == "json":
-        payload = {
-            "command": "verify",
-            "params": {
-                "n": n,
-                "mode": config.mode,
-                "trials": config.trials,
-                "seed": config.seed,
-                "symbolic_cap": config.symbolic_cap,
-                "format": config.fmt,
-            },
-            "results": {"passed": sum(c["pass"] for c in checks), "failed": sum(not c["pass"] for c in checks)},
-            "checks": checks,
-        }
-        return code, _render_json(payload)
-    if config.fmt == "csv":
-        rows = [[c["name"], "pass" if c["pass"] else "fail", c["detail"]] for c in checks]
-        return code, _render_csv(["check", "pass", "detail"], rows)
-    lines = [f"% verification, n = {n}, mode = {config.mode}", "\\begin{tabular}{lr}"]
-    lines += [f"{c['name'].replace('_', ' ')} & {'pass' if c['pass'] else 'fail'} \\\\" for c in checks]
-    lines.append("\\end{tabular}")
-    return code, "\n".join(lines)
+    return _Report(
+        params={"n": n, "mode": ns.mode, "trials": ns.trials, "seed": ns.seed, "symbolic_cap": ns.symbolic_cap},
+        checks=checks,
+        results=lambda: {"passed": sum(c["pass"] for c in checks), "failed": sum(not c["pass"] for c in checks)},
+        csv_header=["check", "pass", "detail"],
+        rows=lambda: [[c["name"], "pass" if c["pass"] else "fail", c["detail"]] for c in checks],
+        latex=lambda: [
+            f"% verification, n = {n}, mode = {ns.mode}",
+            *_tabular("lr", [[c["name"].replace("_", " "), "pass" if c["pass"] else "fail"] for c in checks]),
+        ],
+    )
 
 
 _DISPATCH = {
@@ -464,21 +452,22 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-        config = _config_from(ns)
+        _validate(ns)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        code, text = _DISPATCH[config.command](config)
+        report = _DISPATCH[ns.command](ns)
+        text = _RENDERERS[ns.format](ns.command, report)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
     except MemoryError:
-        print(f"out of memory: {config.command} needs more memory than this process may use", file=sys.stderr)
+        print(f"out of memory: {ns.command} needs more memory than this process may use", file=sys.stderr)
         return 4
     if text:
         print(text)
-    return code
+    return 0 if all(c["pass"] for c in report.checks) else 2
 
 
 def run() -> None:

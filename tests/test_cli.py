@@ -58,23 +58,36 @@ def test_psi_latex(capsys):
 
 
 def test_usage_errors_exit_1(capsys):
-    for args in (
-        ["psi", "--n", "0"],
-        ["multidegree", "--n", "-2"],
-        ["bogus"],
-        ["psi"],
-        ["mldeg", "--n-max", "3", "--poly"],
-        ["mldeg", "--d", "0"],
-        ["mldeg", "--d", "3", "--window", "2"],
-        ["verify", "--n", "3", "--trials", "0"],
-        ["verify", "--n", "9", "--mode", "symbolic"],
-        ["psi", "--n", "3", "--threads", "0"],
-        ["psi", "--n", "3", "--threads", "x"],
+    # invdeg's own messages are pinned line for line; argparse's wording
+    # varies between Python versions, so its messages (None) are not.
+    for args, message in (
+        (["psi", "--n", "0"], "--n must be >= 1, got 0"),
+        (["multidegree", "--n", "-2"], "--n must be >= 1, got -2"),
+        (["verify", "--n", "0", "--mode", "numeric"], "--n must be >= 1, got 0"),
+        (["bogus"], None),
+        (["psi"], None),
+        (["psi", "--n", "3", "--format", "xml"], None),
+        (["mldeg", "--n-max", "0"], "--n-max must be >= 1, got 0"),
+        (["mldeg", "--n-max", "3", "--poly"], "--poly/--window require --d"),
+        (["mldeg", "--n-max", "3", "--window", "5"], "--poly/--window require --d"),
+        (["mldeg", "--d", "0"], "--d must be >= 1, got 0"),
+        (["mldeg", "--d", "3", "--window", "2"], "--window must be >= d + 1, got 2"),
+        (["verify", "--n", "3", "--trials", "0"], "--trials must be >= 1, got 0"),
+        (["verify", "--n", "3", "--symbolic-cap", "0"], "--symbolic-cap must be >= 1, got 0"),
+        (
+            ["verify", "--n", "9", "--mode", "symbolic"],
+            "symbolic mode is capped at n <= 4; use --mode numeric or raise --symbolic-cap",
+        ),
+        (["--threads", "0", "psi", "--n", "3"], "--threads must be a positive integer or 'auto', got '0'"),
+        (["--threads", "x", "psi", "--n", "3"], "--threads must be a positive integer or 'auto', got 'x'"),
     ):
         code, out, err = run_cli(capsys, args)
         assert code == 1, args
         assert out == ""
-        assert "usage error" in err or "usage" in err
+        if message is None:
+            assert "usage error" in err or "usage" in err
+        else:
+            assert err == f"usage error: {message}\n", args
 
 
 def test_multidegree_json_golden(capsys):

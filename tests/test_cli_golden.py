@@ -1,12 +1,17 @@
 """Byte-for-byte CLI goldens: the sha256 of stdout, the exit code and stderr
-of small commands in every output format. A digest changes only when the
+of small commands in every output format, both as they run and with one check
+made to fail. A digest changes only when the
 printed bytes change, and such a change must be deliberate."""
 
+import dataclasses
 import hashlib
 
 import pytest
 
+import invdeg.cli as cli
 from invdeg.cli import main
+from invdeg.mldegree import finite_difference_check
+from invdeg.multidegree import multidegree_table
 
 GOLDENS = [
     ("psi --n 1 --format json", "d0b097163d46c6110a47ee6d2e5a06a633d88aedc0fbbb28421faf22f036b626"),
@@ -47,4 +52,47 @@ def test_cli_output_golden(capsys, args, digest):
     code = main(args.split())
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+def _wrong_identity_coefficient(n):
+    table = multidegree_table(n)
+    coeffs = list(table.identity.coefficients)
+    coeffs[2] = dataclasses.replace(coeffs[2], lhs=coeffs[2].lhs + 1)
+    identity = dataclasses.replace(table.identity, coefficients=tuple(coeffs))
+    return dataclasses.replace(table, identity=identity)
+
+
+def _nonzero_difference(d, window):
+    report = finite_difference_check(d, window)
+    return dataclasses.replace(report, differences=report.differences[:-1] + (1,))
+
+
+# A failed check exits 2 and still prints the whole report.
+FAILURE_FAKES = {
+    "verify --n 2": ("swap_symmetry_holds", lambda n: False),
+    "mldeg --d 2": ("finite_difference_check", _nonzero_difference),
+    "multidegree --n 3": ("multidegree_table", _wrong_identity_coefficient),
+}
+
+FAILURE_GOLDENS = [
+    ("verify --n 2 --format json", "84dc75be199b575008179b387bc883170a009e782baba0750f322edbf882e2c6"),
+    ("verify --n 2 --format csv", "8555092650d5db31997d530ff91c4258bd538328d639d11de3249e1d427ee26c"),
+    ("verify --n 2 --format latex", "193d4fefcbb9cd9717ff5725560d2afdb9268d8ab1b998968ea07d5e29db7f56"),
+    ("mldeg --d 2 --format json", "e0068434967b7006f4f644e67d601603f6582bafb0ec720ebf64bc1b35d5838b"),
+    ("mldeg --d 2 --format csv", "4fe9c79adda31ec04000a445e9f7d55c9d8516f3ce6d1d34e9753d0d67604400"),
+    ("mldeg --d 2 --format latex", "070cab424f4bf41a25ca717a36559ac6d65d27c5cafdf8b29cfb557700050542"),
+    ("multidegree --n 3 --format json", "d7add07a259ab11a79180a713d451c2a3ad6ebab3a6864d611e0f8f65ba34953"),
+    ("multidegree --n 3 --format csv", "ff0221d0f7877ef659aafec3a55af2141833a10788ac71986e2053059560014d"),
+    ("multidegree --n 3 --format latex", "db6208f6515d738c92e36922ca009d7420cabd6a8afedf720e6f25fed19df171"),
+]
+
+
+@pytest.mark.parametrize("args, digest", FAILURE_GOLDENS, ids=[a for a, _ in FAILURE_GOLDENS])
+def test_cli_failure_golden(capsys, monkeypatch, args, digest):
+    name, fake = FAILURE_FAKES[args.rsplit(" --format", 1)[0]]
+    monkeypatch.setattr(cli, name, fake)
+    code = main(args.split())
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
