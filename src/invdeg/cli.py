@@ -31,12 +31,14 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .exact import InvariantViolation
-from .mldegree import finite_difference_check, ml_polynomial, ml_table, smallest_valid_n
+from .mldegree import finite_difference_check, ml_polynomial, ml_table
 from .multidegree import multidegree_table
 from .psi import psi_table
 from .symbolic import (
     adjugate_identity_holds,
     adjugate_identity_numeric,
+    adjugate_sym,
+    generic_sym_matrix,
     spans_product_entries,
     swap_symmetry_holds,
     verify_graph_vanishing,
@@ -310,10 +312,6 @@ def _cmd_multidegree(ns: argparse.Namespace) -> _Report:
 def _cmd_mldeg(ns: argparse.Namespace) -> _Report:
     if ns.n_max is not None and ns.n_max > LARGE_N_WARNING:
         print(f"warning: n up to {ns.n_max} needs ~2^{ns.n_max + 1} cached bigints; expect minutes and real memory", file=sys.stderr)
-    if ns.d is not None:
-        top = smallest_valid_n(ns.d) + (ns.d + 2 if ns.poly else ns.window - 1)
-        if top > LARGE_N_WARNING:
-            print(f"warning: d = {ns.d} samples the table up to n = {top}; expect minutes and real memory", file=sys.stderr)
     if ns.n_max is not None:
         table = ml_table(ns.n_max)
 
@@ -378,13 +376,15 @@ def _cmd_mldeg(ns: argparse.Namespace) -> _Report:
 
 def _cmd_verify(ns: argparse.Namespace) -> _Report:
     n = ns.n
+    # One symbolic adjugate serves both symbolic checks.
+    adj_x = adjugate_sym(generic_sym_matrix(n, "X")) if ns.mode == "symbolic" else None
     executor = ThreadPoolExecutor(max_workers=ns.threads) if ns.threads > 1 else None
     checks = []
     try:
         try:
             report = verify_graph_vanishing(
                 n, mode=ns.mode, trials=ns.trials, seed=ns.seed,
-                symbolic_cap=ns.symbolic_cap, executor=executor,
+                symbolic_cap=ns.symbolic_cap, executor=executor, adj_x=adj_x,
             )
             if report.mode == "symbolic":
                 detail = f"{report.generators} generators vanish identically under Y -> adj(X)"
@@ -394,7 +394,7 @@ def _cmd_verify(ns: argparse.Namespace) -> _Report:
         except InvariantViolation as exc:
             checks.append({"name": "graph_vanishing", "pass": False, "detail": str(exc)})
         if ns.mode == "symbolic":
-            ok = adjugate_identity_holds(n)
+            ok = adjugate_identity_holds(n, adj_x)
             detail = "X * adj(X) = det(X) * Id symbolically"
         else:
             ok = adjugate_identity_numeric(n, ns.trials, ns.seed, executor=executor)

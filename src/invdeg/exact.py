@@ -1,16 +1,19 @@
-"""Exact integer kernels: binomial coefficients and Pfaffians of skew matrices.
+"""Exact kernels: binomial coefficients, Pfaffians of skew matrices, and one
+fraction-free elimination for the rank, determinant and adjugate of a matrix
+of numbers.
 
-Everything here returns arbitrary-precision ``int``; there is no fixed-width
-fast path. Intermediate divisions run over ``fractions.Fraction`` and are
-checked to cancel.
+Everything here returns arbitrary-precision ``int`` (``Fraction`` for
+rational input); there is no fixed-width fast path. The Pfaffian's
+intermediate divisions run over ``fractions.Fraction`` and are checked to
+cancel; the elimination divides only exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 
 class InvariantViolation(RuntimeError):
@@ -23,7 +26,7 @@ def binomial(a: int, b: int) -> int:
         raise ValueError(f"binomial requires a >= 0, got a={a}")
     if b < 0 or b > a:
         return 0
-    return comb(a, b)
+    return math.comb(a, b)
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,7 @@ class SkewMatrix:
 
 
 MatrixLike = Union[SkewMatrix, Sequence[Sequence[int]]]
+Scalar = Union[int, Fraction]
 
 
 def _coerce(matrix: MatrixLike) -> SkewMatrix:
@@ -146,3 +150,41 @@ def pfaffian_reference(matrix: MatrixLike) -> int:
         return total
 
     return expand(tuple(range(k)))
+
+
+def _eliminate(rows: Sequence[Sequence[Scalar]]) -> tuple[int, Scalar, Optional[list[list[Scalar]]]]:
+    """(rank, det, adj) of an int/Fraction matrix; adj is None and det is 0
+    unless the matrix is square of full rank.
+
+    Bareiss's fraction-free Gauss-Jordan elimination on [B | I], B the matrix
+    scaled to integers: every entry stays a minor of [B | I], so each division
+    is exact, and at full rank the blocks end as (+-det B) * I and +-adj B.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    work = [[int(x * scale) for x in row] + [int(i == j) for j in range(nrows)] for i, row in enumerate(rows)]
+    rank, prev, sign = 0, 1, 1
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if work[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            work[rank], work[pivot] = work[pivot], work[rank]
+            sign = -sign
+        prow = work[rank]
+        lead = prow[col]
+        for r in range(nrows):
+            if r != rank:
+                f = work[r][col]
+                work[r] = [(lead * a - f * b) // prev for a, b in zip(work[r], prow)]
+        prev = lead
+        rank += 1
+    if rank != nrows or nrows != ncols:
+        return rank, 0, None
+    det = sign * prev
+    adj = [[sign * v for v in row[ncols:]] for row in work]
+    if scale > 1:
+        det = Fraction(det, scale ** nrows)
+        adj = [[Fraction(v, scale ** (nrows - 1)) for v in row] for row in adj]
+    return rank, det, adj

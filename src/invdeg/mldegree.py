@@ -2,9 +2,12 @@
 
 ``ml_degree(n, d)`` is the ML-degree of a generic d-dimensional linear
 subspace of symmetric n x n matrices; it equals the (d-1)-th multidegree
-coefficient of the inverse-pairs variety. For fixed d it is a polynomial in
-n of degree d - 1, recovered exactly by ``ml_polynomial`` through rational
-Lagrange interpolation with out-of-sample validation.
+coefficient of the inverse-pairs variety. It is computed from the weight
+slice beta(n, 0..K-1), K = min(d, m - d + 1) by palindromy, without the
+2**(n+1) mask table, so for fixed d its cost is polynomial in n. For fixed
+d the value is a polynomial in n of degree d - 1, recovered exactly by
+``ml_polynomial`` through rational Lagrange interpolation with out-of-sample
+validation. ``ml_table`` lists whole rows and uses the full table.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import InvariantViolation
-from .multidegree import gamma_degrees, sym_dimension
+from .multidegree import gamma_degrees, gamma_prefix, sym_dimension
 
 
 def ml_degree(n: int, d: int) -> int:
@@ -21,7 +24,8 @@ def ml_degree(n: int, d: int) -> int:
     m = sym_dimension(n)
     if d < 1 or d > m:
         raise ValueError(f"dimension d out of range for n: d={d}, n={n} (need 1 <= d <= {m})")
-    return gamma_degrees(n)[d - 1]
+    # gamma is palindromic: gamma[d - 1] = gamma[m - d], so the shorter prefix serves.
+    return gamma_prefix(n, min(d, m - d + 1))[-1]
 
 
 def ml_table(n_max: int) -> list[tuple[int, ...]]:

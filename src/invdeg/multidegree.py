@@ -9,11 +9,15 @@ of products of psi values over complementary index subsets. ``sdp_degree``
 restricts that sum to subsets of fixed size and is the algebraic degree of
 semidefinite programming.
 
-The bulk engine evaluates psi on every subset of {1..n} through a single
-Pfaffian table indexed by bitmask (expansion along the lowest set bit), which
-is the only way the n = 20 table fits in a sane time budget; the public
-``psi.psi_seq`` route stays independent so the two can be checked against
-each other.
+Pfaffians of the bordered psi pair matrix come from one expansion along the
+lowest set bit of a bitmask, which runs over two families of masks. The full
+table (``beta_vector`` and everything built on it) stores all 2**(n+1) masks
+in a list. ``gamma_prefix`` needs only beta(n, 0..k-1): it visits the
+subsets of weight below k, takes psi of each complement from the inverse of
+the bordered matrix (Jacobi's complementary-minor identity), and keeps its
+masks in a dict, so for fixed k its cost is polynomial in n. The public
+``psi.psi_seq`` route stays independent so the engines can be checked
+against it.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import Iterable
 
-from .exact import InvariantViolation
+from .exact import InvariantViolation, _eliminate
 from .psi import psi_pair, psi_single
 
 
@@ -33,28 +38,33 @@ def sym_dimension(n: int) -> int:
     return n * (n + 1) // 2
 
 
-@lru_cache(maxsize=8)
-def _mask_pfaffians(n: int) -> list[int]:
-    """Pfaffians of the psi pair matrix on every even-popcount mask.
+def _pair_matrix(size: int) -> list[list[int]]:
+    """Bordered psi pair matrix on the indices 0..size.
 
-    Bit j of a mask stands for index j with 1 <= j <= n; bit 0 is the border
-    index used to close off odd subsets, with pair value psi_single(j)
-    against every real index j. Entry order inside a subset is bit order, so
-    the value for an odd subset equals psi_seq of that subset bordered.
-    Memory is one int per mask, 2**(n+1) total.
+    Index j with 1 <= j <= size stands for the element j, with pair value
+    psi_pair(i, j); index 0 is the border used to close off odd subsets, with
+    value psi_single(j) against every real index j.
     """
-    w = [[0] * (n + 1) for _ in range(n + 1)]
-    for j in range(1, n + 1):
+    w = [[0] * (size + 1) for _ in range(size + 1)]
+    for j in range(1, size + 1):
         w[0][j] = psi_single(j)
         for i in range(1, j):
             w[i][j] = psi_pair(i, j)
-    for i in range(n + 1):
+    for i in range(size + 1):
         for j in range(i):
             w[i][j] = -w[j][i]
-    size = 1 << (n + 1)
-    pf = [0] * size
-    pf[0] = 1
-    for mask in range(3, size):
+    return w
+
+
+def _expand_pfaffians(w: list[list[int]], masks: Iterable[int], pf):
+    """Fill pf[mask] with the Pfaffian of w on the index set of each mask.
+
+    Expansion along the lowest set bit reads pf at masks with two bits fewer,
+    so ``masks`` must be increasing and pf must already hold every such
+    smaller mask (pf[0] = 1). Masks of odd popcount are skipped. pf is a list
+    indexed by mask or a dict keyed by mask; it is returned.
+    """
+    for mask in masks:
         if mask.bit_count() & 1:
             continue
         low = mask & -mask
@@ -78,7 +88,22 @@ def _mask_pfaffians(n: int) -> list[int]:
     return pf
 
 
-def _psi_of_mask(pf: list[int], subset: int) -> int:
+@lru_cache(maxsize=8)
+def _mask_pfaffians(n: int) -> list[int]:
+    """Pfaffians of the bordered pair matrix on every even-popcount mask.
+
+    Bit j of a mask stands for index j of ``_pair_matrix(n)``. Entry order
+    inside a subset is bit order, so the value for an odd subset equals
+    psi_seq of that subset bordered. Memory is one int per mask, 2**(n+1)
+    total.
+    """
+    size = 1 << (n + 1)
+    pf = [0] * size
+    pf[0] = 1
+    return _expand_pfaffians(_pair_matrix(n), range(3, size), pf)
+
+
+def _psi_of_mask(pf, subset: int) -> int:
     """psi of the subset mask (bit i stands for element i + 1)."""
     mask = subset << 1
     if subset.bit_count() & 1:
@@ -135,12 +160,12 @@ def sigma_coefficients(n: int) -> tuple[int, ...]:
     return beta_vector(n)[1:-1]
 
 
-def _gamma_from_beta(betas: tuple[int, ...]) -> tuple[int, ...]:
-    """Alternating partial sums of beta; every entry must stay positive."""
+def _gamma_from_beta(betas) -> tuple[int, ...]:
+    """Alternating partial sums of beta, one per entry; each must stay positive."""
     out: list[int] = []
     acc = 0
-    for d in range(len(betas) - 1):
-        acc = betas[d] - acc
+    for d, b in enumerate(betas):
+        acc = b - acc
         if acc <= 0:
             raise InvariantViolation(f"multidegree positivity violated at d={d}: {acc}")
         out.append(acc)
@@ -149,7 +174,59 @@ def _gamma_from_beta(betas: tuple[int, ...]) -> tuple[int, ...]:
 
 def gamma_degrees(n: int) -> tuple[int, ...]:
     """Multidegree coefficients of the inverse-pairs variety, d = 0..m-1."""
-    return _gamma_from_beta(beta_vector(n))
+    return _gamma_from_beta(beta_vector(n)[:-1])
+
+
+def _light_psi(n: int, k: int) -> list[tuple[int, int, int, int]]:
+    """(subset, weight, psi(a), psi(complement of a)) for every subset a of
+    {1..n} of weight below k; bit i of ``subset`` stands for element i + 1.
+
+    psi(a) is the Pfaffian of the bordered pair matrix B on the mask of a.
+    Let N = n for odd n and n + 1 for even n, and B the bordered matrix on
+    0..N. Its Pfaffian is psi(1..N) = 1, so C = B^-1 = adj B is integral,
+    and Jacobi's complementary-minor identity gives psi(complement of a) =
+    (-1)^(sum T) Pf(C_T) with T = a, plus N for even n, plus the border 0
+    when that set is odd. Both expansions run over masks built from light
+    subsets only, a family closed under removing bits, so the cost follows
+    the number of light subsets instead of 2**n.
+    """
+    big = n if n & 1 else n + 1
+    b = _pair_matrix(big)
+    _, det, c = _eliminate(b)
+    if det != 1:
+        raise InvariantViolation(f"bordered pair matrix on 0..{big} has determinant {det}, expected 1")
+    subsets = [(0, 0)]
+    for e in range(1, min(n, k - 1) + 1):
+        subsets += [(s | 1 << (e - 1), w + e) for s, w in subsets if w + e < k]
+    masks = [s << 1 | (s.bit_count() & 1) for s, _ in subsets]
+    t_masks = masks
+    if big > n:  # T gains the index N = n + 1, which is odd
+        t_masks = [s << 1 | 1 << big | (~s.bit_count() & 1) for s, _ in subsets]
+    pf_b = _expand_pfaffians(b, sorted(masks)[1:], {0: 1})
+    pf_c = _expand_pfaffians(c, sorted(set(masks) | set(t_masks))[1:], {0: 1})
+    out = []
+    for (s, w), mask, t_mask in zip(subsets, masks, t_masks):
+        psi_c = pf_c[t_mask]
+        if (w + big - n) & 1:
+            psi_c = -psi_c
+        out.append((s, w, pf_b[mask], psi_c))
+    return out
+
+
+def gamma_prefix(n: int, k: int) -> tuple[int, ...]:
+    """gamma_degrees(n)[:k], computed from beta(n, 0..k-1) alone.
+
+    Only the subsets of {1..n} of weight below k are visited (see
+    ``_light_psi``), so for fixed k the cost is polynomial in n and no
+    2**n table is built.
+    """
+    m = sym_dimension(n)
+    if not 1 <= k <= m:
+        raise ValueError(f"prefix length out of range for n: k={k}, n={n} (need 1 <= k <= {m})")
+    betas = [0] * k
+    for _, w, psi_a, psi_c in _light_psi(n, k):
+        betas[w] += psi_a * psi_c
+    return _gamma_from_beta(betas)
 
 
 @dataclass(frozen=True)

@@ -9,21 +9,21 @@ graph, checks the swap symmetry X <-> Y, checks that the generators plus the
 (1,1) product entry span every entry of X*Y in bidegree (1,1), and produces
 exact rational witness pairs of complementary rank with product zero.
 
-Matrices of numbers get rank, determinant and adjugate from one fraction-free
-Gauss-Jordan elimination, O(k^3). Polynomial entries cannot be divided, so
-``determinant`` and ``adjugate`` run a division-free DP over column subsets,
-O(2^k * k) ring operations, which serves only the small symbolic sizes.
+Matrices of numbers get rank, determinant and adjugate from the one
+fraction-free Gauss-Jordan elimination in ``exact``, O(k^3). Polynomial
+entries cannot be divided, so ``determinant`` and ``adjugate`` run a
+division-free DP over column subsets, O(2^k * k) ring operations, which
+serves only the small symbolic sizes.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .exact import InvariantViolation
+from .exact import InvariantViolation, Scalar, _eliminate
 
 
 class VarId(NamedTuple):
@@ -51,7 +51,6 @@ def yvar(i: int, j: int) -> VarId:
     return VarId("Y", min(i, j), max(i, j))
 
 
-Scalar = Union[int, Fraction]
 Monomial = tuple[tuple[VarId, int], ...]
 
 
@@ -253,44 +252,6 @@ def _as_poly(x: Union[SparsePoly, Scalar]) -> SparsePoly:
 Entry = Union[SparsePoly, Scalar]
 
 
-def _eliminate(rows: Sequence[Sequence[Scalar]]) -> tuple[int, Scalar, Optional[list[list[Scalar]]]]:
-    """(rank, det, adj) of an int/Fraction matrix; adj is None and det is 0
-    unless the matrix is square of full rank.
-
-    Bareiss's fraction-free Gauss-Jordan elimination on [B | I], B the matrix
-    scaled to integers: every entry stays a minor of [B | I], so each division
-    is exact, and at full rank the blocks end as (+-det B) * I and +-adj B.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    scale = math.lcm(*(x.denominator for row in rows for x in row))
-    work = [[int(x * scale) for x in row] + [int(i == j) for j in range(nrows)] for i, row in enumerate(rows)]
-    rank, prev, sign = 0, 1, 1
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if work[r][col]), None)
-        if pivot is None:
-            continue
-        if pivot != rank:
-            work[rank], work[pivot] = work[pivot], work[rank]
-            sign = -sign
-        prow = work[rank]
-        lead = prow[col]
-        for r in range(nrows):
-            if r != rank:
-                f = work[r][col]
-                work[r] = [(lead * a - f * b) // prev for a, b in zip(work[r], prow)]
-        prev = lead
-        rank += 1
-    if rank != nrows or nrows != ncols:
-        return rank, 0, None
-    det = sign * prev
-    adj = [[sign * v for v in row[ncols:]] for row in work]
-    if scale > 1:
-        det = Fraction(det, scale ** nrows)
-        adj = [[Fraction(v, scale ** (nrows - 1)) for v in row] for row in adj]
-    return rank, det, adj
-
-
 def determinant(rows: Sequence[Sequence[Entry]]):
     """Division-free determinant by DP over column subsets (any ring)."""
     k = len(rows)
@@ -439,10 +400,14 @@ def swap_symmetry_holds(n: int) -> bool:
     return swapped == {g.sign_normalized().canonical() for g in gens}
 
 
-def adjugate_identity_holds(n: int) -> bool:
-    """Symbolic check that X * adj(X) = det(X) * Id and adj(X) is symmetric."""
+def adjugate_identity_holds(n: int, adj_x: Optional[SymbolicMatrix] = None) -> bool:
+    """Symbolic check that X * adj(X) = det(X) * Id and adj(X) is symmetric.
+
+    ``adj_x`` is the adjugate under test; when None it is built here. det(X)
+    is always computed on its own, so a zero adjugate cannot pass.
+    """
     x = generic_sym_matrix(n, "X")
-    adj = adjugate_sym(x)
+    adj = adjugate_sym(x) if adj_x is None else adj_x
     det = det_sym(x)
     for i in range(n):
         for j in range(n):
@@ -543,12 +508,14 @@ def verify_graph_vanishing(
     seed: int = 0,
     symbolic_cap: int = 4,
     executor=None,
+    adj_x: Optional[SymbolicMatrix] = None,
 ) -> VanishingReport:
     """Certify that every graph generator vanishes on pairs (M, adj M).
 
     Symbolic mode substitutes Y -> adjugate(X) into each generator and
     demands the zero polynomial; it is exponential in n and refuses to run
-    past ``symbolic_cap`` unless the cap is raised. Numeric mode evaluates
+    past ``symbolic_cap`` unless the cap is raised; ``adj_x``, when given,
+    is the adjugate of the generic X to substitute. Numeric mode evaluates
     the generators on seeded random integer symmetric M with det != 0,
     exactly; trials fan out over ``executor`` when given, in deterministic
     order. A nonzero residual raises InvariantViolation naming the offending
@@ -563,7 +530,7 @@ def verify_graph_vanishing(
                 f"symbolic mode is capped at n <= {symbolic_cap}; raise symbolic_cap to override"
             )
         x = generic_sym_matrix(n, "X")
-        adj = adjugate_sym(x)
+        adj = adjugate_sym(x) if adj_x is None else adj_x
         assignment = _pair_assignment(x.entries, adj.entries)
         for g in gens:
             if not g.substitute(assignment).is_zero:

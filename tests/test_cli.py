@@ -126,6 +126,18 @@ def test_multidegree_large_n_warns(capsys, monkeypatch):
     assert "warning" in err
 
 
+def test_mldeg_warns_only_where_the_mask_table_runs(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, ["mldeg", "--d", "20", "--poly", "--format", "json"])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["results"]["validated_at"] == ["26", "27", "28"]
+    assert payload["checks"][0]["pass"] is True
+    monkeypatch.setattr(cli, "ml_table", lambda n_max: mldegree.ml_table(2))
+    code, out, err = run_cli(capsys, ["mldeg", "--n-max", "23"])
+    assert code == 0
+    assert "warning" in err
+
+
 def test_mldeg_table(capsys):
     code, out, _ = run_cli(capsys, ["mldeg", "--n-max", "3", "--format", "csv"])
     assert code == 0

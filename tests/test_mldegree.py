@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import invdeg.mldegree as mldegree
-from invdeg.exact import InvariantViolation
+import invdeg.multidegree as multidegree
+from invdeg.exact import InvariantViolation, _eliminate
 from invdeg.mldegree import (
     finite_difference_check,
     ml_degree,
@@ -11,7 +13,8 @@ from invdeg.mldegree import (
     ml_table,
     smallest_valid_n,
 )
-from invdeg.multidegree import beta, gamma_degrees, sym_dimension
+from invdeg.multidegree import beta, gamma_degrees, gamma_prefix, sym_dimension
+from invdeg.psi import p_alpha, psi_seq
 
 
 def test_ml_degree_known_values():
@@ -127,3 +130,89 @@ def test_finite_difference_check_sees_broken_table(monkeypatch):
     monkeypatch.setattr(mldegree, "ml_degree", lambda n, d: n ** d)
     rep = finite_difference_check(2, 6)
     assert not rep.ok
+
+
+# ------------------------------------------------------- weight-sliced engine
+
+def test_ml_degree_matches_mask_table():
+    # The 2^(n+1) mask table is the oracle for the light slice.
+    for n in range(1, 13):
+        gam = gamma_degrees(n)
+        assert [ml_degree(n, d) for d in range(1, sym_dimension(n) + 1)] == list(gam)
+
+
+def test_gamma_prefix_matches_mask_table():
+    for n in range(1, 10):
+        gam = gamma_degrees(n)
+        for k in range(1, sym_dimension(n) + 1):
+            assert gamma_prefix(n, k) == gam[:k]
+    with pytest.raises(ValueError, match="prefix length out of range"):
+        gamma_prefix(3, 0)
+    with pytest.raises(ValueError, match="prefix length out of range"):
+        gamma_prefix(3, 7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_light_family_pfaffians_match_psi_routes(data):
+    n = data.draw(st.integers(1, 14), label="n")
+    a = data.draw(st.lists(st.integers(1, n), unique=True, max_size=5).map(sorted), label="a")
+    extra = data.draw(st.integers(0, 3), label="extra")
+    k = min(sum(a) + 1 + extra, sym_dimension(n))
+    light = {s: (w, psi_a, psi_c) for s, w, psi_a, psi_c in multidegree._light_psi(n, k)}
+    assert all(w < k for w, _, _ in light.values())
+    subset = sum(1 << (e - 1) for e in a)
+    if sum(a) >= k:  # only the full set {1..n} can reach weight m
+        assert subset not in light
+        return
+    assert light[subset] == (sum(a), psi_seq(a), p_alpha(a, n))
+
+
+def test_light_family_is_exactly_the_light_subsets():
+    for n in range(1, 8):
+        m = sym_dimension(n)
+        for k in range(1, m + 1):
+            got = sorted(s for s, _, _, _ in multidegree._light_psi(n, k))
+            want = [s for s in range(1 << n) if sum(i + 1 for i in range(n) if s >> i & 1) < k]
+            assert got == want
+
+
+def test_bordered_pair_matrix_has_determinant_one():
+    for n in range(1, 31):
+        big = n if n % 2 else n + 1
+        _, det, _ = _eliminate(multidegree._pair_matrix(big))
+        assert det == 1
+
+
+def test_ml_degree_rejects_bad_bordered_determinant(monkeypatch):
+    pair_matrix = multidegree._pair_matrix
+    monkeypatch.setattr(multidegree, "_pair_matrix", lambda size: [[2 * v for v in row] for row in pair_matrix(size)])
+    with pytest.raises(InvariantViolation, match="has determinant"):
+        ml_degree(5, 3)
+
+
+def test_ml_degree_positivity_violation_raises(monkeypatch):
+    monkeypatch.setattr(multidegree, "_light_psi", lambda n, k: [(0, 0, 1, 1), (1, 1, 1, 1)])
+    with pytest.raises(InvariantViolation, match="multidegree positivity violated"):
+        ml_degree(4, 2)
+
+
+def test_ml_degree_beyond_mask_table():
+    for n in (25, 30, 40):
+        m = sym_dimension(n)
+        assert ml_degree(n, 1) == 1
+        assert ml_degree(n, 2) == n - 1
+        assert ml_degree(n, m - 1) == n - 1
+
+
+def test_ml_degree_never_builds_mask_table(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"mask table built for n={n}")
+
+    row = gamma_degrees(7)
+    monkeypatch.setattr(multidegree, "_mask_pfaffians", refuse)
+    monkeypatch.setattr(multidegree, "beta_vector", refuse)
+    assert [ml_degree(7, d) for d in range(1, 29)] == list(row)
+    poly = ml_polynomial(12)
+    assert poly.degree == 11 and poly.validated_at == (17, 18, 19)
+    assert finite_difference_check(8, 14).ok

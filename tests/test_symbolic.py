@@ -251,6 +251,33 @@ def test_adjugate_identity_symbolic():
         assert adjugate_identity_holds(n)
 
 
+def test_adjugate_identity_checks_the_given_adjugate():
+    n = 3
+    adj = adjugate_sym(generic_sym_matrix(n, "X"))
+    assert adjugate_identity_holds(n, adj)
+    zero = SymbolicMatrix(n, tuple(tuple(SparsePoly.zero() for _ in range(n)) for _ in range(n)))
+    assert not adjugate_identity_holds(n, zero)
+    assert verify_graph_vanishing(n, mode="symbolic", adj_x=adj).generators == len(graph_ideal_generators(n))
+    with pytest.raises(InvariantViolation, match="does not vanish"):
+        verify_graph_vanishing(n, mode="symbolic", adj_x=generic_sym_matrix(n, "X"))
+
+
+def test_symbolic_verify_builds_one_adjugate(capsys, monkeypatch):
+    calls = {"adjugate": 0, "det_sym": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(symbolic, "adjugate", counted("adjugate", adjugate))
+    monkeypatch.setattr(symbolic, "det_sym", counted("det_sym", det_sym))
+    assert main(["verify", "--n", "4", "--format", "csv"]) == 0
+    assert "fail" not in capsys.readouterr().out
+    assert calls == {"adjugate": 1, "det_sym": 1}
+
+
 def test_adjugate_identity_numeric_checker():
     assert adjugate_identity_numeric(5, trials=5, seed=9)
 
