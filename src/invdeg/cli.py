@@ -45,9 +45,6 @@ from .symbolic import (
     witness_pair_valid,
 )
 
-LARGE_N_WARNING = 22
-
-
 class UsageError(Exception):
     """Bad command line; maps to exit code 1."""
 
@@ -271,8 +268,6 @@ def _cmd_psi(ns: argparse.Namespace) -> _Report:
 
 def _cmd_multidegree(ns: argparse.Namespace) -> _Report:
     n = ns.n
-    if n > LARGE_N_WARNING:
-        print(f"warning: n = {n} needs ~2^{n + 1} cached bigints; expect minutes and real memory", file=sys.stderr)
     tb = multidegree_table(n)
     identity = tb.identity
     detail = f"{len(identity.coefficients)} coefficients of (t1+t2)*C_Gamma match t1^m + t2^m + C_Sigma"
@@ -310,8 +305,6 @@ def _cmd_multidegree(ns: argparse.Namespace) -> _Report:
 
 
 def _cmd_mldeg(ns: argparse.Namespace) -> _Report:
-    if ns.n_max is not None and ns.n_max > LARGE_N_WARNING:
-        print(f"warning: n up to {ns.n_max} needs ~2^{ns.n_max + 1} cached bigints; expect minutes and real memory", file=sys.stderr)
     if ns.n_max is not None:
         table = ml_table(ns.n_max)
 

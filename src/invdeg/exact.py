@@ -3,9 +3,9 @@ fraction-free elimination for the rank, determinant and adjugate of a matrix
 of numbers.
 
 Everything here returns arbitrary-precision ``int`` (``Fraction`` for
-rational input); there is no fixed-width fast path. The Pfaffian's
-intermediate divisions run over ``fractions.Fraction`` and are checked to
-cancel; the elimination divides only exactly.
+rational input); there is no fixed-width fast path. Both eliminations are
+fraction-free: the Pfaffian's 2x2-block steps and the Bareiss steps for the
+determinant divide only exactly, by the previous pivot.
 """
 
 from __future__ import annotations
@@ -79,52 +79,44 @@ def _coerce(matrix: MatrixLike) -> SkewMatrix:
 
 
 def pfaffian(matrix: MatrixLike) -> int:
-    """Pfaffian of an even-size skew matrix via congruence elimination.
+    """Pfaffian of an even-size skew matrix by fraction-free 2x2-block elimination.
 
-    Column/row shears preserve the Pfaffian and a paired swap negates it, so
-    the result is the signed product of the 2x2 block pivots. Runs over
-    Fraction; the result of an integer input is asserted integral.
+    The Pfaffian analogue of Bareiss: after the pivot block (p, p + 1) is
+    eliminated, each remaining upper entry (i, j) is the Pfaffian of the
+    principal minor on 0..p+1, i, j (the Pfaffian Sylvester identity), so the
+    division by the previous pivot is exact and the last pivot is the
+    Pfaffian. A zero pivot is replaced by swapping in a later index, which
+    negates the result; if there is none the Pfaffian is 0.
     """
     skew = _coerce(matrix)
     k = skew.size
     if k % 2:
         raise ValueError("pfaffian requires even dimension")
-    if k == 0:
-        return 1
-    a = [[Fraction(x) for x in row] for row in skew.rows]
-    sign = 1
-    prod = Fraction(1)
-    for i in range(0, k, 2):
-        p = next((j for j in range(i + 1, k) if a[i][j]), None)
-        if p is None:
+    a = [list(row) for row in skew.rows]  # only entries above the diagonal stay current
+    sign, prev = 1, 1
+    for p in range(0, k, 2):
+        q = p + 1
+        r = next((j for j in range(q, k) if a[p][j]), None)
+        if r is None:
             return 0
-        if p != i + 1:
-            a[i + 1], a[p] = a[p], a[i + 1]
+        if r != q:
+            for i in range(p, k):  # restore the lower triangle, then swap q and r
+                for j in range(i + 1, k):
+                    a[j][i] = -a[i][j]
+            a[q], a[r] = a[r], a[q]
             for row in a:
-                row[i + 1], row[p] = row[p], row[i + 1]
+                row[q], row[r] = row[r], row[q]
             sign = -sign
-        pivot = a[i][i + 1]
-        prod *= pivot
-        for col in range(i + 2, k):
-            f = a[i][col] / pivot
-            if f:
-                for r in range(k):
-                    a[r][col] -= f * a[r][i + 1]
-                row_c, row_s = a[col], a[i + 1]
-                for c in range(k):
-                    row_c[c] -= f * row_s[c]
-        for col in range(i + 2, k):
-            g = a[i + 1][col] / a[i + 1][i]
-            if g:
-                for r in range(k):
-                    a[r][col] -= g * a[r][i]
-                row_c, row_s = a[col], a[i]
-                for c in range(k):
-                    row_c[c] -= g * row_s[c]
-    result = sign * prod
-    if result.denominator != 1:
-        raise InvariantViolation(f"pfaffian of an integer matrix must be integral, got {result}")
-    return int(result)
+        row_p, row_q = a[p], a[q]
+        piv = row_p[q]
+        for i in range(q + 1, k):
+            x, y = row_p[i], row_q[i]
+            a[i][i + 1:] = [
+                (piv * v - x * b + y * c) // prev
+                for v, b, c in zip(a[i][i + 1:], row_q[i + 1:], row_p[i + 1:])
+            ]
+        prev = piv
+    return sign * prev
 
 
 def pfaffian_reference(matrix: MatrixLike) -> int:

@@ -3,11 +3,11 @@
 ``ml_degree(n, d)`` is the ML-degree of a generic d-dimensional linear
 subspace of symmetric n x n matrices; it equals the (d-1)-th multidegree
 coefficient of the inverse-pairs variety. It is computed from the weight
-slice beta(n, 0..K-1), K = min(d, m - d + 1) by palindromy, without the
-2**(n+1) mask table, so for fixed d its cost is polynomial in n. For fixed
-d the value is a polynomial in n of degree d - 1, recovered exactly by
-``ml_polynomial`` through rational Lagrange interpolation with out-of-sample
-validation. ``ml_table`` lists whole rows and uses the full table.
+slice beta(n, 0..K-1), K = min(d, m - d + 1) by palindromy, so for fixed d
+its cost is polynomial in n. For fixed d the value is a polynomial in n of
+degree d - 1, recovered exactly by ``ml_polynomial`` through rational
+Lagrange interpolation with out-of-sample validation. ``ml_table`` lists
+whole rows, each from the generating Pfaffian of ``gamma_degrees``.
 """
 
 from __future__ import annotations

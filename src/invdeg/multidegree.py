@@ -9,25 +9,22 @@ of products of psi values over complementary index subsets. ``sdp_degree``
 restricts that sum to subsets of fixed size and is the algebraic degree of
 semidefinite programming.
 
-Pfaffians of the bordered psi pair matrix come from one expansion along the
-lowest set bit of a bitmask, which runs over two families of masks. The full
-table (``beta_vector`` and everything built on it) stores all 2**(n+1) masks
-in a list. ``gamma_prefix`` needs only beta(n, 0..k-1): it visits the
-subsets of weight below k, takes psi of each complement from the inverse of
-the bordered matrix (Jacobi's complementary-minor identity), and keeps its
-masks in a dict, so for fixed k its cost is polynomial in n. The public
-``psi.psi_seq`` route stays independent so the engines can be checked
-against it.
+The whole vector (``beta_vector`` and all built on it) is read off
+G(t) = sum_d beta(n, d) t^d, one or two Pfaffians of size about n by minor
+summation, evaluated at t = 2^K and decoded digit by digit; a second
+variable for the subset size gives every ``sdp_degree`` of one n the same
+way. ``gamma_prefix`` needs only beta(n, 0..k-1) and visits the subsets of
+weight below k (see ``_light_psi``). Neither engine stores a 2**n table;
+the public ``psi.psi_seq`` route stays independent to check them against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable
 
-from .exact import InvariantViolation, _eliminate
+from .exact import InvariantViolation, SkewMatrix, _eliminate, pfaffian
 from .psi import psi_pair, psi_single
 
 
@@ -88,44 +85,62 @@ def _expand_pfaffians(w: list[list[int]], masks: Iterable[int], pf):
     return pf
 
 
-@lru_cache(maxsize=8)
-def _mask_pfaffians(n: int) -> list[int]:
-    """Pfaffians of the bordered pair matrix on every even-popcount mask.
+def _generating_value(n: int, t: int, s: int = 1) -> int:
+    """G(t, s) = sum of s^|a| t^weight(a) psi(a) psi(complement of a) over
+    subsets a of {1..n}, at integers t and s, by Ishikawa-Wakayama minor
+    summation: Pf(A + B) = sum over I of eps(I) Pf(A_I) Pf(B_(complement of I)).
 
-    Bit j of a mask stands for index j of ``_pair_matrix(n)``. Entry order
-    inside a subset is bit order, so the value for an odd subset equals
-    psi_seq of that subset bordered. Memory is one int per mask, 2**(n+1)
-    total.
+    B is the bordered pair matrix; A is B with entry (p, q) times -(-1)^(p+q),
+    cancelling eps(I), and each real index l scaled by t^l s. For odd n, A and
+    B share the border. For even n, a and its complement are both even (the
+    Pfaffian on 1..n) or both odd, which needs a border for A first and one
+    for B last; that Pfaffian enters with a minus sign.
     """
-    size = 1 << (n + 1)
-    pf = [0] * size
-    pf[0] = 1
-    return _expand_pfaffians(_pair_matrix(n), range(3, size), pf)
+    w = _pair_matrix(n)
+    real = [(label, t ** label * s, 1) for label in range(1, n + 1)]
+
+    def pf(points: list[tuple[int, int, int]]) -> int:
+        # point: (row of w, scale of its A entries (0 if outside A), 1 if in B else 0)
+        def upper(p: int, q: int) -> int:
+            (lp, ap, bp), (lq, aq, bq) = points[p], points[q]
+            return w[lp][lq] * (bp * bq + (ap * aq if (p + q) & 1 else -ap * aq))
+
+        return pfaffian(SkewMatrix.from_upper(len(points), upper))
+
+    if n & 1:
+        return pf([(0, 1, 1)] + real)
+    return pf(real) - pf([(0, 1, 0)] + real + [(0, 0, 1)])
 
 
-def _psi_of_mask(pf, subset: int) -> int:
-    """psi of the subset mask (bit i stands for element i + 1)."""
-    mask = subset << 1
-    if subset.bit_count() & 1:
-        mask |= 1
-    return pf[mask]
+def _digits(value: int, k: int, count: int, total: int) -> list[int]:
+    """The ``count`` signed base-2^k digits of value, lowest first: the
+    coefficients of P with P(2^k) = value, where ``total`` = P(1). A k too
+    small for them leaves a remainder or a wrong digit sum, which raises."""
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    out = []
+    for _ in range(count):
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << k
+        out.append(digit)
+        value = (value - digit) >> k
+    if value or sum(out) != total:
+        raise InvariantViolation(f"base-2^{k} digits of the generating Pfaffian do not decode to {count} coefficients")
+    return out
 
 
-@lru_cache(maxsize=32)
+def _coefficients(n: int, count: int, stride: int = 0) -> list[int]:
+    """The t^0..t^(count-1) coefficients of G(t, t^stride), from one Pfaffian
+    at t = 2^K. K is two bits above G(1, 1), the sum of all coefficients,
+    which are nonnegative, so each of them fits in a digit."""
+    total = _generating_value(n, 1)
+    k = total.bit_length() + 2
+    return _digits(_generating_value(n, 1 << k, 1 << k * stride), k, count, total)
+
+
 def beta_vector(n: int) -> tuple[int, ...]:
     """beta(n, d) for d = 0..m: products of psi over complementary subsets, by weight."""
-    m = sym_dimension(n)
-    pf = _mask_pfaffians(n)
-    out = [0] * (m + 1)
-    nmasks = 1 << n
-    weight = [0] * nmasks
-    for a in range(1, nmasks):
-        low = a & -a
-        weight[a] = weight[a ^ low] + low.bit_length()
-    full = nmasks - 1
-    for a in range(nmasks):
-        out[weight[a]] += _psi_of_mask(pf, a) * _psi_of_mask(pf, full ^ a)
-    return tuple(out)
+    return tuple(_coefficients(n, sym_dimension(n) + 1))
 
 
 def beta(n: int, d: int) -> int:
@@ -136,23 +151,29 @@ def beta(n: int, d: int) -> int:
     return beta_vector(n)[d]
 
 
+@lru_cache(maxsize=16)
+def _rank_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row j lists the s^j t^d coefficients of G(t, s), d = 0..m. Subsets of
+    size j weigh lo(j) = C(j+1, 2) to hi(j) = m - C(n-j+1, 2), so s = t^stride
+    with stride > hi(j) - lo(j+1) puts the rows on disjoint powers of t."""
+    m = sym_dimension(n)
+    lo = [j * (j + 1) // 2 for j in range(n + 1)]
+    hi = [m - lo[n - j] for j in range(n + 1)]
+    stride = 1 + max(hi[j] - lo[j + 1] for j in range(n))
+    digits = _coefficients(n, n * stride + m + 1, stride)
+    return tuple(
+        tuple(digits[j * stride + d] if lo[j] <= d <= hi[j] else 0 for d in range(m + 1))
+        for j in range(n + 1)
+    )
+
+
 def sdp_degree(d: int, n: int, r: int) -> int:
     """Algebraic degree of semidefinite programming: the beta(n, d) slice
     over subsets of size n - r. Zero unless 0 < r < n."""
-    sym_dimension(n)
-    if r <= 0 or r >= n:
+    m = sym_dimension(n)
+    if r <= 0 or r >= n or d < 0 or d > m:
         return 0
-    pf = _mask_pfaffians(n)
-    full = (1 << n) - 1
-    total = 0
-    for combo in combinations(range(1, n + 1), n - r):
-        if sum(combo) != d:
-            continue
-        a = 0
-        for e in combo:
-            a |= 1 << (e - 1)
-        total += _psi_of_mask(pf, a) * _psi_of_mask(pf, full ^ a)
-    return total
+    return _rank_table(n)[n - r][d]
 
 
 def sigma_coefficients(n: int) -> tuple[int, ...]:
@@ -262,14 +283,7 @@ def verify_multidegree_identity(n: int) -> MultidegreeIdentityReport:
     t1^(m-d) t2^d on the left is gamma[d] + gamma[d-1] and on the right is
     beta(n, d), whose d = 0 and d = m entries are the boundary 1's.
     """
-    m = sym_dimension(n)
-    betas = beta_vector(n)
-    gammas = gamma_degrees(n)
-    coeffs = []
-    for d in range(m + 1):
-        lhs = (gammas[d] if d < m else 0) + (gammas[d - 1] if d > 0 else 0)
-        coeffs.append(IdentityCoefficient(d, lhs, betas[d]))
-    return MultidegreeIdentityReport(n, m, tuple(coeffs))
+    return multidegree_table(n).identity
 
 
 @dataclass(frozen=True)
@@ -285,12 +299,12 @@ class MultidegreeTable:
 
 
 def multidegree_table(n: int) -> MultidegreeTable:
-    """Assemble beta, gamma and sigma coefficient lists for one n."""
-    return MultidegreeTable(
-        n=n,
-        m=sym_dimension(n),
-        beta=beta_vector(n),
-        gamma_degs=gamma_degrees(n),
-        sigma_coeffs=sigma_coefficients(n),
-        identity=verify_multidegree_identity(n),
+    """Assemble beta, gamma, sigma and the identity report for one n from one beta vector."""
+    m = sym_dimension(n)
+    betas = beta_vector(n)
+    gammas = _gamma_from_beta(betas[:-1])
+    coeffs = tuple(
+        IdentityCoefficient(d, (gammas[d] if d < m else 0) + (gammas[d - 1] if d > 0 else 0), betas[d])
+        for d in range(m + 1)
     )
+    return MultidegreeTable(n, m, betas, gammas, betas[1:-1], MultidegreeIdentityReport(n, m, coeffs))

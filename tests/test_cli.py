@@ -9,7 +9,7 @@ import invdeg
 import invdeg.cli as cli
 import invdeg.mldegree as mldegree
 from invdeg.cli import main
-from invdeg.multidegree import multidegree_table
+from invdeg.multidegree import gamma_prefix, multidegree_table
 
 try:
     import tomllib
@@ -119,14 +119,25 @@ def test_multidegree_latex_identity_polynomial(capsys):
     assert "t_1^{3} + 2 t_1^{2} t_2 + 2 t_1 t_2^{2} + t_2^{3}" in out
 
 
-def test_multidegree_large_n_warns(capsys, monkeypatch):
+def test_multidegree_large_n_is_silent(capsys, monkeypatch):
     monkeypatch.setattr(cli, "multidegree_table", lambda n: multidegree_table(2))
     code, out, err = run_cli(capsys, ["multidegree", "--n", "23"])
     assert code == 0
-    assert "warning" in err
+    assert err == ""
 
 
-def test_mldeg_warns_only_where_the_mask_table_runs(capsys, monkeypatch):
+def test_multidegree_n24_matches_the_light_slice(capsys):
+    code, out, err = run_cli(capsys, ["multidegree", "--n", "24", "--format", "json"])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["checks"][0]["name"] == "multidegree_identity"
+    assert payload["checks"][0]["pass"] is True
+    gamma = [int(v) for v in payload["results"]["gamma"]]
+    assert len(gamma) == 24 * 25 // 2
+    assert tuple(gamma[:8]) == gamma_prefix(24, 8)
+
+
+def test_mldeg_stderr_is_empty(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["mldeg", "--d", "20", "--poly", "--format", "json"])
     assert code == 0 and err == ""
     payload = json.loads(out)
@@ -135,7 +146,7 @@ def test_mldeg_warns_only_where_the_mask_table_runs(capsys, monkeypatch):
     monkeypatch.setattr(cli, "ml_table", lambda n_max: mldegree.ml_table(2))
     code, out, err = run_cli(capsys, ["mldeg", "--n-max", "23"])
     assert code == 0
-    assert "warning" in err
+    assert err == ""
 
 
 def test_mldeg_table(capsys):

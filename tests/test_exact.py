@@ -174,6 +174,25 @@ def test_pfaffian_square_is_determinant(m):
     assert Fraction(pfaffian(m)) ** 2 == det_fraction(m.rows)
 
 
+@st.composite
+def sparse_skew_rows(draw):
+    """Even-size skew rows with many zeros, so zero pivots, index swaps and
+    singular matrices all occur."""
+    size = 2 * draw(st.integers(0, 5))
+    count = size * (size - 1) // 2
+    vals = iter(draw(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3)), min_size=count, max_size=count)))
+    return [list(row) for row in SkewMatrix.from_upper(size, lambda i, j: next(vals)).rows]
+
+
+@given(sparse_skew_rows())
+def test_pfaffian_kernel_differential_sparse(rows):
+    expected = pfaffian_reference(rows)
+    for arg in (rows, SkewMatrix.from_rows(rows)):
+        got = pfaffian(arg)
+        assert type(got) is int
+        assert got == expected
+
+
 def test_pfaffian_accepts_list_input_and_validates():
     with pytest.raises(ValueError, match="antisymmetric"):
         pfaffian([[0, 1], [2, 0]])

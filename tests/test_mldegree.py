@@ -135,7 +135,7 @@ def test_finite_difference_check_sees_broken_table(monkeypatch):
 # ------------------------------------------------------- weight-sliced engine
 
 def test_ml_degree_matches_mask_table():
-    # The 2^(n+1) mask table is the oracle for the light slice.
+    # The full beta table (minor-summation Pfaffian) is the oracle for the light slice.
     for n in range(1, 13):
         gam = gamma_degrees(n)
         assert [ml_degree(n, d) for d in range(1, sym_dimension(n) + 1)] == list(gam)
@@ -206,11 +206,11 @@ def test_ml_degree_beyond_mask_table():
 
 
 def test_ml_degree_never_builds_mask_table(monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"mask table built for n={n}")
+    def refuse(n, *args):
+        raise AssertionError(f"full beta table computed for n={n}")
 
     row = gamma_degrees(7)
-    monkeypatch.setattr(multidegree, "_mask_pfaffians", refuse)
+    monkeypatch.setattr(multidegree, "_generating_value", refuse)
     monkeypatch.setattr(multidegree, "beta_vector", refuse)
     assert [ml_degree(7, d) for d in range(1, 29)] == list(row)
     poly = ml_polynomial(12)

@@ -1,10 +1,14 @@
+import hashlib
 from itertools import combinations
 
 import pytest
 
-from invdeg.exact import InvariantViolation, SkewMatrix, pfaffian_reference
+import invdeg.multidegree as multidegree_mod
+from invdeg.exact import InvariantViolation, SkewMatrix, binomial, pfaffian_reference
 from invdeg.multidegree import (
+    _digits,
     _gamma_from_beta,
+    _generating_value,
     beta,
     beta_vector,
     gamma_degrees,
@@ -15,6 +19,33 @@ from invdeg.multidegree import (
     verify_multidegree_identity,
 )
 from invdeg.psi import psi_pair, psi_seq, psi_single, psi_table
+
+
+# sha256 of repr(beta_vector(n)), recorded from the 2^(n+1) mask-table engine
+# that the minor-summation Pfaffian replaced.
+BETA_VECTOR_SHA256 = {
+    1: "d02b5ba5c34b34dbcc44c971bd1e9ee12da04d573f9a8354930f910325e10149",
+    2: "df1055e1dde3b6015a4d1ae9517d9757ee4fcb6333ed8d8709d2dc34a6faf468",
+    3: "4da5030056ba351231045f5489210f3a262edde7afd5b0442099164ae680565a",
+    4: "1524325ce04c74dfa12062c56f36d5fc5a991c7fd9cdac7826d95ef533debe66",
+    5: "01d4ac5fc55d280aef6a115127b50cfbfc80e8a11278043ef5234ec816aa872f",
+    6: "72a3db6823232c755ca834ca2e29c2a7084e117a6685466cfa1bedaf61acb6d0",
+    7: "10d930d2ec9c5f2556779377b2db7b8fbb982f2514d294d70d7c9ba7a13c1bd4",
+    8: "c2c1861b62280e9fd9504749e8e9e0ca56d440d9d7a98c40741e9a1b9b0915b5",
+    9: "32990849f3e946a07b853cb29446c645f92379b5270ac39cc5f69e1af798c970",
+    10: "2ec5750b0d1a3053b90a550728b228176d8bea0d36fe1f0c5ef3ee950b9f054d",
+    11: "401b7399823bf3ae936c83d125bf3c6388f41074722444ba658991344744364a",
+    12: "be4cb4177430aafa9c8ef99e646a3319ec5f2c2ed2bcaf0943da583608b1c2d2",
+    13: "75e580c76797ae392706bc836dfb886f2d9624c10febe753185e6a17baaebc97",
+    14: "b6b4ac7f8892202c77005b60e37ac8343491c5eeedb186a3718111e781b0d927",
+    15: "168661e0706d78ca8d9a5375f897385058e87cb7d6cf6185ebd9a2b78a9c1920",
+    16: "234af4b4d2523d913b7574b03465b6dcf9fd7739e0c2d01ff26ba7aedb111cb5",
+    17: "f2844e31098db3b31b1382459c8922f89ed303ddb7006d36f04436e223a2f3cd",
+    18: "37549838731edafdb8fa4cf9651fdd274a01c46c97d79fb1faea7fcbecac07ab",
+    19: "2fa1c496b925e4a130e76c54e232b17b1331c84128228d53c27b50dfc0d7c3da",
+    20: "7404668c0d36fa08b9d4795bd8427d6b77b3aec1665b3ff9ca47cf3b6b72e56c",
+    21: "f91538d7ec97e0104d2d39d215c3fc0d4fddfe9093bf3097d52793dd514d0772",
+}
 
 
 def naive_psi(entries):
@@ -108,7 +139,7 @@ def test_oracle_equivalence_naive_enumeration():
 
 
 def test_engine_matches_psi_seq_route():
-    # the mask-table engine against the public per-subset Pfaffian route
+    # the minor-summation engine against the public per-subset Pfaffian route
     for n in range(1, 9):
         table = psi_table(n)
         m = sym_dimension(n)
@@ -130,14 +161,70 @@ def test_beta_symmetry_and_first_coefficient():
         assert sum((-1) ** d * v for d, v in enumerate(vec)) == 0
 
 
+def test_beta_vector_matches_recorded_mask_table():
+    for n, want in BETA_VECTOR_SHA256.items():
+        assert hashlib.sha256(repr(beta_vector(n)).encode()).hexdigest() == want, n
+
+
+def test_digit_decoder_rejects_undersized_k():
+    # every K too small for the largest coefficient is caught, the next one decodes
+    for n in range(2, 13):
+        m = sym_dimension(n)
+        total = _generating_value(n, 1)
+        fits = max(beta_vector(n)).bit_length() + 1
+        for k in range(1, fits):
+            with pytest.raises(InvariantViolation, match="digits"):
+                _digits(_generating_value(n, 1 << k), k, m + 1, total)
+        value = _generating_value(n, 1 << fits)
+        assert tuple(_digits(value, fits, m + 1, total)) == beta_vector(n)
+        # right digits, but something left above the last one
+        with pytest.raises(InvariantViolation, match="digits"):
+            _digits(value + (1 << fits * (m + 1)), fits, m + 1, total)
+
+
+def test_multidegree_table_evaluates_the_packed_pfaffian_once(monkeypatch):
+    calls = []
+    real = multidegree_mod._generating_value
+
+    def counting(n, t, s=1):
+        calls.append(t)
+        return real(n, t, s)
+
+    monkeypatch.setattr(multidegree_mod, "_generating_value", counting)
+    for n in (9, 10):
+        calls.clear()
+        multidegree_table(n)
+        # one Pfaffian at the Kronecker point t = 2^K, one at t = 1 for the digit-sum check
+        assert len(calls) == 2 and calls[0] == 1 < calls[1], calls
+
+
 def test_beta_decomposes_into_sdp_degrees():
     # interior coefficients split by solution rank; boundary terms are the two 1s
-    for n in range(2, 8):
+    for n in range(2, 13):
         m = sym_dimension(n)
         for d in range(0, m + 1):
             interior = sum(sdp_degree(d, n, r) for r in range(1, n))
             boundary = (1 if d == 0 else 0) + (1 if d == m else 0)
             assert beta(n, d) == interior + boundary
+
+
+def test_sdp_degree_duality():
+    for n in range(2, 13):
+        m = sym_dimension(n)
+        for r in range(1, n):
+            for d in range(0, m + 1):
+                assert sdp_degree(d, n, r) == sdp_degree(m - d, n, n - r)
+
+
+def test_sdp_degree_positive_exactly_on_pataki_range():
+    for n in range(2, 13):
+        m = sym_dimension(n)
+        for r in range(1, n):
+            low, high = binomial(n - r + 1, 2), m - binomial(r + 1, 2)
+            for d in range(0, m + 1):
+                value = sdp_degree(d, n, r)
+                assert value >= 0
+                assert (value > 0) == (low <= d <= high), (d, n, r)
 
 
 def test_gamma_palindromic_and_positive():
