@@ -13,8 +13,9 @@ independent verification trials over a thread pool; it never changes output,
 and is therefore not echoed into the params block. On a standard (GIL) build
 it gives no speed-up.
 
-Exit codes: 0 success, 1 usage error, 2 verification failure, 3 invariant
-violation (positivity, polynomiality, nonzero graph residual), 4 out of memory.
+Exit codes: 0 success, 1 usage error, 2 verification failure (any failed
+check, a nonzero graph residual included), 3 invariant violation (positivity,
+polynomiality), 4 out of memory.
 """
 
 from __future__ import annotations

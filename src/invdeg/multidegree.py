@@ -144,7 +144,11 @@ def beta_vector(n: int) -> tuple[int, ...]:
 
 
 def beta(n: int, d: int) -> int:
-    """Sum of psi(alpha) * psi(complement) over subsets of {1..n} of weight d."""
+    """Sum of psi(alpha) * psi(complement) over subsets of {1..n} of weight d.
+
+    Each call computes the whole vector: 137 calls at n = 16 take about 4 s,
+    one ``beta_vector(16)`` about 0.03 s. Callers that need many d should
+    call ``beta_vector`` once."""
     m = sym_dimension(n)
     if d < 0 or d > m:
         return 0

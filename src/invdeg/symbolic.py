@@ -1,13 +1,21 @@
 """Symbolic certificates for the inverse-pairs variety.
 
 Two generic symmetric n x n matrices X and Y are represented over exact
-sparse polynomials in the variables X[i,j], Y[i,j] (i <= j). The ideal of
-the inversion graph is generated by the off-diagonal entries of X*Y together
-with the consecutive diagonal differences; this module builds those
-generators, substitutes Y -> adjugate(X) to certify that they vanish on the
-graph, checks the swap symmetry X <-> Y, checks that the generators plus the
-(1,1) product entry span every entry of X*Y in bidegree (1,1), and produces
-exact rational witness pairs of complementary rank with product zero.
+sparse polynomials in the variables X[i,j], Y[i,j] (i <= j). A polynomial is
+a dict from monomials to nonzero coefficients; a monomial is the sorted tuple
+of its variables, each repeated once per power, so X[1,1]^2*Y[1,2] is
+(X[1,1], X[1,1], Y[1,2]) and a product of monomials is their sorted
+concatenation. Sums accumulate in place through one helper, ``_add_into``.
+
+The ideal of the inversion graph is generated by the off-diagonal entries of
+X*Y together with the consecutive diagonal differences; this module builds
+those generators, substitutes Y -> adjugate(X) to certify that they vanish on
+the graph, checks the swap symmetry X <-> Y, checks that the generators plus
+the (1,1) product entry span every entry of X*Y in bidegree (1,1), and
+produces witness pairs (M, N) of complementary rank with M N = 0. Witnesses
+are built in integers, as M and det(A)^2 N; symmetry, rank and a zero
+product do not change under that scale, so only ``witness_rank_pair``
+divides, once, to return the rational N.
 
 Matrices of numbers get rank, determinant and adjugate from the one
 fraction-free Gauss-Jordan elimination in ``exact``, O(k^3). Polynomial
@@ -51,28 +59,19 @@ def yvar(i: int, j: int) -> VarId:
     return VarId("Y", min(i, j), max(i, j))
 
 
-Monomial = tuple[tuple[VarId, int], ...]
+Monomial = tuple[VarId, ...]
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    out: list[tuple[VarId, int]] = []
-    ia = ib = 0
-    while ia < len(a) and ib < len(b):
-        va, ea = a[ia]
-        vb, eb = b[ib]
-        if va == vb:
-            out.append((va, ea + eb))
-            ia += 1
-            ib += 1
-        elif va < vb:
-            out.append(a[ia])
-            ia += 1
+def _add_into(out: dict, terms: Mapping, scale: Scalar = 1) -> None:
+    """out += scale * terms in place, dropping keys that cancel. A pop does not
+    shrink a dict's table, so a caller that keeps a sum with many cancellations
+    copies it to a fresh dict first."""
+    for key, c in terms.items():
+        nc = out.get(key, 0) + scale * c
+        if nc:
+            out[key] = nc
         else:
-            out.append(b[ib])
-            ib += 1
-    out.extend(a[ia:])
-    out.extend(b[ib:])
-    return tuple(out)
+            out.pop(key, None)
 
 
 class SparsePoly:
@@ -97,7 +96,7 @@ class SparsePoly:
 
     @classmethod
     def variable(cls, v: VarId) -> "SparsePoly":
-        return cls({((v, 1),): 1})
+        return cls({(v,): 1})
 
     # ------------------------------------------------------------------ ring ops
 
@@ -109,14 +108,8 @@ class SparsePoly:
         return not self.terms
 
     def __add__(self, other: Union["SparsePoly", Scalar]) -> "SparsePoly":
-        other = _as_poly(other)
         out = dict(self.terms)
-        for mono, c in other.terms.items():
-            nc = out.get(mono, 0) + c
-            if nc:
-                out[mono] = nc
-            elif mono in out:
-                del out[mono]
+        _add_into(out, _as_poly(other).terms)
         return SparsePoly(out)
 
     __radd__ = __add__
@@ -137,13 +130,7 @@ class SparsePoly:
             return SparsePoly({mono: c * other for mono, c in self.terms.items()})
         out: dict[Monomial, Scalar] = {}
         for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mono = _mono_mul(ma, mb)
-                nc = out.get(mono, 0) + ca * cb
-                if nc:
-                    out[mono] = nc
-                elif mono in out:
-                    del out[mono]
+            _add_into(out, {tuple(sorted(ma + mb)): cb for mb, cb in other.terms.items()}, ca)
         return SparsePoly(out)
 
     __rmul__ = __mul__
@@ -166,7 +153,7 @@ class SparsePoly:
     # --------------------------------------------------------------- structure
 
     def variables(self) -> set[VarId]:
-        return {v for mono in self.terms for v, _ in mono}
+        return {v for mono in self.terms for v in mono}
 
     def bidegree(self) -> tuple[int, int]:
         """(X-degree, Y-degree) shared by every term; error if mixed or zero."""
@@ -174,8 +161,8 @@ class SparsePoly:
             raise ValueError("the zero polynomial has no bidegree")
         seen: Optional[tuple[int, int]] = None
         for mono in self.terms:
-            dx = sum(e for v, e in mono if v.kind == "X")
-            dy = sum(e for v, e in mono if v.kind == "Y")
+            dx = sum(v.kind == "X" for v in mono)
+            dy = sum(v.kind == "Y" for v in mono)
             if seen is None:
                 seen = (dx, dy)
             elif seen != (dx, dy):
@@ -184,27 +171,26 @@ class SparsePoly:
 
     def substitute(self, assignment: Mapping[VarId, Union["SparsePoly", Scalar]]) -> "SparsePoly":
         """Replace every variable by its assigned polynomial or scalar."""
-        for mono in self.terms:
-            for v, _ in mono:
-                if v not in assignment:
-                    raise ValueError(f"missing variable in substitution: {v}")
-        acc = SparsePoly.zero()
-        for mono, coeff in sorted(self.terms.items()):
+        for v in self.variables():
+            if v not in assignment:
+                raise ValueError(f"missing variable in substitution: {v}")
+        out: dict[Monomial, Scalar] = {}
+        for mono, coeff in self.terms.items():
             term = SparsePoly.constant(coeff)
-            for v, e in mono:
-                term = term * (_as_poly(assignment[v]) ** e)
-            acc = acc + term
-        return acc
+            for v in mono:
+                term = term * assignment[v]
+            _add_into(out, term.terms)
+        return SparsePoly(dict(out))
 
     def evaluate(self, assignment: Mapping[VarId, Scalar]) -> Scalar:
         """Exact value at a scalar point covering every variable."""
         total: Scalar = 0
         for mono, coeff in self.terms.items():
             v: Scalar = coeff
-            for var, e in mono:
+            for var in mono:
                 if var not in assignment:
                     raise ValueError(f"missing variable in substitution: {var}")
-                v *= assignment[var] ** e
+                v *= assignment[var]
             total += v
         return total
 
@@ -222,12 +208,11 @@ class SparsePoly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        def term_key(item):
-            mono, _ = item
-            return (-sum(e for _, e in mono), mono)
         parts = []
-        for mono, c in sorted(self.terms.items(), key=term_key):
-            factors = "*".join(str(v) if e == 1 else f"{v}^{e}" for v, e in mono)
+        for mono, c in sorted(self.terms.items(), key=lambda item: (-len(item[0]), item[0])):
+            factors = "*".join(
+                str(v) if mono.count(v) == 1 else f"{v}^{mono.count(v)}" for v in dict.fromkeys(mono)
+            )
             if not factors:
                 parts.append(str(c))
             elif c == 1:
@@ -258,8 +243,6 @@ def determinant(rows: Sequence[Sequence[Entry]]):
     for row in rows:
         if len(row) != k:
             raise ValueError("matrix is not square")
-    if k == 0:
-        return 1
     full = (1 << k) - 1
     minors: list = [None] * (full + 1)
     minors[0] = 1
@@ -289,10 +272,6 @@ def adjugate(rows: Sequence[Sequence[Entry]]) -> list[list]:
     for row in rows:
         if len(row) != k:
             raise ValueError("matrix is not square")
-    if k == 0:
-        return []
-    if k == 1:
-        return [[1]]
     out = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(k):
@@ -342,10 +321,10 @@ def mat_mul(a: SymbolicMatrix, b: SymbolicMatrix) -> SymbolicMatrix:
     for i in range(n):
         row = []
         for j in range(n):
-            acc = SparsePoly.zero()
+            out: dict[Monomial, Scalar] = {}
             for k in range(n):
-                acc = acc + a.entries[i][k] * b.entries[k][j]
-            row.append(acc)
+                _add_into(out, (a.entries[i][k] * b.entries[k][j]).terms)
+            row.append(SparsePoly(dict(out)))
         rows.append(tuple(row))
     return SymbolicMatrix(n, tuple(rows))
 
@@ -370,27 +349,30 @@ def product_matrix(n: int) -> SymbolicMatrix:
 
 def product_entries(n: int) -> list[SparsePoly]:
     """The n^2 entries of X * Y, row-major; their span cuts out product zero."""
-    prod = product_matrix(n)
-    return [prod.entries[i][j] for i in range(n) for j in range(n)]
+    return [p for row in product_matrix(n).entries for p in row]
+
+
+def _generators_of(prod: SymbolicMatrix) -> list[SparsePoly]:
+    n, e = prod.n, prod.entries
+    gens = [e[i][j] for i in range(n) for j in range(n) if i != j]
+    gens.extend(e[i][i] - e[i + 1][i + 1] for i in range(n - 1))
+    return gens
 
 
 def graph_ideal_generators(n: int) -> list[SparsePoly]:
     """Generators of the inversion-graph ideal: the n(n-1) off-diagonal
     entries of X * Y (row-major) plus the n - 1 consecutive diagonal
     differences."""
-    prod = product_matrix(n).entries
-    gens = [prod[i][j] for i in range(n) for j in range(n) if i != j]
-    gens.extend(prod[i][i] - prod[i + 1][i + 1] for i in range(n - 1))
-    return gens
+    return _generators_of(product_matrix(n))
 
 
 def swap_sides(p: SparsePoly) -> SparsePoly:
     """Exchange the X and Y variables throughout."""
-    out: dict[Monomial, Scalar] = {}
-    for mono, c in p.terms.items():
-        swapped = tuple(sorted((VarId("Y" if v.kind == "X" else "X", v.row, v.col), e) for v, e in mono))
-        out[swapped] = out.get(swapped, 0) + c
-    return SparsePoly({m: c for m, c in out.items() if c})
+    # a bijection on monomials, so no two terms land on one key
+    return SparsePoly({
+        tuple(sorted(VarId("Y" if v.kind == "X" else "X", v.row, v.col) for v in mono)): c
+        for mono, c in p.terms.items()
+    })
 
 
 def swap_symmetry_holds(n: int) -> bool:
@@ -409,17 +391,10 @@ def adjugate_identity_holds(n: int, adj_x: Optional[SymbolicMatrix] = None) -> b
     x = generic_sym_matrix(n, "X")
     adj = adjugate_sym(x) if adj_x is None else adj_x
     det = det_sym(x)
-    for i in range(n):
-        for j in range(n):
-            if not adj.entries[i][j] == adj.entries[j][i]:
-                return False
-    prod = mat_mul(x, adj)
-    for i in range(n):
-        for j in range(n):
-            expect = det if i == j else SparsePoly.zero()
-            if not prod.entries[i][j] == expect:
-                return False
-    return True
+    if not _is_symmetric(adj.entries):
+        return False
+    prod = mat_mul(x, adj).entries
+    return all(prod[i][j] == (det if i == j else 0) for i in range(n) for j in range(n))
 
 
 # ------------------------------------------------------------- span comparison
@@ -427,25 +402,17 @@ def adjugate_identity_holds(n: int, adj_x: Optional[SymbolicMatrix] = None) -> b
 def sparse_rank(vectors: Iterable[Mapping]) -> int:
     """Rank over the rationals of sparse coefficient vectors (dict keyed)."""
     basis: dict = {}
-    rank = 0
     for vec in vectors:
         v = {k: Fraction(c) for k, c in vec.items() if c}
         while v:
             pivot = max(v)
             if pivot in basis:
                 other = basis[pivot]
-                scale = v[pivot] / other[pivot]
-                for k, c in other.items():
-                    nc = v.get(k, Fraction(0)) - scale * c
-                    if nc:
-                        v[k] = nc
-                    elif k in v:
-                        del v[k]
+                _add_into(v, other, -v[pivot] / other[pivot])
             else:
                 basis[pivot] = v
-                rank += 1
                 break
-    return rank
+    return len(basis)
 
 
 def spans_product_entries(n: int) -> bool:
@@ -454,9 +421,9 @@ def spans_product_entries(n: int) -> bool:
     All vectors live in the bidegree-(1,1) coefficient space, so span
     equality is three rank computations.
     """
-    prods = product_entries(n)
-    left = [g.terms for g in graph_ideal_generators(n)] + [prods[0].terms]
-    right = [p.terms for p in prods]
+    prod = product_matrix(n)
+    right = [p.terms for row in prod.entries for p in row]
+    left = [g.terms for g in _generators_of(prod)] + right[:1]
     r_left = sparse_rank(left)
     r_right = sparse_rank(right)
     r_union = sparse_rank(left + right)
@@ -483,6 +450,10 @@ def _invertible_symmetric(rng: random.Random, n: int) -> tuple[list[list[int]], 
         _, det, adj = _eliminate(rows)
         if adj is not None:
             return rows, det, adj
+
+
+def _is_symmetric(rows: Sequence[Sequence]) -> bool:
+    return all(rows[i][j] == rows[j][i] for i in range(len(rows)) for j in range(i))
 
 
 def _product(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
@@ -582,10 +553,8 @@ class RationalSymMatrix:
     def __post_init__(self) -> None:
         if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
             raise ValueError(f"expected {self.n} x {self.n} entries")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.rows[i][j] != self.rows[j][i]:
-                    raise ValueError("matrix is not symmetric")
+        if not _is_symmetric(self.rows):
+            raise ValueError("matrix is not symmetric")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalar]]) -> "RationalSymMatrix":
@@ -595,13 +564,9 @@ class RationalSymMatrix:
         return matrix_rank(self.rows)
 
 
-def witness_rank_pair(n: int, r: int, seed: int = 0) -> tuple[RationalSymMatrix, RationalSymMatrix]:
-    """Random pair (M, N) of symmetric rationals with rank r and n - r and M N = 0.
-
-    M = A D A^T and N = A^-T E A^-1 for a random invertible integer A and
-    complementary nonzero diagonals D, E, so the ranks are exact and the
-    product vanishes identically. Deterministic in the seed.
-    """
+def _witness_rows(n: int, r: int, seed: int) -> tuple[list[list[int]], list[list[int]], int]:
+    """Integer rows of M = A D A^T and det(A)^2 N = adj(A)^T E adj(A), and det(A);
+    D weights the first r columns of A, E the last n - r rows of adj(A)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 <= r <= n:
@@ -614,23 +579,34 @@ def witness_rank_pair(n: int, r: int, seed: int = 0) -> tuple[RationalSymMatrix,
             break
     d = [rng.randint(1, 9) * rng.choice((1, -1)) for _ in range(r)]
     e = [rng.randint(1, 9) * rng.choice((1, -1)) for _ in range(n - r)]
-    a_inv = [[Fraction(v, det) for v in row] for row in adj]
-    # M[i][j] = sum_k a[i][k] d_k a[j][k]  (first r columns of A weighted by D)
-    m_rows = [
-        [sum((Fraction(a[i][k] * d[k] * a[j][k]) for k in range(r)), Fraction(0)) for j in range(n)]
-        for i in range(n)
-    ]
-    # N[i][j] = sum_k ainv[r+k][i] e_k ainv[r+k][j]  (last rows of A^-1 weighted by E)
-    n_rows = [
-        [sum((a_inv[r + k][i] * e[k] * a_inv[r + k][j] for k in range(n - r)), Fraction(0)) for j in range(n)]
-        for i in range(n)
-    ]
-    return RationalSymMatrix.from_rows(m_rows), RationalSymMatrix.from_rows(n_rows)
+    m = [[sum(a[i][k] * d[k] * a[j][k] for k in range(r)) for j in range(n)] for i in range(n)]
+    w = [[sum(adj[r + k][i] * e[k] * adj[r + k][j] for k in range(n - r)) for j in range(n)] for i in range(n)]
+    return m, w, det
+
+
+def witness_rank_pair(n: int, r: int, seed: int = 0) -> tuple[RationalSymMatrix, RationalSymMatrix]:
+    """Random pair (M, N) of symmetric rationals with rank r and n - r and M N = 0.
+
+    M = A D A^T and N = A^-T E A^-1 for a random invertible integer A and
+    complementary nonzero diagonals D, E, so the ranks are exact and the
+    product vanishes identically. Deterministic in the seed.
+    """
+    m, w, det = _witness_rows(n, r, seed)
+    scale = det * det
+    return (
+        RationalSymMatrix.from_rows(m),
+        RationalSymMatrix.from_rows([[Fraction(x, scale) for x in row] for row in w]),
+    )
 
 
 def witness_pair_valid(n: int, r: int, seed: int = 0) -> bool:
-    """Ranks are exactly (r, n - r) and every entry of M * N vanishes."""
-    m, w = witness_rank_pair(n, r, seed)
-    if m.rank() != r or w.rank() != n - r:
-        return False
-    return all(v == 0 for row in _product(m.rows, w.rows) for v in row)
+    """M and N are symmetric, their ranks are exactly (r, n - r) and every
+    entry of M * N vanishes; checked on the integer M and det(A)^2 N."""
+    m, w, _ = _witness_rows(n, r, seed)
+    return (
+        _is_symmetric(m)
+        and _is_symmetric(w)
+        and matrix_rank(m) == r
+        and matrix_rank(w) == n - r
+        and not any(v for row in _product(m, w) for v in row)
+    )

@@ -8,6 +8,7 @@ import pytest
 import invdeg
 import invdeg.cli as cli
 import invdeg.mldegree as mldegree
+import invdeg.symbolic as symbolic
 from invdeg.cli import main
 from invdeg.multidegree import gamma_prefix, multidegree_table
 
@@ -238,6 +239,27 @@ def test_verify_failure_exits_2(capsys, monkeypatch):
     swap = next(c for c in payload["checks"] if c["name"] == "swap_symmetry")
     assert swap["pass"] is False
     assert payload["results"]["failed"] == "1"
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "numeric"])
+def test_verify_graph_residual_exits_2(capsys, monkeypatch, mode):
+    # A generator that does not vanish on the graph is a failed check, not an
+    # invariant violation: every check still reports and the exit code is 2.
+    bad = symbolic.SparsePoly.variable(symbolic.xvar(1, 1))
+    monkeypatch.setattr(symbolic, "graph_ideal_generators", lambda n: [bad])
+    code, out, err = run_cli(capsys, ["verify", "--n", "2", "--mode", mode, "--trials", "3"])
+    assert code == 2
+    assert err == ""
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == [
+        "graph_vanishing",
+        "adjugate_identity",
+        "swap_symmetry",
+        "product_span",
+        "witness_rank_pairs",
+    ]
+    assert checks[0]["pass"] is False
+    assert "does not vanish" in checks[0]["detail"] and "X[1,1]" in checks[0]["detail"]
 
 
 def test_verify_csv_and_latex(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -12,6 +13,7 @@ from invdeg.symbolic import (
     RationalSymMatrix,
     SparsePoly,
     SymbolicMatrix,
+    VarId,
     adjugate,
     adjugate_identity_holds,
     adjugate_identity_numeric,
@@ -129,6 +131,73 @@ def test_poly_sign_normalized_and_str():
     assert p.sign_normalized() == 3 * x - 1
     assert str(SparsePoly.zero()) == "0"
     assert str(2 * x * x) == "2*X[1,1]^2"
+
+
+# Repeated X and Y variables, so that products raise powers and swapping
+# exchanges monomials of different shapes.
+POLY_VARS = (xvar(1, 1), xvar(1, 2), xvar(2, 2), yvar(1, 1), yvar(1, 2))
+
+
+@st.composite
+def poly_specs(draw):
+    """A polynomial as (coefficient, factor list) terms, factors may repeat."""
+    term = st.tuples(st.integers(-5, 5), st.lists(st.sampled_from(POLY_VARS), max_size=4))
+    return draw(st.lists(term, max_size=5))
+
+
+def poly_from(spec):
+    out = SparsePoly.zero()
+    for c, factors in spec:
+        t = SparsePoly.constant(c)
+        for v in factors:
+            t = t * var(v)
+        out = out + t
+    return out
+
+
+def value_of(spec, point):
+    total = 0
+    for c, factors in spec:
+        t = c
+        for v in factors:
+            t *= point[v]
+        total += t
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_specs(), poly_specs(), st.integers(0, 3),
+       st.lists(st.integers(-4, 4), min_size=len(POLY_VARS), max_size=len(POLY_VARS)))
+def test_poly_ring_ops_match_evaluation(a_spec, b_spec, e, values):
+    point = dict(zip(POLY_VARS, values))
+    a, b = poly_from(a_spec), poly_from(b_spec)
+    va, vb = value_of(a_spec, point), value_of(b_spec, point)
+    assert a.evaluate(point) == va
+    assert (a + b).evaluate(point) == va + vb
+    assert (a - b).evaluate(point) == va - vb
+    assert (a * b).evaluate(point) == va * vb
+    assert (a ** e).evaluate(point) == va ** e
+    assert a.substitute(point) == va
+    assert swap_sides(swap_sides(a)) == a
+    flipped = {VarId("Y" if v.kind == "X" else "X", v.row, v.col): x for v, x in point.items()}
+    assert swap_sides(a).evaluate(flipped) == va
+
+
+# sha256 of str() of every generator and then every product entry, one per
+# line, recorded before the monomial format changed.
+GENERATOR_STR_SHA256 = {
+    1: "33bec54918c06afbecb8f9003b3ce19c6571e5b37bc61689379e807bfcc71e13",
+    2: "7f57fd5e856983027b5d86e4652fc59f94f6b5646d7b0d47b6cefc1f45f3a037",
+    3: "8cbaf1ffba7ce2f87d6c84415e8330d04b7ae63940a08c70caf0447ec25bfa83",
+    4: "070bd04774a23940ffc6658551b9be973d54d1525abb3d96847294340a7dfbe6",
+    5: "654847dc74205ac4b7555752fbc23b7924c7e967f8bc440f3e6feb0c5109a734",
+}
+
+
+def test_generator_strings_are_pinned():
+    for n, digest in GENERATOR_STR_SHA256.items():
+        text = "\n".join(str(p) for p in graph_ideal_generators(n) + product_entries(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, n
 
 
 # ----------------------------------------------------------------- determinants
@@ -359,6 +428,18 @@ def test_spans_product_entries():
         assert spans_product_entries(n)
 
 
+def test_span_check_builds_one_product(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return product_matrix(n)
+
+    monkeypatch.setattr(symbolic, "product_matrix", counted)
+    assert spans_product_entries(4)
+    assert calls == [4]
+
+
 # ------------------------------------------------------------ graph vanishing
 
 def test_graph_vanishing_symbolic():
@@ -447,12 +528,50 @@ def test_witness_sweep_small():
                 assert witness_pair_valid(n, r, seed)
 
 
+@pytest.mark.parametrize("m, w, valid", [
+    ([[1, 0], [0, 0]], [[0, 0], [0, 1]], True),
+    ([[1, 1], [0, 0]], [[1, -1], [-1, 1]], False),  # M is not symmetric
+    ([[1, 0], [0, 0]], [[0, 0], [1, 1]], False),  # N is not symmetric
+    ([[1, 0], [0, 0]], [[1, 0], [0, 0]], False),  # M N != 0
+    ([[0, 0], [0, 0]], [[1, 0], [0, 0]], False),  # rank M = 0
+    ([[1, 0], [0, 0]], [[0, 0], [0, 0]], False),  # rank N = 0
+])
+def test_witness_verdict(monkeypatch, m, w, valid):
+    # each invalid pair breaks one condition of the verdict and keeps the rest
+    monkeypatch.setattr(symbolic, "_witness_rows", lambda n, r, seed: (m, w, 1))
+    assert witness_pair_valid(2, 1) is valid
+
+
 def test_witness_deterministic_in_seed():
     a = witness_rank_pair(4, 2, seed=123)
     b = witness_rank_pair(4, 2, seed=123)
     assert a == b
     c = witness_rank_pair(4, 2, seed=124)
     assert a != c
+
+
+# sha256 over repr((r, seed, M.rows, N.rows)) for every r and seeds 0..5,
+# one per line, recorded when the witnesses were built in Fraction arithmetic.
+WITNESS_SHA256 = {
+    1: "69d85af272e4b6113da9d8f7cfdc9d4a10707cb207051be2b4894bc795f72bc0",
+    2: "2c45c9eefbebc7442dc56f23999b8f87dd82bcc5b5a480d69fc0baf96d049bf5",
+    3: "21cadb320403bf81538015861f201efc950637b04fdd64818540c1db808ffbb0",
+    4: "fccfe277f5fd80594f22c18369121cf8d1b9ae1607522f803d6b4e7077d516e4",
+    5: "453849c4c30be15eac1ecb964d3ef6b2838c5603546519b20e0becf8bdbc5624",
+    6: "478babae9719c973d484153e1c743833f2cdd5cdac162103d5baf937effa69e4",
+    7: "a067c764c7109ea4937c1e982002075b4c29aa09db73607f1b475ee7cfb83ebd",
+    8: "06f12837f4a30a1f933b0e31004e679b7357002ea6de60ccdfbcb89d3738f225",
+}
+
+
+def test_witness_pairs_are_pinned():
+    for n, digest in WITNESS_SHA256.items():
+        lines = []
+        for r in range(n + 1):
+            for seed in range(6):
+                m, w = witness_rank_pair(n, r, seed)
+                lines.append(repr((r, seed, m.rows, w.rows)))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest, n
 
 
 def test_witness_validation():
