@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .exact import InvariantViolation, SkewMatrix, _eliminate, pfaffian
-from .psi import psi_pair, psi_single
+from .psi import psi_table
 
 
 def sym_dimension(n: int) -> int:
@@ -38,15 +38,12 @@ def sym_dimension(n: int) -> int:
 def _pair_matrix(size: int) -> list[list[int]]:
     """Bordered psi pair matrix on the indices 0..size.
 
-    Index j with 1 <= j <= size stands for the element j, with pair value
-    psi_pair(i, j); index 0 is the border used to close off odd subsets, with
-    value psi_single(j) against every real index j.
+    Index j with 1 <= j <= size stands for the element j, with pair values
+    from the cached ``psi_table(size)``; index 0 is the border used to close
+    off odd subsets, with value psi_single(j) against every real index j.
     """
-    w = [[0] * (size + 1) for _ in range(size + 1)]
-    for j in range(1, size + 1):
-        w[0][j] = psi_single(j)
-        for i in range(1, j):
-            w[i][j] = psi_pair(i, j)
+    table = psi_table(size)
+    w = [[0, *table.singles]] + [[0, *row] for row in table.pairs]
     for i in range(size + 1):
         for j in range(i):
             w[i][j] = -w[j][i]

@@ -6,13 +6,19 @@ give binomial partial sums, and longer sequences give the Pfaffian of the
 skew matrix of pair values (bordered by the singleton values when the length
 is odd). ``p_alpha`` evaluates the complement inside {1..n}, which is a
 polynomial in n of degree equal to the weight of alpha.
+
+``psi_table`` builds every pair value up to n by the Pascal recurrence
+psi(i, j+1) = 2 psi(i, j) + C(i+j-1, i-1): O(n^2) big-integer operations,
+where summing ``psi_pair`` (the closed-form binomial sum, kept as the
+independent check) entry by entry costs O(n^3) binomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Union
+from itertools import repeat
+from typing import Iterable, Iterator, Optional, Union
 
 from .exact import SkewMatrix, binomial, pfaffian
 
@@ -67,7 +73,11 @@ class Subsequence:
 
 @dataclass(frozen=True)
 class PsiTable:
-    """Precomputed singleton and pair psi values for indices up to n."""
+    """Precomputed singleton and pair psi values for indices up to n.
+
+    ``pairs[i-1][j-1]`` is psi_pair(i, j) for i < j; the diagonal and the
+    lower triangle (i >= j) are zero.
+    """
 
     n: int
     singles: tuple[int, ...]
@@ -88,14 +98,26 @@ class PsiTable:
 
 @lru_cache(maxsize=None)
 def psi_table(n: int) -> PsiTable:
-    """Build (and cache) the psi lookup table for ambient bound n."""
+    """Build (and cache) the psi lookup table for ambient bound n.
+
+    Pascal's rule gives psi(i, j+1) = 2 psi(i, j) + C(i+j-1, i-1) from
+    psi(i, i+1) = C(2i-1, i), and the binomial steps along j as C(i+j, i-1)
+    = C(i+j-1, i-1) (i+j) / (j+1), an exact division. So each entry costs
+    one doubling, one multiply and one divide, O(n^2) big-integer operations
+    in all, and no ``psi_pair`` call is made.
+    """
     if n < 0:
         raise ValueError(f"psi_table requires n >= 0, got {n}")
+
+    def row(i: int) -> Iterator[int]:
+        yield from repeat(0, i)
+        value, step = binomial(2 * i - 1, i), binomial(2 * i, i - 1)
+        for j in range(i + 1, n + 1):
+            yield value
+            value, step = 2 * value + step, step * (i + j) // (j + 1)
+
     singles = tuple(psi_single(i) for i in range(1, n + 1))
-    pairs = tuple(
-        tuple(psi_pair(i, j) if i < j else 0 for j in range(1, n + 1))
-        for i in range(1, n + 1)
-    )
+    pairs = tuple(tuple(row(i)) for i in range(1, n + 1))
     return PsiTable(n, singles, pairs)
 
 

@@ -20,6 +20,9 @@ GOLDENS = [
     ("psi --n 5 --format json", "6a68125a0f731f331efb96e1b2417f992a5b0891b42372f49e0467b71115c504"),
     ("psi --n 5 --format csv", "78810d1b270f4c2750302bea7c2713ea049092c6f793e9a9e9fb760f1f6e9571"),
     ("psi --n 5 --format latex", "bc7e5f79f8bb9e362f91b84dbaf3cd9bd456eda8da984384266b456aaa6c1de2"),
+    ("psi --n 150 --format json", "1795f83dc4dab32747965df2aefb54875b39fa8f1c04c6585aada64a4d57af2c"),
+    ("psi --n 150 --format csv", "f13f20f72500cee3f060d2ac411b6942830ad76e5e44abde12171ec05c6fcd8f"),
+    ("psi --n 150 --format latex", "5d1af123edc83a713409552e9f74f72173da2e3b67151f04368d629702e0f19b"),
     ("multidegree --n 1 --format json", "0d722a1013b58183a67c469175f6da64be51f4e47aba5756ced94c890241f48e"),
     ("multidegree --n 1 --format csv", "32b6c697b3e1cda919205b229d9dc5b5fdd03078607af2840cac315c8b061fd6"),
     ("multidegree --n 1 --format latex", "edf9755053f3805563d17f76e742e4858af1a636d41ea7a6093d617095f30b4b"),

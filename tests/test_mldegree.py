@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,6 +151,16 @@ def test_gamma_prefix_matches_mask_table():
         gamma_prefix(3, 0)
     with pytest.raises(ValueError, match="prefix length out of range"):
         gamma_prefix(3, 7)
+
+
+_full_gamma = lru_cache(maxsize=None)(gamma_degrees)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 22).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, min(12, sym_dimension(n))))))
+def test_gamma_prefix_matches_full_table(nk):
+    n, k = nk
+    assert gamma_prefix(n, k) == _full_gamma(n)[:k]
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,8 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import invdeg.multidegree as multidegree
+import invdeg.psi as psi
 from invdeg.exact import SkewMatrix, binomial, pfaffian_reference
+from invdeg.multidegree import _pair_matrix
 from invdeg.psi import PsiTable, Subsequence, p_alpha, psi_pair, psi_seq, psi_single, psi_table
 
 
@@ -52,6 +56,49 @@ def test_psi_table_contents_and_cache():
         table.pair(1, 6)
     with pytest.raises(ValueError):
         table.single(0)
+
+
+def test_psi_table_matches_binomial_sum():
+    for n in range(41):
+        table = psi_table(n)
+        assert len(table.pairs) == n and all(len(row) == n for row in table.pairs)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                assert table.pairs[i - 1][j - 1] == (psi_pair(i, j) if i < j else 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 300).flatmap(lambda j: st.tuples(st.integers(1, j - 1), st.just(j))))
+def test_psi_table_pascal_recurrence(pair):
+    i, j = pair
+    value = psi_table(j).pair(i, j)
+    assert value == psi_pair(i, j)
+    if j > i + 1:
+        assert value == 2 * psi_pair(i, j - 1) + binomial(i + j - 2, i - 1)
+    else:
+        assert value == binomial(2 * i - 1, i)
+
+
+def test_pair_matrix_borders_psi_table():
+    for size in range(34):
+        w = _pair_matrix(size)
+        assert len(w) == size + 1 and all(len(row) == size + 1 for row in w)
+        for i in range(size + 1):
+            assert w[i][i] == 0
+            for j in range(i + 1, size + 1):
+                expected = psi_single(j) if i == 0 else psi_pair(i, j)
+                assert (w[i][j], w[j][i]) == (expected, -expected)
+
+
+def test_pair_builders_make_no_psi_pair_call(monkeypatch):
+    calls = []
+    real = psi.psi_pair
+    for module in (psi, multidegree):
+        monkeypatch.setattr(module, "psi_pair", lambda i, j: calls.append((i, j)) or real(i, j), raising=False)
+    psi_table.cache_clear()
+    assert psi_table(150).pair(1, 150) == real(1, 150)
+    assert _pair_matrix(30)[29][30] == real(29, 30)
+    assert calls == []
 
 
 def test_subsequence_validation():
