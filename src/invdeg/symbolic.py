@@ -2,10 +2,17 @@
 
 Two generic symmetric n x n matrices X and Y are represented over exact
 sparse polynomials in the variables X[i,j], Y[i,j] (i <= j). A polynomial is
-a dict from monomials to nonzero coefficients; a monomial is the sorted tuple
-of its variables, each repeated once per power, so X[1,1]^2*Y[1,2] is
-(X[1,1], X[1,1], Y[1,2]) and a product of monomials is their sorted
-concatenation. Sums accumulate in place through one helper, ``_add_into``.
+a dict from monomials to nonzero coefficients. A monomial is a packed
+exponent vector (Monagan & Pearce, CASC 2007): one int in which every
+variable owns an 8-bit field at a slot that does not depend on n, X and Y
+interleaved over the upper triangle column by column. So X[1,1]^2*Y[1,2] is
+2 + (1 << 24), the constant monomial is 0, and a product of monomials is the
+sum of their ints. Exponents stay below 2^7: a product checks the top bit of
+every field and raises ValueError, before any carry could reach the next
+variable. Keys are decoded to sorted VarId tuples, by walking their set bits,
+only to print, evaluate or substitute. One kernel, ``_mul_into``, adds
+products in place (out[ma + mb] += ca * cb) for ``*``, ``substitute``,
+``mat_mul`` and the determinant DP; sums go through ``_add_into``.
 
 The ideal of the inversion graph is generated by the off-diagonal entries of
 X*Y together with the consecutive diagonal differences; this module builds
@@ -29,6 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .exact import InvariantViolation, Scalar, _eliminate
@@ -59,7 +67,39 @@ def yvar(i: int, j: int) -> VarId:
     return VarId("Y", min(i, j), max(i, j))
 
 
-Monomial = tuple[VarId, ...]
+_FIELD_BITS = 8  # one byte per variable; exponents stay below 2^7
+_OVERFLOW = "a monomial exponent reached 2^7, past its 8-bit field"
+
+
+def _slot(v: VarId) -> int:
+    """Field index of v: X and Y interleaved over the upper triangle, column
+    by column, so a variable's field does not depend on n."""
+    if v.kind not in ("X", "Y") or not 1 <= v.row <= v.col:
+        raise ValueError(f"not a symmetric-matrix variable: {v!r}")
+    return 2 * (v.col * (v.col - 1) // 2 + v.row - 1) + (v.kind == "Y")
+
+
+def _var(slot: int) -> VarId:
+    """Inverse of ``_slot``."""
+    t = slot >> 1
+    col = (1 + isqrt(8 * t + 1)) // 2
+    return VarId("Y" if slot & 1 else "X", t - col * (col - 1) // 2 + 1, col)
+
+
+def _decode(key: int) -> tuple[int, ...]:
+    """Slots of a packed monomial, ascending, one entry per power."""
+    out: list[int] = []
+    while key:
+        slot = ((key & -key).bit_length() - 1) // _FIELD_BITS
+        e = key >> (slot * _FIELD_BITS) & 0xFF
+        key ^= e << (slot * _FIELD_BITS)
+        out += [slot] * e
+    return tuple(out)
+
+
+def _fields_mask(pattern: bytes, key: int) -> int:
+    """``pattern`` repeated, one byte per field, over every field of ``key``."""
+    return int.from_bytes(pattern * -(-key.bit_length() // (8 * len(pattern))), "little")
 
 
 def _add_into(out: dict, terms: Mapping, scale: Scalar = 1) -> None:
@@ -74,17 +114,70 @@ def _add_into(out: dict, terms: Mapping, scale: Scalar = 1) -> None:
             out.pop(key, None)
 
 
-class SparsePoly:
-    """Multivariate polynomial as a dict from sorted monomials to coefficients.
+def _mul_into(out: dict, a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> None:
+    """out += a * b in place, out[ma + mb] += ca * cb, dropping keys that cancel.
 
-    Coefficients are int or Fraction and never zero; the zero polynomial has
-    an empty dict. Mixed arithmetic with plain scalars is supported.
+    Raises ValueError when a product exponent reaches 2^7. Fields below 2^7
+    sum to at most 254, so the check sees the top bit before any carry.
+    """
+    if not a or not b:
+        return
+    if len(a) > len(b):
+        a, b = b, a
+    guard = _fields_mask(b"\x80", max(a) | max(b))
+    if len(a) == 1 and not out:
+        # one term times b is a bijection on keys: nothing collides or cancels
+        ((ma, ca),) = a.items()
+        out.update({ma + mb: ca * cb for mb, cb in b.items()})
+        if any(k & guard for k in out):
+            raise ValueError(_OVERFLOW)
+        return
+    get = out.get
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            k = ma + mb
+            if k & guard:
+                raise ValueError(_OVERFLOW)
+            c = get(k, 0) + ca * cb
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+
+
+def _by_slot(assignment: Mapping[VarId, object]) -> dict[int, object]:
+    return {_slot(v): x for v, x in assignment.items()}
+
+
+def _evaluate(terms: Iterable[tuple[tuple[int, ...], Scalar]], values: Mapping[int, Scalar]) -> Scalar:
+    """Exact sum over (slots, coefficient) terms, ``values`` keyed by slot."""
+    total: Scalar = 0
+    try:
+        for slots, coeff in terms:
+            v: Scalar = coeff
+            for s in slots:
+                v *= values[s]
+            total += v
+    except KeyError as err:
+        raise ValueError(f"missing variable in substitution: {_var(err.args[0])}") from None
+    return total
+
+
+class SparsePoly:
+    """Multivariate polynomial as a dict from packed monomials to coefficients.
+
+    A monomial is an int holding each variable's exponent in its own 8-bit
+    field (see ``_slot``); the constant monomial is 0 and a product of
+    monomials is a sum of keys. A product or power whose exponent reaches
+    2^7 raises ValueError, so no field ever carries into the next one.
+    Coefficients are int or Fraction and never zero; the zero polynomial
+    has an empty dict. Mixed arithmetic with plain scalars is supported.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[dict[Monomial, Scalar]] = None):
-        self.terms: dict[Monomial, Scalar] = {} if terms is None else terms
+    def __init__(self, terms: Optional[dict[int, Scalar]] = None):
+        self.terms: dict[int, Scalar] = {} if terms is None else terms
 
     @classmethod
     def zero(cls) -> "SparsePoly":
@@ -92,11 +185,11 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, c: Scalar) -> "SparsePoly":
-        return cls({(): c}) if c else cls()
+        return cls({0: c}) if c else cls()
 
     @classmethod
     def variable(cls, v: VarId) -> "SparsePoly":
-        return cls({(v,): 1})
+        return cls({1 << (_FIELD_BITS * _slot(v)): 1})
 
     # ------------------------------------------------------------------ ring ops
 
@@ -128,9 +221,8 @@ class SparsePoly:
             if not other:
                 return SparsePoly()
             return SparsePoly({mono: c * other for mono, c in self.terms.items()})
-        out: dict[Monomial, Scalar] = {}
-        for ma, ca in self.terms.items():
-            _add_into(out, {tuple(sorted(ma + mb)): cb for mb, cb in other.terms.items()}, ca)
+        out: dict[int, Scalar] = {}
+        _mul_into(out, self.terms, other.terms)
         return SparsePoly(out)
 
     __rmul__ = __mul__
@@ -153,48 +245,43 @@ class SparsePoly:
     # --------------------------------------------------------------- structure
 
     def variables(self) -> set[VarId]:
-        return {v for mono in self.terms for v in mono}
+        return {_var(s) for key in self.terms for s in _decode(key)}
 
     def bidegree(self) -> tuple[int, int]:
         """(X-degree, Y-degree) shared by every term; error if mixed or zero."""
         if not self.terms:
             raise ValueError("the zero polynomial has no bidegree")
         seen: Optional[tuple[int, int]] = None
-        for mono in self.terms:
-            dx = sum(v.kind == "X" for v in mono)
-            dy = sum(v.kind == "Y" for v in mono)
+        for key in self.terms:
+            slots = _decode(key)
+            dy = sum(s & 1 for s in slots)  # Y owns the odd slots
             if seen is None:
-                seen = (dx, dy)
-            elif seen != (dx, dy):
-                raise ValueError(f"polynomial is not bihomogeneous: {seen} vs {(dx, dy)}")
+                seen = (len(slots) - dy, dy)
+            elif seen != (len(slots) - dy, dy):
+                raise ValueError(f"polynomial is not bihomogeneous: {seen} vs {(len(slots) - dy, dy)}")
         return seen
 
     def substitute(self, assignment: Mapping[VarId, Union["SparsePoly", Scalar]]) -> "SparsePoly":
         """Replace every variable by its assigned polynomial or scalar."""
-        for v in self.variables():
-            if v not in assignment:
-                raise ValueError(f"missing variable in substitution: {v}")
-        out: dict[Monomial, Scalar] = {}
-        for mono, coeff in self.terms.items():
-            term = SparsePoly.constant(coeff)
-            for v in mono:
-                term = term * assignment[v]
-            _add_into(out, term.terms)
+        values = {s: _as_poly(x).terms for s, x in _by_slot(assignment).items()}
+        try:
+            factored = [([values[s] for s in _decode(key)] or [{0: 1}], c) for key, c in self.terms.items()]
+        except KeyError as err:
+            raise ValueError(f"missing variable in substitution: {_var(err.args[0])}") from None
+        out: dict[int, Scalar] = {}
+        for factors, coeff in factored:
+            acc = {0: coeff}
+            for f in factors[:-1]:
+                acc, prev = {}, acc
+                _mul_into(acc, prev, f)
+            _mul_into(out, acc, factors[-1])
         return SparsePoly(dict(out))
 
     def evaluate(self, assignment: Mapping[VarId, Scalar]) -> Scalar:
         """Exact value at a scalar point covering every variable."""
-        total: Scalar = 0
-        for mono, coeff in self.terms.items():
-            v: Scalar = coeff
-            for var in mono:
-                if var not in assignment:
-                    raise ValueError(f"missing variable in substitution: {var}")
-                v *= assignment[var]
-            total += v
-        return total
+        return _evaluate(((_decode(key), c) for key, c in self.terms.items()), _by_slot(assignment))
 
-    def canonical(self) -> tuple[tuple[Monomial, Scalar], ...]:
+    def canonical(self) -> tuple[tuple[int, Scalar], ...]:
         """Hashable sorted form, for set comparisons."""
         return tuple(sorted(self.terms.items()))
 
@@ -209,7 +296,8 @@ class SparsePoly:
         if not self.terms:
             return "0"
         parts = []
-        for mono, c in sorted(self.terms.items(), key=lambda item: (-len(item[0]), item[0])):
+        terms = ((tuple(sorted(map(_var, _decode(key)))), c) for key, c in self.terms.items())
+        for mono, c in sorted(terms, key=lambda item: (-len(item[0]), item[0])):
             factors = "*".join(
                 str(v) if mono.count(v) == 1 else f"{v}^{mono.count(v)}" for v in dict.fromkeys(mono)
             )
@@ -238,32 +326,32 @@ Entry = Union[SparsePoly, Scalar]
 
 
 def determinant(rows: Sequence[Sequence[Entry]]):
-    """Division-free determinant by DP over column subsets (any ring)."""
+    """Division-free determinant by DP over column subsets (any ring); a
+    SparsePoly if any entry is one, else a scalar."""
     k = len(rows)
     for row in rows:
         if len(row) != k:
             raise ValueError("matrix is not square")
+    terms = [[_as_poly(e).terms for e in row] for row in rows]
     full = (1 << k) - 1
     minors: list = [None] * (full + 1)
-    minors[0] = 1
+    minors[0] = {0: 1}
     for mask in range(1, full + 1):
         t = mask.bit_count()
-        row = rows[t - 1]
-        acc = 0
-        flip = (t - 1) & 1
-        c = 0
+        row = terms[t - 1]
+        acc: dict[int, Scalar] = {}
+        sign = 1 if t & 1 else -1
         rem = mask
         while rem:
             b = rem & -rem
             entry = row[b.bit_length() - 1]
-            sub = minors[mask ^ b]
-            if entry and sub:
-                term = entry * sub
-                acc = acc - term if (flip + c) & 1 else acc + term
-            c += 1
+            _mul_into(acc, entry if sign > 0 else {m: -c for m, c in entry.items()}, minors[mask ^ b])
+            sign = -sign
             rem ^= b
         minors[mask] = acc
-    return minors[full]
+    if any(isinstance(e, SparsePoly) for row in rows for e in row):
+        return SparsePoly(minors[full])
+    return minors[full].get(0, 0)
 
 
 def adjugate(rows: Sequence[Sequence[Entry]]) -> list[list]:
@@ -321,9 +409,9 @@ def mat_mul(a: SymbolicMatrix, b: SymbolicMatrix) -> SymbolicMatrix:
     for i in range(n):
         row = []
         for j in range(n):
-            out: dict[Monomial, Scalar] = {}
+            out: dict[int, Scalar] = {}
             for k in range(n):
-                _add_into(out, (a.entries[i][k] * b.entries[k][j]).terms)
+                _mul_into(out, a.entries[i][k].terms, b.entries[k][j].terms)
             row.append(SparsePoly(dict(out)))
         rows.append(tuple(row))
     return SymbolicMatrix(n, tuple(rows))
@@ -368,10 +456,11 @@ def graph_ideal_generators(n: int) -> list[SparsePoly]:
 
 def swap_sides(p: SparsePoly) -> SparsePoly:
     """Exchange the X and Y variables throughout."""
-    # a bijection on monomials, so no two terms land on one key
+    # X owns the even fields and Y the odd ones, so a swap exchanges
+    # neighbouring fields; a bijection on monomials, so no two terms collide
+    xs = _fields_mask(b"\xff\x00", max(p.terms, default=0))
     return SparsePoly({
-        tuple(sorted(VarId("Y" if v.kind == "X" else "X", v.row, v.col) for v in mono)): c
-        for mono, c in p.terms.items()
+        (key & xs) << _FIELD_BITS | (key >> _FIELD_BITS) & xs: c for key, c in p.terms.items()
     })
 
 
@@ -510,11 +599,14 @@ def verify_graph_vanishing(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
+    # decoded once per call, not once per trial
+    decoded = [[(_decode(key), c) for key, c in g.terms.items()] for g in gens]
+
     def trial(t: int) -> Optional[str]:
         m, _, adj = _invertible_symmetric(random.Random(seed * 1_000_003 + t), n)
-        assignment = _pair_assignment(m, adj)
-        for g in gens:
-            if g.evaluate(assignment) != 0:
+        values = _by_slot(_pair_assignment(m, adj))
+        for g, terms in zip(gens, decoded):
+            if _evaluate(terms, values) != 0:
                 return f"trial {t}: generator {g} evaluates to nonzero"
         return None
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -165,22 +166,88 @@ def value_of(spec, point):
     return total
 
 
+def term_powers(spec):
+    """Reference model of a spec: {sorted (variable, power) pairs: coefficient}, zeros dropped."""
+    out = {}
+    for c, factors in spec:
+        key = tuple(sorted(Counter(factors).items()))
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def max_power(spec):
+    return max((p for key in term_powers(spec) for _, p in key), default=0)
+
+
+def product_overflows(a_spec, b_spec):
+    """Some pair of surviving terms multiplies to a power of 2^7 or more."""
+    for ka in term_powers(a_spec):
+        for kb in term_powers(b_spec):
+            total = Counter(dict(ka))
+            total.update(dict(kb))
+            if max(total.values(), default=0) >= 128:
+                return True
+    return False
+
+
+# Exponents near the 2^7 limit of a packed field: lifting a's terms by one
+# variable up to 127 makes products and powers cross the limit.
+LIFTS = st.tuples(st.sampled_from(POLY_VARS), st.sampled_from([0, 0, 0, 1, 40, 63, 64, 65, 100, 126, 127]))
+
+
 @settings(max_examples=150, deadline=None)
 @given(poly_specs(), poly_specs(), st.integers(0, 3),
-       st.lists(st.integers(-4, 4), min_size=len(POLY_VARS), max_size=len(POLY_VARS)))
-def test_poly_ring_ops_match_evaluation(a_spec, b_spec, e, values):
+       st.lists(st.integers(-4, 4), min_size=len(POLY_VARS), max_size=len(POLY_VARS)), LIFTS)
+def test_poly_ring_ops_match_evaluation(a_spec, b_spec, e, values, lift):
+    lifted, h = lift
+    a_spec = [(c, factors + [lifted] * min(h, 127 - factors.count(lifted))) for c, factors in a_spec]
     point = dict(zip(POLY_VARS, values))
     a, b = poly_from(a_spec), poly_from(b_spec)
     va, vb = value_of(a_spec, point), value_of(b_spec, point)
     assert a.evaluate(point) == va
     assert (a + b).evaluate(point) == va + vb
     assert (a - b).evaluate(point) == va - vb
-    assert (a * b).evaluate(point) == va * vb
-    assert (a ** e).evaluate(point) == va ** e
+    if product_overflows(a_spec, b_spec):
+        with pytest.raises(ValueError, match=r"2\^7"):
+            a * b
+    else:
+        assert (a * b).evaluate(point) == va * vb
+    # a ** e multiplies a^(e-1) by a; the leading terms survive, so it
+    # raises exactly when e times the top power reaches 2^7
+    if e * max_power(a_spec) >= 128:
+        with pytest.raises(ValueError, match=r"2\^7"):
+            a ** e
+    else:
+        assert (a ** e).evaluate(point) == va ** e
     assert a.substitute(point) == va
     assert swap_sides(swap_sides(a)) == a
     flipped = {VarId("Y" if v.kind == "X" else "X", v.row, v.col): x for v, x in point.items()}
     assert swap_sides(a).evaluate(flipped) == va
+
+
+def test_exponent_overflow_raises_and_spares_neighbours():
+    x, y = var(xvar(1, 1)), var(yvar(1, 1))  # neighbouring fields
+    top = x ** 127 * y ** 127
+    assert str(top) == "X[1,1]^127*Y[1,1]^127"
+    assert top.bidegree() == (127, 127)
+    assert top.evaluate({xvar(1, 1): 2, yvar(1, 1): 3}) == 6 ** 127
+    assert str(swap_sides(x ** 127 * y)) == "X[1,1]*Y[1,1]^127"
+    for overflow in (
+        lambda: top * x,
+        lambda: x * top,
+        lambda: x ** 128,
+        lambda: (x ** 64) * (x ** 64),
+        lambda: (x ** 100 + y) ** 2,
+        lambda: (top + 1) * (y + 1),
+        lambda: (x ** 127).substitute({xvar(1, 1): x * x}),
+        lambda: det_sym(SymbolicMatrix(2, ((top, x), (x, y)))),
+        lambda: mat_mul(SymbolicMatrix(1, ((top,),)), SymbolicMatrix(1, ((x,),))),
+    ):
+        with pytest.raises(ValueError, match=r"2\^7"):
+            overflow()
+    assert str(top) == "X[1,1]^127*Y[1,1]^127"
+    assert x ** 126 * x == x ** 127
+    assert str(x ** 127 * var(xvar(1, 2)) ** 127) == "X[1,1]^127*X[1,2]^127"
 
 
 # sha256 of str() of every generator and then every product entry, one per
@@ -198,6 +265,32 @@ def test_generator_strings_are_pinned():
     for n, digest in GENERATOR_STR_SHA256.items():
         text = "\n".join(str(p) for p in graph_ideal_generators(n) + product_entries(n))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, n
+
+
+# sha256 of str(det_sym(X)) and of str() of every adjugate_sym(X) entry,
+# row-major, one per line, for the generic symmetric X. Unlike the
+# generators these print repeated variables, so they pin the order of
+# powers in the decoded monomials. Recorded before monomials were packed.
+DET_ADJ_STR_SHA256 = {
+    1: ("e8e4b16d6412d34ab8ce76935db30dcb316d7dcf98b160d4c30d16396a9a5c32",
+        "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"),
+    2: ("e3995ddba216d74cad9c0b650dff87015194a69a50bc42332aeb531266b09d1a",
+        "583053cccb3bd5c488907e83b4dfb31d4ea2dcf459f0f8f5f29250cec5909a6a"),
+    3: ("df8379a4f3be9c143211cc75aeb0839c7e48e920e35db776ea3cfd421639a0c1",
+        "e4b8f543cefd9376833da2c1e60b79f6ecc17feb1ec4c1f485ad03eeacbee48f"),
+    4: ("709cacec5fddf5016dabb294379a5a52e7526da9f8b617a11ad25b588a4c8e49",
+        "c1d7d24e91327819ae38b3816a0dfde3ffa4adf40c6516a3248fdf84ed46395f"),
+    5: ("d9886a431ce4f6d2967c5b92de536af766bbd6ef87163e6529d2ec847cc1f12e",
+        "c0c1435a1e1e718c7897027bf7f25592bba4f9d31a24d9be8ddf8f1d955d0217"),
+}
+
+
+def test_det_and_adjugate_strings_are_pinned():
+    for n, (det_digest, adj_digest) in DET_ADJ_STR_SHA256.items():
+        x = generic_sym_matrix(n, "X")
+        adj = "\n".join(str(e) for row in adjugate_sym(x).entries for e in row)
+        assert hashlib.sha256(str(det_sym(x)).encode()).hexdigest() == det_digest, n
+        assert hashlib.sha256(adj.encode()).hexdigest() == adj_digest, n
 
 
 # ----------------------------------------------------------------- determinants
@@ -461,6 +554,23 @@ def test_graph_vanishing_numeric():
     for n in (5, 6):
         rep = verify_graph_vanishing(n, mode="numeric", trials=5, seed=11)
         assert rep.mode == "numeric" and rep.trials == 5
+
+
+def test_numeric_verify_decodes_outside_the_trial_loop(monkeypatch):
+    calls = []
+
+    def counted(key):
+        calls.append(key)
+        return decode(key)
+
+    decode = symbolic._decode
+    monkeypatch.setattr(symbolic, "_decode", counted)
+    counts = []
+    for trials in (1, 5):
+        calls.clear()
+        assert verify_graph_vanishing(4, mode="numeric", trials=trials, seed=2).trials == trials
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == sum(len(g.terms) for g in graph_ideal_generators(4))
 
 
 def test_graph_vanishing_bad_arguments():
