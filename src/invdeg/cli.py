@@ -26,7 +26,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -372,7 +371,10 @@ def _cmd_verify(ns: argparse.Namespace) -> _Report:
     n = ns.n
     # One symbolic adjugate serves both symbolic checks.
     adj_x = adjugate_sym(generic_sym_matrix(n, "X")) if ns.mode == "symbolic" else None
-    executor = ThreadPoolExecutor(max_workers=ns.threads) if ns.threads > 1 else None
+    executor = None
+    if ns.threads > 1:  # imported here, so that no other run loads the pool
+        from concurrent.futures import ThreadPoolExecutor
+        executor = ThreadPoolExecutor(max_workers=ns.threads)
     checks = []
     try:
         try:

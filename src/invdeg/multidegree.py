@@ -10,7 +10,7 @@ restricts that sum to subsets of fixed size and is the algebraic degree of
 semidefinite programming.
 
 The whole vector (``beta_vector`` and all built on it) is read off
-G(t) = sum_d beta(n, d) t^d, one or two Pfaffians of size about n by minor
+G(t) = sum_d beta(n, d) t^d, one Pfaffian of size n + 1 or n + 2 by minor
 summation, evaluated at t = 2^K and decoded digit by digit; a second
 variable for the subset size gives every ``sdp_degree`` of one n the same
 way. ``gamma_prefix`` needs only beta(n, 0..k-1) and visits the subsets of
@@ -84,29 +84,29 @@ def _expand_pfaffians(w: list[list[int]], masks: Iterable[int], pf):
 
 def _generating_value(n: int, t: int, s: int = 1) -> int:
     """G(t, s) = sum of s^|a| t^weight(a) psi(a) psi(complement of a) over
-    subsets a of {1..n}, at integers t and s, by Ishikawa-Wakayama minor
-    summation: Pf(A + B) = sum over I of eps(I) Pf(A_I) Pf(B_(complement of I)).
+    subsets a of {1..n}, at integers t and s, as one Pfaffian by minor summation
+    (Ishikawa-Wakayama): Pf(A + B) = sum_I eps(I) Pf(A_I) Pf(B_(complement of I)).
 
     B is the bordered pair matrix; A is B with entry (p, q) times -(-1)^(p+q),
     cancelling eps(I), and each real index l scaled by t^l s. For odd n, A and
-    B share the border. For even n, a and its complement are both even (the
-    Pfaffian on 1..n) or both odd, which needs a border for A first and one
-    for B last; that Pfaffian enters with a minus sign.
+    B share the border: (border, 1..n). For even n, a and its complement are
+    both even or both odd, so G = Pf(1..n) - Pf(A0, 1..n, B0) with borders A0
+    of A and B0 of B. A Pfaffian is linear in each entry, so this is the one
+    Pfaffian on (A0, B0, 1..n) with 1 at (A0, B0): row A0 expands to Pf(1..n)
+    plus the Pfaffian with 0 there, -Pf(A0, 1..n, B0), since moving B0 past n
+    labels is even and shifting the labels by one negates row A0.
     """
     w = _pair_matrix(n)
-    real = [(label, t ** label * s, 1) for label in range(1, n + 1)]
+    # point: (row of w, scale of its A entries (0 if outside A), 1 if in B else 0)
+    border = [(0, 1, 1)] if n & 1 else [(0, 1, 0), (0, 0, 1)]
+    points = border + [(label, t ** label * s, 1) for label in range(1, n + 1)]
 
-    def pf(points: list[tuple[int, int, int]]) -> int:
-        # point: (row of w, scale of its A entries (0 if outside A), 1 if in B else 0)
-        def upper(p: int, q: int) -> int:
-            (lp, ap, bp), (lq, aq, bq) = points[p], points[q]
-            return w[lp][lq] * (bp * bq + (ap * aq if (p + q) & 1 else -ap * aq))
+    def upper(p: int, q: int) -> int:
+        (lp, ap, bp), (lq, aq, bq) = points[p], points[q]
+        # the last term is the 1 at (A0, B0), where w is 0; even n only
+        return w[lp][lq] * (bp * bq + (ap * aq if (p + q) & 1 else -ap * aq)) + (q < len(border))
 
-        return pfaffian(SkewMatrix.from_upper(len(points), upper))
-
-    if n & 1:
-        return pf([(0, 1, 1)] + real)
-    return pf(real) - pf([(0, 1, 0)] + real + [(0, 0, 1)])
+    return pfaffian(SkewMatrix.from_upper(len(points), upper))
 
 
 def _digits(value: int, k: int, count: int, total: int) -> list[int]:
@@ -143,8 +143,8 @@ def beta_vector(n: int) -> tuple[int, ...]:
 def beta(n: int, d: int) -> int:
     """Sum of psi(alpha) * psi(complement) over subsets of {1..n} of weight d.
 
-    Each call computes the whole vector: 137 calls at n = 16 take about 4 s,
-    one ``beta_vector(16)`` about 0.03 s. Callers that need many d should
+    Each call computes the whole vector: 137 calls at n = 16 take about 1.5 s,
+    one ``beta_vector(16)`` about 0.01 s. Callers that need many d should
     call ``beta_vector`` once."""
     m = sym_dimension(n)
     if d < 0 or d > m:

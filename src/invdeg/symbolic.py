@@ -114,17 +114,23 @@ def _add_into(out: dict, terms: Mapping, scale: Scalar = 1) -> None:
             out.pop(key, None)
 
 
-def _mul_into(out: dict, a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> None:
+def _guard(polys: Iterable[Mapping[int, Scalar]]) -> int:
+    """The top bit of every field used in ``polys``, sized once per operation:
+    a product of keys with fields below 2^7 uses no field above its factors'."""
+    return _fields_mask(b"\x80", max((max(p) for p in polys if p), default=0))
+
+
+def _mul_into(out: dict, a: Mapping[int, Scalar], b: Mapping[int, Scalar], guard: int) -> None:
     """out += a * b in place, out[ma + mb] += ca * cb, dropping keys that cancel.
 
-    Raises ValueError when a product exponent reaches 2^7. Fields below 2^7
+    Raises ValueError when a product exponent reaches 2^7; ``guard`` is
+    ``_guard`` of a set of polynomials covering a and b. Fields below 2^7
     sum to at most 254, so the check sees the top bit before any carry.
     """
     if not a or not b:
         return
     if len(a) > len(b):
         a, b = b, a
-    guard = _fields_mask(b"\x80", max(a) | max(b))
     if len(a) == 1 and not out:
         # one term times b is a bijection on keys: nothing collides or cancels
         ((ma, ca),) = a.items()
@@ -222,7 +228,7 @@ class SparsePoly:
                 return SparsePoly()
             return SparsePoly({mono: c * other for mono, c in self.terms.items()})
         out: dict[int, Scalar] = {}
-        _mul_into(out, self.terms, other.terms)
+        _mul_into(out, self.terms, other.terms, _guard((self.terms, other.terms)))
         return SparsePoly(out)
 
     __rmul__ = __mul__
@@ -269,12 +275,13 @@ class SparsePoly:
         except KeyError as err:
             raise ValueError(f"missing variable in substitution: {_var(err.args[0])}") from None
         out: dict[int, Scalar] = {}
+        guard = _guard(values.values())
         for factors, coeff in factored:
             acc = {0: coeff}
             for f in factors[:-1]:
                 acc, prev = {}, acc
-                _mul_into(acc, prev, f)
-            _mul_into(out, acc, factors[-1])
+                _mul_into(acc, prev, f, guard)
+            _mul_into(out, acc, factors[-1], guard)
         return SparsePoly(dict(out))
 
     def evaluate(self, assignment: Mapping[VarId, Scalar]) -> Scalar:
@@ -336,6 +343,7 @@ def determinant(rows: Sequence[Sequence[Entry]]):
     full = (1 << k) - 1
     minors: list = [None] * (full + 1)
     minors[0] = {0: 1}
+    guard = _guard(e for row in terms for e in row)
     for mask in range(1, full + 1):
         t = mask.bit_count()
         row = terms[t - 1]
@@ -345,7 +353,7 @@ def determinant(rows: Sequence[Sequence[Entry]]):
         while rem:
             b = rem & -rem
             entry = row[b.bit_length() - 1]
-            _mul_into(acc, entry if sign > 0 else {m: -c for m, c in entry.items()}, minors[mask ^ b])
+            _mul_into(acc, entry if sign > 0 else {m: -c for m, c in entry.items()}, minors[mask ^ b], guard)
             sign = -sign
             rem ^= b
         minors[mask] = acc
@@ -405,13 +413,14 @@ def mat_mul(a: SymbolicMatrix, b: SymbolicMatrix) -> SymbolicMatrix:
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
     n = a.n
+    guard = _guard(e.terms for m in (a, b) for row in m.entries for e in row)
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
             out: dict[int, Scalar] = {}
             for k in range(n):
-                _mul_into(out, a.entries[i][k].terms, b.entries[k][j].terms)
+                _mul_into(out, a.entries[i][k].terms, b.entries[k][j].terms, guard)
             row.append(SparsePoly(dict(out)))
         rows.append(tuple(row))
     return SymbolicMatrix(n, tuple(rows))

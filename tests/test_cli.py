@@ -1,5 +1,6 @@
 import importlib.metadata as md
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -323,6 +324,17 @@ def test_installed_entry_point_matches_pyproject():
     eps = md.distribution("invdeg").entry_points.select(group="console_scripts", name="invdeg")
     assert [ep.value for ep in eps] == [declared_script()]
     assert md.version("invdeg") == invdeg.__version__
+
+
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    # only verify with --threads above 1 imports concurrent.futures
+    import subprocess
+
+    src = str(Path(invdeg.__file__).resolve().parents[1])
+    code = "import sys, invdeg.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_module_is_runnable():

@@ -182,6 +182,40 @@ def test_digit_decoder_rejects_undersized_k():
             _digits(value + (1 << fits * (m + 1)), fits, m + 1, total)
 
 
+def _subset_terms(n):
+    """(|a|, weight(a), psi(a) psi(complement)) for every subset a of {1..n}, via psi_seq."""
+    universe = range(1, n + 1)
+    return [
+        (size, sum(a), psi_seq(a) * psi_seq(tuple(e for e in universe if e not in a)))
+        for size in range(n + 1)
+        for a in combinations(universe, size)
+    ]
+
+
+def test_generating_value_matches_subset_sum():
+    points = [(1, 1), (2, 1), (-3, 1), (-2, 5), (3, -2), (0, 7), (1 << 40, 1), (1 << 40, -3)]
+    for n in range(1, 10):
+        terms = _subset_terms(n)
+        for t, s in points:
+            want = sum(s ** size * t ** w * prod for size, w, prod in terms)
+            assert _generating_value(n, t, s) == want, (n, t, s)
+
+
+def test_generating_value_is_one_pfaffian(monkeypatch):
+    sizes = []
+    real = multidegree_mod.pfaffian
+
+    def counting(matrix):
+        sizes.append(matrix.size)
+        return real(matrix)
+
+    monkeypatch.setattr(multidegree_mod, "pfaffian", counting)
+    for n, layout in ((9, 10), (10, 12)):  # (border, 1..n) and (A0, B0, 1..n)
+        sizes.clear()
+        _generating_value(n, 1 << 40, 3)
+        assert sizes == [layout], (n, sizes)
+
+
 def test_multidegree_table_evaluates_the_packed_pfaffian_once(monkeypatch):
     calls = []
     real = multidegree_mod._generating_value
