@@ -37,8 +37,7 @@ from .psi import psi_table
 from .symbolic import (
     adjugate_identity_holds,
     adjugate_identity_numeric,
-    adjugate_sym,
-    generic_sym_matrix,
+    inverse_pair,
     spans_product_entries,
     swap_symmetry_holds,
     verify_graph_vanishing,
@@ -369,8 +368,8 @@ def _cmd_mldeg(ns: argparse.Namespace) -> _Report:
 
 def _cmd_verify(ns: argparse.Namespace) -> _Report:
     n = ns.n
-    # One symbolic adjugate serves both symbolic checks.
-    adj_x = adjugate_sym(generic_sym_matrix(n, "X")) if ns.mode == "symbolic" else None
+    # One determinant, adjugate and X * adj(X) serve both symbolic checks.
+    pair = inverse_pair(n) if ns.mode == "symbolic" else None
     executor = None
     if ns.threads > 1:  # imported here, so that no other run loads the pool
         from concurrent.futures import ThreadPoolExecutor
@@ -380,7 +379,7 @@ def _cmd_verify(ns: argparse.Namespace) -> _Report:
         try:
             report = verify_graph_vanishing(
                 n, mode=ns.mode, trials=ns.trials, seed=ns.seed,
-                symbolic_cap=ns.symbolic_cap, executor=executor, adj_x=adj_x,
+                symbolic_cap=ns.symbolic_cap, executor=executor, adj_x=pair,
             )
             if report.mode == "symbolic":
                 detail = f"{report.generators} generators vanish identically under Y -> adj(X)"
@@ -390,7 +389,7 @@ def _cmd_verify(ns: argparse.Namespace) -> _Report:
         except InvariantViolation as exc:
             checks.append({"name": "graph_vanishing", "pass": False, "detail": str(exc)})
         if ns.mode == "symbolic":
-            ok = adjugate_identity_holds(n, adj_x)
+            ok = adjugate_identity_holds(n, pair)
             detail = "X * adj(X) = det(X) * Id symbolically"
         else:
             ok = adjugate_identity_numeric(n, ns.trials, ns.seed, executor=executor)

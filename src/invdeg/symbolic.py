@@ -16,19 +16,26 @@ products in place (out[ma + mb] += ca * cb) for ``*``, ``substitute``,
 
 The ideal of the inversion graph is generated by the off-diagonal entries of
 X*Y together with the consecutive diagonal differences; this module builds
-those generators, substitutes Y -> adjugate(X) to certify that they vanish on
-the graph, checks the swap symmetry X <-> Y, checks that the generators plus
-the (1,1) product entry span every entry of X*Y in bidegree (1,1), and
+those generators, maps them through Y -> adj(X) to certify that they vanish
+on the graph, checks the swap symmetry X <-> Y, checks that the generators
+plus the (1,1) product entry span every entry of X*Y in bidegree (1,1), and
 produces witness pairs (M, N) of complementary rank with M N = 0. Witnesses
 are built in integers, as M and det(A)^2 N; symmetry, rank and a zero
 product do not change under that scale, so only ``witness_rank_pair``
 divides, once, to return the rational N.
 
+The symbolic checks share one ``InversePair``: det(X), adj(X) read off the
+partial derivatives of det(X), and P = X * adj(X) from one ``mat_mul``. The
+adjugate identity compares P with det(X) * Id. Substitution is a ring map
+that fixes X, so each generator of X*Y goes under Y -> adj(X) to the
+matching generator of P, and only other polynomials are substituted.
+
 Matrices of numbers get rank, determinant and adjugate from the one
 fraction-free Gauss-Jordan elimination in ``exact``, O(k^3). Polynomial
-entries cannot be divided, so ``determinant`` and ``adjugate`` run a
-division-free DP over column subsets, O(2^k * k) ring operations, which
-serves only the small symbolic sizes.
+entries cannot be divided, so ``determinant`` runs a division-free DP over
+column subsets, O(2^k * k) ring operations, which serves only the small
+symbolic sizes. ``adjugate`` runs that DP once per minor; it is the oracle
+that the derivative adjugate is tested against.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .exact import InvariantViolation, Scalar, _eliminate
 
@@ -474,24 +481,77 @@ def swap_sides(p: SparsePoly) -> SparsePoly:
 
 
 def swap_symmetry_holds(n: int) -> bool:
-    """Generator set is stable (up to sign) under exchanging X and Y."""
+    """Generator set is stable (up to sign) under exchanging X and Y. The swap
+    is linear and injective, so the swapped sign classes equal the original
+    ones once each lies among them; one swapped generator is held at a time."""
     gens = graph_ideal_generators(n)
-    swapped = {swap_sides(g).sign_normalized().canonical() for g in gens}
-    return swapped == {g.sign_normalized().canonical() for g in gens}
+    originals = {g.sign_normalized().canonical() for g in gens}
+    return all(swap_sides(g).sign_normalized().canonical() in originals for g in gens)
 
 
-def adjugate_identity_holds(n: int, adj_x: Optional[SymbolicMatrix] = None) -> bool:
-    """Symbolic check that X * adj(X) = det(X) * Id and adj(X) is symmetric.
+@dataclass(frozen=True)
+class InversePair:
+    """The generic symmetric X with det(X), an adjugate adj and P = X * adj,
+    built once and shared by the symbolic checks."""
 
-    ``adj_x`` is the adjugate under test; when None it is built here. det(X)
-    is always computed on its own, so a zero adjugate cannot pass.
-    """
+    x: SymbolicMatrix
+    det: SparsePoly
+    adj: SymbolicMatrix
+    prod: SymbolicMatrix
+
+
+def _adjugate_from_det(n: int, det: SparsePoly) -> SymbolicMatrix:
+    """adj(X) of the generic symmetric X from the partial derivatives of det:
+    X[i,j] fills (i, j) and (j, i) and the cofactors are symmetric, so
+    d det/d X[i,i] = adj[i][i] and d det/d X[i,j] = 2 adj[i][j] for i != j.
+    An odd off-diagonal coefficient raises InvariantViolation."""
+    rows = [[SparsePoly()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v = xvar(i + 1, j + 1)
+            shift = _FIELD_BITS * _slot(v)
+            unit, field = 1 << shift, 0xFF << shift
+            d = {key - unit: c * (key >> shift & 0xFF) for key, c in det.terms.items() if key & field}
+            if i != j:
+                if any(c % 2 for c in d.values()):
+                    raise InvariantViolation(f"d det/d {v} has an odd coefficient")
+                d = {key: c // 2 for key, c in d.items()}
+            rows[i][j] = rows[j][i] = SparsePoly(d)
+    return SymbolicMatrix(n, tuple(map(tuple, rows)))
+
+
+def inverse_pair(n: int, adj_x: Optional[SymbolicMatrix] = None) -> InversePair:
+    """X, det(X) from the subset DP, adj and P = X * adj from one ``mat_mul``;
+    adj is ``adj_x`` when given, else read off the derivatives of det(X)."""
     x = generic_sym_matrix(n, "X")
-    adj = adjugate_sym(x) if adj_x is None else adj_x
     det = det_sym(x)
-    if not _is_symmetric(adj.entries):
+    adj = _adjugate_from_det(n, det) if adj_x is None else adj_x
+    return InversePair(x, det, adj, mat_mul(x, adj))
+
+
+def _shared_pair(n: int, adj_x: Union[SymbolicMatrix, InversePair, None]) -> InversePair:
+    if not isinstance(adj_x, InversePair):
+        return inverse_pair(n, adj_x)
+    if adj_x.x.n != n:
+        raise ValueError(f"the inverse pair is for n = {adj_x.x.n}, not {n}")
+    return adj_x
+
+
+def adjugate_identity_holds(n: int, adj_x: Union[SymbolicMatrix, InversePair, None] = None) -> bool:
+    """Symbolic check that X * adj(X) = det(X) * Id, that adj(X) is symmetric,
+    and that X[1,1]*...*X[n,n] has coefficient 1 in det(X).
+
+    ``adj_x`` is the adjugate under test, or an ``InversePair`` holding it;
+    when None it is read off the derivatives of det(X). Read off the
+    derivatives of any f, it gives X * adj = f * Id only for f a constant
+    times det(X), and the coefficient check pins the constant to 1, so a
+    zero or scaled determinant fails.
+    """
+    pair = _shared_pair(n, adj_x)
+    det, prod = pair.det, pair.prod.entries
+    diagonal = sum(1 << _FIELD_BITS * _slot(xvar(i, i)) for i in range(1, n + 1))
+    if det.terms.get(diagonal) != 1 or not _is_symmetric(pair.adj.entries):
         return False
-    prod = mat_mul(x, adj).entries
     return all(prod[i][j] == (det if i == j else 0) for i in range(n) for j in range(n))
 
 
@@ -570,6 +630,17 @@ def _pair_assignment(m: Sequence[Sequence[Entry]], y: Sequence[Sequence[Entry]])
     return out
 
 
+def _graph_images(gens: Iterable[SparsePoly], pair: InversePair) -> Iterator[SparsePoly]:
+    """``gens`` under Y -> adj(X), adj symmetric: a generator of X * Y maps to
+    the generator of P = X * adj(X) at its place, any other is substituted."""
+    standard = _generators_of(product_matrix(pair.x.n))
+    images = {g.canonical(): p for g, p in zip(standard, _generators_of(pair.prod))}
+    assignment = _pair_assignment(pair.x.entries, pair.adj.entries)
+    for g in gens:
+        image = images.get(g.canonical())
+        yield g.substitute(assignment) if image is None else image
+
+
 def verify_graph_vanishing(
     n: int,
     mode: str = "symbolic",
@@ -577,18 +648,18 @@ def verify_graph_vanishing(
     seed: int = 0,
     symbolic_cap: int = 4,
     executor=None,
-    adj_x: Optional[SymbolicMatrix] = None,
+    adj_x: Union[SymbolicMatrix, InversePair, None] = None,
 ) -> VanishingReport:
     """Certify that every graph generator vanishes on pairs (M, adj M).
 
-    Symbolic mode substitutes Y -> adjugate(X) into each generator and
-    demands the zero polynomial; it is exponential in n and refuses to run
-    past ``symbolic_cap`` unless the cap is raised; ``adj_x``, when given,
-    is the adjugate of the generic X to substitute. Numeric mode evaluates
-    the generators on seeded random integer symmetric M with det != 0,
-    exactly; trials fan out over ``executor`` when given, in deterministic
-    order. A nonzero residual raises InvariantViolation naming the offending
-    generator.
+    Symbolic mode maps each generator through Y -> adj(X) (see
+    ``_graph_images``) and demands the zero polynomial; it is exponential in
+    n and refuses to run past ``symbolic_cap`` unless the cap is raised.
+    ``adj_x``, when given, is the symmetric adjugate of the generic X, or an
+    ``InversePair`` holding it. Numeric mode evaluates the generators on
+    seeded random integer symmetric M with det != 0, exactly; trials fan out
+    over ``executor`` when given, in deterministic order. A nonzero residual
+    raises InvariantViolation naming the offending generator.
     """
     if mode not in ("symbolic", "numeric"):
         raise ValueError(f'mode must be "symbolic" or "numeric", got {mode!r}')
@@ -598,11 +669,11 @@ def verify_graph_vanishing(
             raise ValueError(
                 f"symbolic mode is capped at n <= {symbolic_cap}; raise symbolic_cap to override"
             )
-        x = generic_sym_matrix(n, "X")
-        adj = adjugate_sym(x) if adj_x is None else adj_x
-        assignment = _pair_assignment(x.entries, adj.entries)
-        for g in gens:
-            if not g.substitute(assignment).is_zero:
+        pair = _shared_pair(n, adj_x)
+        if not _is_symmetric(pair.adj.entries):
+            raise InvariantViolation("Y -> adj(X) needs a symmetric adjugate; the one given is not")
+        for g, image in zip(gens, _graph_images(gens, pair)):
+            if image:
                 raise InvariantViolation(f"graph generator does not vanish on inverse pairs: {g}")
         return VanishingReport(n, "symbolic", len(gens), 0)
     if trials < 1:

@@ -23,6 +23,7 @@ from invdeg.symbolic import (
     determinant,
     generic_sym_matrix,
     graph_ideal_generators,
+    inverse_pair,
     mat_mul,
     matrix_rank,
     product_entries,
@@ -437,7 +438,72 @@ def test_symbolic_verify_builds_one_adjugate(capsys, monkeypatch):
     monkeypatch.setattr(symbolic, "det_sym", counted("det_sym", det_sym))
     assert main(["verify", "--n", "4", "--format", "csv"]) == 0
     assert "fail" not in capsys.readouterr().out
-    assert calls == {"adjugate": 1, "det_sym": 1}
+    assert calls == {"adjugate": 0, "det_sym": 1}
+
+
+def test_adjugate_from_det_matches_the_minor_dp():
+    for n in range(1, 7):
+        pair = inverse_pair(n)
+        assert pair.det == det_sym(pair.x)
+        assert pair.adj == adjugate_sym(pair.x), n
+        if n in DET_ADJ_STR_SHA256:
+            adj = "\n".join(str(e) for row in pair.adj.entries for e in row)
+            assert hashlib.sha256(adj.encode()).hexdigest() == DET_ADJ_STR_SHA256[n][1], n
+
+
+def test_adjugate_from_det_rejects_an_odd_derivative():
+    # d/dX[1,2] of X[1,1]*X[2,2] - X[1,2] is -1, which is not twice a cofactor
+    f = var(xvar(1, 1)) * var(xvar(2, 2)) - var(xvar(1, 2))
+    with pytest.raises(InvariantViolation, match=r"odd coefficient"):
+        symbolic._adjugate_from_det(2, f)
+
+
+def test_graph_images_from_the_product_equal_substitution(monkeypatch):
+    for n in range(1, 6):
+        pair = inverse_pair(n)
+        gens = graph_ideal_generators(n)
+        assignment = symbolic._pair_assignment(pair.x.entries, pair.adj.entries)
+        images = list(symbolic._graph_images(gens, pair))
+        assert images == [g.substitute(assignment) for g in gens], n
+    # the generators of X * Y are never substituted
+    calls = []
+    substitute = SparsePoly.substitute
+    monkeypatch.setattr(SparsePoly, "substitute", lambda self, a: calls.append(1) or substitute(self, a))
+    assert verify_graph_vanishing(4, mode="symbolic").generators == 15
+    assert calls == []
+
+
+@pytest.mark.parametrize("scale", [2, 0])
+def test_adjugate_identity_fails_on_a_scaled_determinant(monkeypatch, scale):
+    # adj is read off the derivatives of scale * det, so X * adj = (scale * det) * Id
+    # holds, and only the coefficient of X[1,1]*...*X[n,n] tells it apart
+    monkeypatch.setattr(symbolic, "det_sym", lambda a: scale * det_sym(a))
+    for n in range(1, 5):
+        pair = inverse_pair(n)
+        prod = pair.prod.entries
+        assert all(prod[i][j] == (pair.det if i == j else 0) for i in range(n) for j in range(n))
+        assert not adjugate_identity_holds(n), n
+
+
+@pytest.mark.parametrize("cells", [[(0, 0)], [(0, 1)], [(1, 0)], [(0, 2), (2, 0)], [(2, 2)]])
+def test_perturbed_adjugate_fails_both_checks(cells):
+    n = 3
+    rows = [list(row) for row in inverse_pair(n).adj.entries]
+    for i, j in cells:
+        rows[i][j] = rows[i][j] + var(xvar(1, 1))
+    adj = SymbolicMatrix(n, tuple(map(tuple, rows)))
+    assert not adjugate_identity_holds(n, adj)
+    with pytest.raises(InvariantViolation):
+        verify_graph_vanishing(n, mode="symbolic", adj_x=adj)
+
+
+def test_inverse_pair_size_must_match():
+    pair = inverse_pair(3)
+    assert adjugate_identity_holds(3, pair)
+    with pytest.raises(ValueError, match="n = 3"):
+        adjugate_identity_holds(4, pair)
+    with pytest.raises(ValueError, match="n = 3"):
+        verify_graph_vanishing(4, mode="symbolic", adj_x=pair)
 
 
 def test_adjugate_identity_numeric_checker():
@@ -514,6 +580,22 @@ def test_swap_sides_and_symmetry():
     assert swap_sides(g) == var(yvar(1, 1)) * var(xvar(1, 2))
     for n in range(1, 7):
         assert swap_symmetry_holds(n)
+
+
+@pytest.mark.parametrize("gens, stable", [
+    ([], True),
+    (["g"], False),
+    (["g", "-swap(g)"], True),
+    (["g", "g", "swap(g)"], True),
+    (["g", "h"], False),
+    (["g", "swap(g)", "h"], False),
+])
+def test_swap_symmetry_verdict(monkeypatch, gens, stable):
+    g = var(xvar(1, 1)) * var(yvar(1, 2)) - 2 * var(xvar(2, 2)) * var(yvar(1, 1))
+    h = var(xvar(1, 2)) * var(yvar(1, 2)) + var(xvar(1, 1))  # swap(h) is neither h nor -h
+    polys = {"g": g, "-swap(g)": -swap_sides(g), "swap(g)": swap_sides(g), "h": h}
+    monkeypatch.setattr(symbolic, "graph_ideal_generators", lambda n: [polys[name] for name in gens])
+    assert swap_symmetry_holds(2) is stable
 
 
 def test_spans_product_entries():
