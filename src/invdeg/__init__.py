@@ -7,115 +7,80 @@ semidefinite programming; ML-degrees of generic linear concentration models
 together with their interpolating polynomials in n; and symbolic / rational
 certificates (graph vanishing, adjugate identity, swap symmetry, span
 comparison, rank witnesses) backing the combinatorial formulas.
+
+Importing the package loads no engine. Each public name below is resolved
+on first use from the submodule that defines it (``invdeg.psi``,
+``invdeg.multidegree``, ...), so ``from invdeg import psi_table`` loads the
+psi layer alone.
 """
 
-from .exact import InvariantViolation, SkewMatrix, binomial, pfaffian, pfaffian_reference
-from .mldegree import (
-    DifferenceReport,
-    MLPolynomial,
-    finite_difference_check,
-    ml_degree,
-    ml_polynomial,
-    ml_table,
-    smallest_valid_n,
-)
-from .multidegree import (
-    MultidegreeIdentityReport,
-    MultidegreeTable,
-    beta,
-    beta_vector,
-    gamma_degrees,
-    multidegree_table,
-    sdp_degree,
-    sigma_coefficients,
-    sym_dimension,
-    verify_multidegree_identity,
-)
-from .psi import PsiTable, Subsequence, p_alpha, psi_pair, psi_seq, psi_single, psi_table
-from .symbolic import (
-    RationalSymMatrix,
-    SparsePoly,
-    SymbolicMatrix,
-    VanishingReport,
-    VarId,
-    adjugate,
-    adjugate_identity_holds,
-    adjugate_sym,
-    det_sym,
-    determinant,
-    generic_sym_matrix,
-    graph_ideal_generators,
-    mat_mul,
-    matrix_rank,
-    product_entries,
-    product_matrix,
-    spans_product_entries,
-    sparse_rank,
-    swap_sides,
-    swap_symmetry_holds,
-    verify_graph_vanishing,
-    witness_pair_valid,
-    witness_rank_pair,
-    xvar,
-    yvar,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "InvariantViolation",
-    "SkewMatrix",
-    "binomial",
-    "pfaffian",
-    "pfaffian_reference",
-    "PsiTable",
-    "Subsequence",
-    "p_alpha",
-    "psi_pair",
-    "psi_seq",
-    "psi_single",
-    "psi_table",
-    "MultidegreeIdentityReport",
-    "MultidegreeTable",
-    "beta",
-    "beta_vector",
-    "gamma_degrees",
-    "multidegree_table",
-    "sdp_degree",
-    "sigma_coefficients",
-    "sym_dimension",
-    "verify_multidegree_identity",
-    "DifferenceReport",
-    "MLPolynomial",
-    "finite_difference_check",
-    "ml_degree",
-    "ml_polynomial",
-    "ml_table",
-    "smallest_valid_n",
-    "RationalSymMatrix",
-    "SparsePoly",
-    "SymbolicMatrix",
-    "VanishingReport",
-    "VarId",
-    "adjugate",
-    "adjugate_identity_holds",
-    "adjugate_sym",
-    "det_sym",
-    "determinant",
-    "generic_sym_matrix",
-    "graph_ideal_generators",
-    "mat_mul",
-    "matrix_rank",
-    "product_entries",
-    "product_matrix",
-    "spans_product_entries",
-    "sparse_rank",
-    "swap_sides",
-    "swap_symmetry_holds",
-    "verify_graph_vanishing",
-    "witness_pair_valid",
-    "witness_rank_pair",
-    "xvar",
-    "yvar",
-    "__version__",
-]
+_PUBLIC = {
+    "exact": ("InvariantViolation", "SkewMatrix", "binomial", "pfaffian", "pfaffian_reference"),
+    "psi": ("PsiTable", "Subsequence", "p_alpha", "psi_pair", "psi_seq", "psi_single", "psi_table"),
+    "multidegree": (
+        "MultidegreeIdentityReport",
+        "MultidegreeTable",
+        "beta",
+        "beta_vector",
+        "gamma_degrees",
+        "multidegree_table",
+        "sdp_degree",
+        "sigma_coefficients",
+        "sym_dimension",
+        "verify_multidegree_identity",
+    ),
+    "mldegree": (
+        "DifferenceReport",
+        "MLPolynomial",
+        "finite_difference_check",
+        "ml_degree",
+        "ml_polynomial",
+        "ml_table",
+        "smallest_valid_n",
+    ),
+    "symbolic": (
+        "RationalSymMatrix",
+        "SparsePoly",
+        "SymbolicMatrix",
+        "VanishingReport",
+        "VarId",
+        "adjugate",
+        "adjugate_identity_holds",
+        "adjugate_sym",
+        "det_sym",
+        "determinant",
+        "generic_sym_matrix",
+        "graph_ideal_generators",
+        "mat_mul",
+        "matrix_rank",
+        "product_entries",
+        "product_matrix",
+        "spans_product_entries",
+        "sparse_rank",
+        "swap_sides",
+        "swap_symmetry_holds",
+        "verify_graph_vanishing",
+        "witness_pair_valid",
+        "witness_rank_pair",
+        "xvar",
+        "yvar",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -6,7 +6,9 @@ tables, interpolated polynomials, difference checks) and ``verify`` (the
 symbolic/numeric certificate suite). Output formats are json, csv and latex;
 JSON carries every integer as a decimal string since the values outgrow 64
 bits quickly, and is shaped as {command, params, results, checks}. Each
-command returns one report; one renderer per format prints it.
+command returns one report; one renderer per format prints it. A command
+imports only the engine it runs and a renderer only the stdlib module it
+writes with, so start-up loads no more than the run executes.
 
 Identical invocations produce byte-identical stdout. ``--threads`` only fans
 independent verification trials over a thread pool; it never changes output,
@@ -21,28 +23,13 @@ polynomiality), 4 out of memory.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .exact import InvariantViolation
-from .mldegree import finite_difference_check, ml_polynomial, ml_table
-from .multidegree import multidegree_table
-from .psi import psi_table
-from .symbolic import (
-    adjugate_identity_holds,
-    adjugate_identity_numeric,
-    inverse_pair,
-    spans_product_entries,
-    swap_symmetry_holds,
-    verify_graph_vanishing,
-    witness_pair_valid,
-)
+
 
 class UsageError(Exception):
     """Bad command line; maps to exit code 1."""
@@ -53,8 +40,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class _Report:
+class _Report(NamedTuple):
     """What one command computed, ready for any output format.
 
     ``params`` and ``checks`` are plain values; ``results``, ``rows`` and
@@ -144,33 +130,62 @@ def _validate(ns: argparse.Namespace) -> None:
 
 # ------------------------------------------------------------------- rendering
 
-def _jsonable(value):
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    raise TypeError(f"cannot serialize {type(value)!r}")
+def _to_json(value) -> str:
+    """``json.dumps(value, indent=2)`` in one pass, with every int and
+    Fraction written as its decimal string and dict keys passed through str."""
+    from json.encoder import encode_basestring_ascii as quote
+
+    out: list[str] = []
+
+    def write(value, pad: str) -> None:
+        if value is True or value is False:
+            out.append("true" if value else "false")
+        elif isinstance(value, (int, Fraction)):
+            out.append('"' + str(value) + '"')
+        elif isinstance(value, str):
+            out.append(quote(value))
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                out.append("[]")
+                return
+            inner = pad + "  "
+            sep = "[\n" + inner
+            for v in value:
+                out.append(sep)
+                write(v, inner)
+                sep = ",\n" + inner
+            out.append("\n" + pad + "]")
+        elif isinstance(value, dict):
+            if not value:
+                out.append("{}")
+                return
+            inner = pad + "  "
+            sep = "{\n" + inner
+            for k, v in value.items():
+                out.append(sep + quote(str(k)) + ": ")
+                write(v, inner)
+                sep = ",\n" + inner
+            out.append("\n" + pad + "}")
+        else:
+            raise TypeError(f"cannot serialize {type(value)!r}")
+
+    write(value, "")
+    return "".join(out)
 
 
 def _render_json(command: str, report: _Report) -> str:
-    payload = {
+    return _to_json({
         "command": command,
         "params": {**report.params, "format": "json"},
         "results": report.results(),
         "checks": report.checks,
-    }
-    return json.dumps(_jsonable(payload), indent=2)
+    })
 
 
 def _render_csv(command: str, report: _Report) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(report.csv_header)
@@ -239,6 +254,8 @@ def _latex_poly_in_n(coeffs: tuple[Fraction, ...]) -> str:
 # ------------------------------------------------------------------- commands
 
 def _cmd_psi(ns: argparse.Namespace) -> _Report:
+    from .psi import psi_table
+
     n = ns.n
     table = psi_table(n)
     pairs = [(i, j, table.pair(i, j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
@@ -266,6 +283,8 @@ def _cmd_psi(ns: argparse.Namespace) -> _Report:
 
 
 def _cmd_multidegree(ns: argparse.Namespace) -> _Report:
+    from .multidegree import multidegree_table
+
     n = ns.n
     tb = multidegree_table(n)
     identity = tb.identity
@@ -304,6 +323,8 @@ def _cmd_multidegree(ns: argparse.Namespace) -> _Report:
 
 
 def _cmd_mldeg(ns: argparse.Namespace) -> _Report:
+    from .mldegree import finite_difference_check, ml_polynomial, ml_table
+
     if ns.n_max is not None:
         table = ml_table(ns.n_max)
 
@@ -367,6 +388,16 @@ def _cmd_mldeg(ns: argparse.Namespace) -> _Report:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> _Report:
+    from .symbolic import (
+        adjugate_identity_holds,
+        adjugate_identity_numeric,
+        inverse_pair,
+        spans_product_entries,
+        swap_symmetry_holds,
+        verify_graph_vanishing,
+        witness_pair_valid,
+    )
+
     n = ns.n
     # One determinant, adjugate and X * adj(X) serve both symbolic checks.
     pair = inverse_pair(n) if ns.mode == "symbolic" else None

@@ -11,9 +11,8 @@ determinant divide only exactly, by the previous pivot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 
 class InvariantViolation(RuntimeError):
@@ -29,23 +28,31 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-@dataclass(frozen=True)
-class SkewMatrix:
-    """Square antisymmetric integer matrix (zero diagonal forced)."""
-
+class _SkewMatrixFields(NamedTuple):
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        k = len(self.rows)
-        for row in self.rows:
+
+class SkewMatrix(_SkewMatrixFields):
+    """Square antisymmetric integer matrix (zero diagonal forced)."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: tuple[tuple[int, ...], ...]) -> "SkewMatrix":
+        k = len(rows)
+        for row in rows:
             if len(row) != k:
                 raise ValueError("matrix is not square")
         for i in range(k):
-            if self.rows[i][i] != 0:
+            if rows[i][i] != 0:
                 raise ValueError("matrix is not antisymmetric: nonzero diagonal")
             for j in range(i + 1, k):
-                if self.rows[i][j] != -self.rows[j][i]:
+                if rows[i][j] != -rows[j][i]:
                     raise ValueError("matrix is not antisymmetric")
+        return super().__new__(cls, rows)
+
+    @classmethod
+    def _make(cls, fields) -> "SkewMatrix":  # _replace and _make validate too
+        return cls(*fields)
 
     @property
     def size(self) -> int:

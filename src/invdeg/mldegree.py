@@ -12,8 +12,8 @@ whole rows, each from the generating Pfaffian of ``gamma_degrees``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import InvariantViolation
 from .multidegree import gamma_degrees, gamma_prefix, sym_dimension
@@ -69,8 +69,7 @@ def _lagrange_fit(points: list[tuple[int, int]]) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class MLPolynomial:
+class MLPolynomial(NamedTuple):
     """Exact polynomial in n giving ml_degree(n, d) for all valid n."""
 
     d: int
@@ -107,8 +106,7 @@ def ml_polynomial(d: int) -> MLPolynomial:
     return poly
 
 
-@dataclass(frozen=True)
-class DifferenceReport:
+class DifferenceReport(NamedTuple):
     """d-th forward differences of n -> ml_degree(n, d) over a sample window."""
 
     d: int

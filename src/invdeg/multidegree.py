@@ -20,9 +20,8 @@ the public ``psi.psi_seq`` route stays independent to check them against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .exact import InvariantViolation, SkewMatrix, _eliminate, pfaffian
 from .psi import psi_table
@@ -251,8 +250,7 @@ def gamma_prefix(n: int, k: int) -> tuple[int, ...]:
     return _gamma_from_beta(betas)
 
 
-@dataclass(frozen=True)
-class IdentityCoefficient:
+class IdentityCoefficient(NamedTuple):
     """One coefficient comparison in the multidegree identity."""
 
     d: int
@@ -264,8 +262,7 @@ class IdentityCoefficient:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class MultidegreeIdentityReport:
+class MultidegreeIdentityReport(NamedTuple):
     """Per-coefficient record of (t1 + t2) * C_Gamma == t1^m + t2^m + C_Sigma."""
 
     n: int
@@ -287,8 +284,7 @@ def verify_multidegree_identity(n: int) -> MultidegreeIdentityReport:
     return multidegree_table(n).identity
 
 
-@dataclass(frozen=True)
-class MultidegreeTable:
+class MultidegreeTable(NamedTuple):
     """Every multidegree quantity for one n, plus the identity report."""
 
     n: int

@@ -15,10 +15,9 @@ independent check) entry by entry costs O(n^3) binomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .exact import SkewMatrix, binomial, pfaffian
 
@@ -39,23 +38,31 @@ def psi_pair(i: int, j: int) -> int:
     return sum(binomial(i + j - 2, k) for k in range(i, j))
 
 
-@dataclass(frozen=True)
-class Subsequence:
-    """Strictly increasing tuple of indices inside the ambient set {1..n}."""
-
+class _SubsequenceFields(NamedTuple):
     entries: tuple[int, ...]
     n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"ambient bound must be >= 0, got {self.n}")
+
+class Subsequence(_SubsequenceFields):
+    """Strictly increasing tuple of indices inside the ambient set {1..n}."""
+
+    __slots__ = ()
+
+    def __new__(cls, entries: tuple[int, ...], n: int) -> "Subsequence":
+        if n < 0:
+            raise ValueError(f"ambient bound must be >= 0, got {n}")
         prev = 0
-        for e in self.entries:
+        for e in entries:
             if e <= prev:
-                raise ValueError(f"entries must be strictly increasing in [1, n], got {self.entries}")
+                raise ValueError(f"entries must be strictly increasing in [1, n], got {entries}")
             prev = e
-        if self.entries and self.entries[-1] > self.n:
-            raise ValueError(f"entry {self.entries[-1]} exceeds ambient bound {self.n}")
+        if entries and entries[-1] > n:
+            raise ValueError(f"entry {entries[-1]} exceeds ambient bound {n}")
+        return super().__new__(cls, entries, n)
+
+    @classmethod
+    def _make(cls, fields) -> "Subsequence":  # _replace and _make validate too
+        return cls(*fields)
 
     @property
     def length(self) -> int:
@@ -71,8 +78,7 @@ class Subsequence:
         return Subsequence(tuple(e for e in range(1, self.n + 1) if e not in inside), self.n)
 
 
-@dataclass(frozen=True)
-class PsiTable:
+class PsiTable(NamedTuple):
     """Precomputed singleton and pair psi values for indices up to n.
 
     ``pairs[i-1][j-1]`` is psi_pair(i, j) for i < j; the diagonal and the

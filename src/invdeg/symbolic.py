@@ -41,7 +41,6 @@ that the derivative adjugate is tested against.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
@@ -389,16 +388,24 @@ def adjugate(rows: Sequence[Sequence[Entry]]) -> list[list]:
 
 # ------------------------------------------------------------ symbolic matrices
 
-@dataclass(frozen=True)
-class SymbolicMatrix:
-    """Square matrix of sparse polynomials."""
-
+class _SymbolicMatrixFields(NamedTuple):
     n: int
     entries: tuple[tuple[SparsePoly, ...], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
-            raise ValueError(f"expected {self.n} x {self.n} entries")
+
+class SymbolicMatrix(_SymbolicMatrixFields):
+    """Square matrix of sparse polynomials."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, entries: tuple[tuple[SparsePoly, ...], ...]) -> "SymbolicMatrix":
+        if len(entries) != n or any(len(r) != n for r in entries):
+            raise ValueError(f"expected {n} x {n} entries")
+        return super().__new__(cls, n, entries)
+
+    @classmethod
+    def _make(cls, fields) -> "SymbolicMatrix":  # _replace and _make validate too
+        return cls(*fields)
 
 
 def generic_sym_matrix(n: int, kind: str) -> SymbolicMatrix:
@@ -489,8 +496,7 @@ def swap_symmetry_holds(n: int) -> bool:
     return all(swap_sides(g).sign_normalized().canonical() in originals for g in gens)
 
 
-@dataclass(frozen=True)
-class InversePair:
+class InversePair(NamedTuple):
     """The generic symmetric X with det(X), an adjugate adj and P = X * adj,
     built once and shared by the symbolic checks."""
 
@@ -590,8 +596,7 @@ def spans_product_entries(n: int) -> bool:
 
 # ------------------------------------------------------- graph vanishing checks
 
-@dataclass(frozen=True)
-class VanishingReport:
+class VanishingReport(NamedTuple):
     """Record of a completed graph-vanishing run (failures raise instead)."""
 
     n: int
@@ -715,18 +720,26 @@ def matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:
     return _eliminate(rows)[0]
 
 
-@dataclass(frozen=True)
-class RationalSymMatrix:
-    """Symmetric matrix of exact rationals."""
-
+class _RationalSymMatrixFields(NamedTuple):
     n: int
     rows: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
-            raise ValueError(f"expected {self.n} x {self.n} entries")
-        if not _is_symmetric(self.rows):
+
+class RationalSymMatrix(_RationalSymMatrixFields):
+    """Symmetric matrix of exact rationals."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, rows: tuple[tuple[Fraction, ...], ...]) -> "RationalSymMatrix":
+        if len(rows) != n or any(len(r) != n for r in rows):
+            raise ValueError(f"expected {n} x {n} entries")
+        if not _is_symmetric(rows):
             raise ValueError("matrix is not symmetric")
+        return super().__new__(cls, n, rows)
+
+    @classmethod
+    def _make(cls, fields) -> "RationalSymMatrix":  # _replace and _make validate too
+        return cls(*fields)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalar]]) -> "RationalSymMatrix":

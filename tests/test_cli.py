@@ -1,14 +1,19 @@
 import importlib.metadata as md
 import json
 import os
+import subprocess
 import sys
+from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import invdeg
 import invdeg.cli as cli
 import invdeg.mldegree as mldegree
+import invdeg.multidegree as multidegree
 import invdeg.symbolic as symbolic
 from invdeg.cli import main
 from invdeg.multidegree import gamma_prefix, multidegree_table
@@ -122,7 +127,7 @@ def test_multidegree_latex_identity_polynomial(capsys):
 
 
 def test_multidegree_large_n_is_silent(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "multidegree_table", lambda n: multidegree_table(2))
+    monkeypatch.setattr(multidegree, "multidegree_table", lambda n: multidegree_table(2))
     code, out, err = run_cli(capsys, ["multidegree", "--n", "23"])
     assert code == 0
     assert err == ""
@@ -145,7 +150,8 @@ def test_mldeg_stderr_is_empty(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["results"]["validated_at"] == ["26", "27", "28"]
     assert payload["checks"][0]["pass"] is True
-    monkeypatch.setattr(cli, "ml_table", lambda n_max: mldegree.ml_table(2))
+    ml_table = mldegree.ml_table
+    monkeypatch.setattr(mldegree, "ml_table", lambda n_max: ml_table(2))
     code, out, err = run_cli(capsys, ["mldeg", "--n-max", "23"])
     assert code == 0
     assert err == ""
@@ -200,7 +206,7 @@ def test_out_of_memory_exits_4(capsys, monkeypatch):
     def exhausted(n):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "multidegree_table", exhausted)
+    monkeypatch.setattr(multidegree, "multidegree_table", exhausted)
     code, out, err = run_cli(capsys, ["multidegree", "--n", "3"])
     assert code == 4
     assert out == ""
@@ -233,7 +239,7 @@ def test_verify_numeric(capsys):
 
 
 def test_verify_failure_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "swap_symmetry_holds", lambda n: False)
+    monkeypatch.setattr(symbolic, "swap_symmetry_holds", lambda n: False)
     code, out, _ = run_cli(capsys, ["verify", "--n", "2"])
     assert code == 2
     payload = json.loads(out)
@@ -326,15 +332,123 @@ def test_installed_entry_point_matches_pyproject():
     assert md.version("invdeg") == invdeg.__version__
 
 
+def _fresh_python(*args):
+    """Run a new interpreter that imports invdeg from this source tree.
+
+    Import footprints are checked in a subprocess: pytest itself imports
+    dataclasses and inspect."""
+    src = str(Path(invdeg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def test_cli_import_leaves_the_thread_pool_unloaded():
     # only verify with --threads above 1 imports concurrent.futures
-    import subprocess
-
-    src = str(Path(invdeg.__file__).resolve().parents[1])
     code = "import sys, invdeg.cli; print('concurrent.futures' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = _fresh_python("-c", code)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def _modules_loaded_by(*args):
+    """Exit code of ``python -m invdeg ARGS`` and every module it imported."""
+    proc = _fresh_python("-X", "importtime", "-m", "invdeg", *args)
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    return proc.returncode, {line.rsplit("|", 1)[1].strip() for line in lines}
+
+
+def test_psi_run_loads_only_the_psi_engine():
+    code, loaded = _modules_loaded_by("psi", "--n", "1")
+    assert code == 0 and "invdeg.psi" in loaded
+    unwanted = {"dataclasses", "inspect", "invdeg.symbolic", "invdeg.mldegree", "invdeg.multidegree"}
+    assert loaded & unwanted == set()
+
+
+def test_verify_run_loads_neither_degree_engine():
+    code, loaded = _modules_loaded_by("verify", "--n", "2")
+    assert code == 0 and "invdeg.symbolic" in loaded
+    assert loaded & {"invdeg.mldegree", "invdeg.multidegree"} == set()
+
+
+def test_package_import_loads_no_engine():
+    proc = _fresh_python("-c", "import sys, invdeg; print(sorted(m for m in sys.modules if m.startswith('invdeg')))")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "['invdeg']\n", "")
+
+
+def test_public_names_resolve_on_first_use():
+    star: dict = {}
+    exec("from invdeg import *", star)
+    listing = dir(invdeg)
+    assert len(set(invdeg.__all__)) == len(invdeg.__all__)
+    for module, names in invdeg._PUBLIC.items():
+        for name in names:
+            value = getattr(import_module(f"invdeg.{module}"), name)
+            assert getattr(invdeg, name) is value and star[name] is value and name in listing
+    assert star["__version__"] == invdeg.__version__ and "__version__" in listing
+    with pytest.raises(AttributeError, match="no_such_name"):
+        invdeg.no_such_name
+    with pytest.raises(ImportError):
+        exec("from invdeg import no_such_name", {})
+
+
+def _old_jsonable(value):
+    """The serializer the one-pass JSON writer replaced: map ints and
+    Fractions to str, then ``json.dumps(..., indent=2)``. Kept as its oracle."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_old_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _old_jsonable(v) for k, v in value.items()}
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+_AWKWARD_TEXT = st.text(alphabet=st.sampled_from('a"\\/\x00\x1f\x7f\n\té\u2028😀'), max_size=6)
+_LEAVES = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.fractions(),
+    st.text(max_size=8),
+    _AWKWARD_TEXT,
+)
+_KEYS = st.one_of(st.text(max_size=6), _AWKWARD_TEXT, st.integers(), st.booleans())
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        # str(key) must stay unique, or the oracle's dict would merge keys
+        st.dictionaries(_KEYS, inner, max_size=4).filter(lambda d: len({str(k) for k in d}) == len(d)),
+    ),
+    max_leaves=30,
+)
+
+
+@given(_PAYLOADS)
+@example({
+    "empty": [[], {}, ()],
+    "text": ['"quoted"', "back\\slash", "\x00\x08\x1f", "ünïcödé 😀", "\u2028"],
+    "flags": [True, False],
+    "big": [2**200, -(3**150)],
+    "exact": [Fraction(-7, 3), Fraction(4)],
+    1: {"nested": {"deeper": [0]}},
+})
+def test_json_writer_matches_the_two_pass_oracle(payload):
+    assert cli._to_json(payload) == json.dumps(_old_jsonable(payload), indent=2)
+
+
+@pytest.mark.parametrize("bad", [None, 1.5, b"x", {"k": [None]}, [{1, 2}]])
+def test_json_writer_rejects_other_types(bad):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        _old_jsonable(bad)
+    with pytest.raises(TypeError, match="cannot serialize"):
+        cli._to_json(bad)
 
 
 def test_module_is_runnable():

@@ -3,12 +3,13 @@ of small commands in every output format, both as they run and with one check
 made to fail. A digest changes only when the
 printed bytes change, and such a change must be deliberate."""
 
-import dataclasses
 import hashlib
 
 import pytest
 
-import invdeg.cli as cli
+import invdeg.mldegree as mldegree
+import invdeg.multidegree as multidegree
+import invdeg.symbolic as symbolic
 from invdeg.cli import main
 from invdeg.mldegree import finite_difference_check
 from invdeg.multidegree import multidegree_table
@@ -61,21 +62,23 @@ def test_cli_output_golden(capsys, args, digest):
 def _wrong_identity_coefficient(n):
     table = multidegree_table(n)
     coeffs = list(table.identity.coefficients)
-    coeffs[2] = dataclasses.replace(coeffs[2], lhs=coeffs[2].lhs + 1)
-    identity = dataclasses.replace(table.identity, coefficients=tuple(coeffs))
-    return dataclasses.replace(table, identity=identity)
+    coeffs[2] = coeffs[2]._replace(lhs=coeffs[2].lhs + 1)
+    identity = table.identity._replace(coefficients=tuple(coeffs))
+    return table._replace(identity=identity)
 
 
 def _nonzero_difference(d, window):
     report = finite_difference_check(d, window)
-    return dataclasses.replace(report, differences=report.differences[:-1] + (1,))
+    return report._replace(differences=report.differences[:-1] + (1,))
 
 
-# A failed check exits 2 and still prints the whole report.
+# A failed check exits 2 and still prints the whole report. The CLI imports
+# each engine function when its command runs, so the fake replaces it in the
+# engine module.
 FAILURE_FAKES = {
-    "verify --n 2": ("swap_symmetry_holds", lambda n: False),
-    "mldeg --d 2": ("finite_difference_check", _nonzero_difference),
-    "multidegree --n 3": ("multidegree_table", _wrong_identity_coefficient),
+    "verify --n 2": (symbolic, "swap_symmetry_holds", lambda n: False),
+    "mldeg --d 2": (mldegree, "finite_difference_check", _nonzero_difference),
+    "multidegree --n 3": (multidegree, "multidegree_table", _wrong_identity_coefficient),
 }
 
 FAILURE_GOLDENS = [
@@ -93,8 +96,8 @@ FAILURE_GOLDENS = [
 
 @pytest.mark.parametrize("args, digest", FAILURE_GOLDENS, ids=[a for a, _ in FAILURE_GOLDENS])
 def test_cli_failure_golden(capsys, monkeypatch, args, digest):
-    name, fake = FAILURE_FAKES[args.rsplit(" --format", 1)[0]]
-    monkeypatch.setattr(cli, name, fake)
+    module, name, fake = FAILURE_FAKES[args.rsplit(" --format", 1)[0]]
+    monkeypatch.setattr(module, name, fake)
     code = main(args.split())
     captured = capsys.readouterr()
     assert (code, captured.err) == (2, "")
