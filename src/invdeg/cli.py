@@ -25,10 +25,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
-from .exact import InvariantViolation
+from .exact import InvariantViolation, _is_scalar
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class UsageError(Exception):
@@ -140,7 +142,7 @@ def _to_json(value) -> str:
     def write(value, pad: str) -> None:
         if value is True or value is False:
             out.append("true" if value else "false")
-        elif isinstance(value, (int, Fraction)):
+        elif _is_scalar(value):
             out.append('"' + str(value) + '"')
         elif isinstance(value, str):
             out.append(quote(value))

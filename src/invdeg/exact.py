@@ -5,14 +5,22 @@ of numbers.
 Everything here returns arbitrary-precision ``int`` (``Fraction`` for
 rational input); there is no fixed-width fast path. Both eliminations are
 fraction-free: the Pfaffian's 2x2-block steps and the Bareiss steps for the
-determinant divide only exactly, by the previous pivot.
+determinant divide only exactly, by the previous pivot. The Pfaffian's
+pivots are the leading principal Pfaffians. The Bareiss loop runs
+Gauss-Jordan on [B | I] only for a caller that needs the adjugate; a rank
+comes from forward elimination, which updates only the rows below each
+pivot (Bareiss, Math. Comp. 22, 1968). ``fractions`` is imported only to
+build a ``Fraction``.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+import sys
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class InvariantViolation(RuntimeError):
@@ -76,7 +84,16 @@ class SkewMatrix(_SkewMatrixFields):
 
 
 MatrixLike = Union[SkewMatrix, Sequence[Sequence[int]]]
-Scalar = Union[int, Fraction]
+Scalar = Union[int, "Fraction"]
+
+
+def _is_scalar(x: object) -> bool:
+    """x is an int or a Fraction. A Fraction exists only once ``fractions`` is
+    loaded, so the check does not import it."""
+    if isinstance(x, int):
+        return True
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
 
 
 def _coerce(matrix: MatrixLike) -> SkewMatrix:
@@ -85,17 +102,18 @@ def _coerce(matrix: MatrixLike) -> SkewMatrix:
     return SkewMatrix.from_rows(matrix)
 
 
-def pfaffian(matrix: MatrixLike) -> int:
-    """Pfaffian of an even-size skew matrix by fraction-free 2x2-block elimination.
+def _pfaffian_pivots(skew: SkewMatrix, swap: bool) -> Iterator[int]:
+    """The pivots of fraction-free 2x2-block elimination, signed by the swaps
+    so far; the last one is the Pfaffian.
 
     The Pfaffian analogue of Bareiss: after the pivot block (p, p + 1) is
     eliminated, each remaining upper entry (i, j) is the Pfaffian of the
     principal minor on 0..p+1, i, j (the Pfaffian Sylvester identity), so the
-    division by the previous pivot is exact and the last pivot is the
-    Pfaffian. A zero pivot is replaced by swapping in a later index, which
-    negates the result; if there is none the Pfaffian is 0.
+    division by the previous pivot is exact, and with no swap the pivot of
+    block p is the leading principal Pfaffian on 0..p+1. A zero pivot raises
+    InvariantViolation unless ``swap``; then a later index is swapped in,
+    which negates the result, or, if there is none, 0 is the last pivot.
     """
-    skew = _coerce(matrix)
     k = skew.size
     if k % 2:
         raise ValueError("pfaffian requires even dimension")
@@ -103,10 +121,13 @@ def pfaffian(matrix: MatrixLike) -> int:
     sign, prev = 1, 1
     for p in range(0, k, 2):
         q = p + 1
-        r = next((j for j in range(q, k) if a[p][j]), None)
-        if r is None:
-            return 0
-        if r != q:
+        if not a[p][q]:
+            if not swap:
+                raise InvariantViolation(f"the leading principal Pfaffian of size {q + 1} is zero")
+            r = next((j for j in range(q, k) if a[p][j]), None)
+            if r is None:
+                yield 0
+                return
             for i in range(p, k):  # restore the lower triangle, then swap q and r
                 for j in range(i + 1, k):
                     a[j][i] = -a[i][j]
@@ -123,7 +144,21 @@ def pfaffian(matrix: MatrixLike) -> int:
                 for v, b, c in zip(a[i][i + 1:], row_q[i + 1:], row_p[i + 1:])
             ]
         prev = piv
-    return sign * prev
+        yield sign * piv
+
+
+def pfaffian(matrix: MatrixLike) -> int:
+    """Pfaffian of an even-size skew matrix by fraction-free 2x2-block elimination."""
+    pf = 1
+    for pf in _pfaffian_pivots(_coerce(matrix), swap=True):
+        pass
+    return pf
+
+
+def leading_pfaffians(matrix: MatrixLike) -> list[int]:
+    """Pfaffians of the leading principal blocks of sizes 2, 4, .., k, from the
+    one elimination of ``pfaffian``; a zero one raises InvariantViolation."""
+    return list(_pfaffian_pivots(_coerce(matrix), swap=False))
 
 
 def pfaffian_reference(matrix: MatrixLike) -> int:
@@ -151,18 +186,26 @@ def pfaffian_reference(matrix: MatrixLike) -> int:
     return expand(tuple(range(k)))
 
 
-def _eliminate(rows: Sequence[Sequence[Scalar]]) -> tuple[int, Scalar, Optional[list[list[Scalar]]]]:
-    """(rank, det, adj) of an int/Fraction matrix; adj is None and det is 0
-    unless the matrix is square of full rank.
+def _eliminate(
+    rows: Sequence[Sequence[Scalar]], adjugate: bool = True
+) -> tuple[int, Scalar, Optional[list[list[Scalar]]]]:
+    """(rank, det, adj) of an int/Fraction matrix; det is 0 unless the matrix
+    is square of full rank, and adj is None then or without ``adjugate``.
 
-    Bareiss's fraction-free Gauss-Jordan elimination on [B | I], B the matrix
-    scaled to integers: every entry stays a minor of [B | I], so each division
-    is exact, and at full rank the blocks end as (+-det B) * I and +-adj B.
+    Bareiss's fraction-free elimination on B, the matrix scaled to integers:
+    every entry stays a minor, so each division is exact. With ``adjugate``
+    it is Gauss-Jordan on [B | I], and at full rank the blocks end as
+    (+-det B) * I and +-adj B. Without, it appends no identity block and
+    updates only the rows below each pivot; the rank and the last pivot,
+    +-det B at full rank, are the same.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     scale = math.lcm(*(x.denominator for row in rows for x in row))
-    work = [[int(x * scale) for x in row] + [int(i == j) for j in range(nrows)] for i, row in enumerate(rows)]
+    work = [
+        [int(x * scale) for x in row] + ([int(i == j) for j in range(nrows)] if adjugate else [])
+        for i, row in enumerate(rows)
+    ]
     rank, prev, sign = 0, 1, 1
     for col in range(ncols):
         pivot = next((r for r in range(rank, nrows) if work[r][col]), None)
@@ -173,7 +216,7 @@ def _eliminate(rows: Sequence[Sequence[Scalar]]) -> tuple[int, Scalar, Optional[
             sign = -sign
         prow = work[rank]
         lead = prow[col]
-        for r in range(nrows):
+        for r in range(0 if adjugate else rank + 1, nrows):
             if r != rank:
                 f = work[r][col]
                 work[r] = [(lead * a - f * b) // prev for a, b in zip(work[r], prow)]
@@ -182,8 +225,11 @@ def _eliminate(rows: Sequence[Sequence[Scalar]]) -> tuple[int, Scalar, Optional[
     if rank != nrows or nrows != ncols:
         return rank, 0, None
     det = sign * prev
-    adj = [[sign * v for v in row[ncols:]] for row in work]
+    adj = [[sign * v for v in row[ncols:]] for row in work] if adjugate else None
     if scale > 1:
+        from fractions import Fraction
+
         det = Fraction(det, scale ** nrows)
-        adj = [[Fraction(v, scale ** (nrows - 1)) for v in row] for row in adj]
+        if adj is not None:
+            adj = [[Fraction(v, scale ** (nrows - 1)) for v in row] for row in adj]
     return rank, det, adj

@@ -7,16 +7,19 @@ slice beta(n, 0..K-1), K = min(d, m - d + 1) by palindromy, so for fixed d
 its cost is polynomial in n. For fixed d the value is a polynomial in n of
 degree d - 1, recovered exactly by ``ml_polynomial`` through rational
 Lagrange interpolation with out-of-sample validation. ``ml_table`` lists
-whole rows, each from the generating Pfaffian of ``gamma_degrees``.
+whole rows, the generating Pfaffians of ``gamma_degrees`` for every n at once
+(see ``multidegree._gamma_rows``).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import InvariantViolation
-from .multidegree import gamma_degrees, gamma_prefix, sym_dimension
+from .multidegree import _gamma_rows, gamma_prefix, sym_dimension
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def ml_degree(n: int, d: int) -> int:
@@ -29,10 +32,11 @@ def ml_degree(n: int, d: int) -> int:
 
 
 def ml_table(n_max: int) -> list[tuple[int, ...]]:
-    """Rows of ML-degrees: row n - 1 lists ml_degree(n, d) for d = 1..m."""
+    """Rows of ML-degrees: row n - 1 lists ml_degree(n, d) for d = 1..m,
+    which is gamma_degrees(n)."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    return [gamma_degrees(n) for n in range(1, n_max + 1)]
+    return _gamma_rows(n_max)
 
 
 def smallest_valid_n(d: int) -> int:
@@ -47,6 +51,8 @@ def smallest_valid_n(d: int) -> int:
 
 def _lagrange_fit(points: list[tuple[int, int]]) -> tuple[Fraction, ...]:
     """Exact interpolating polynomial through the points, lowest degree first."""
+    from fractions import Fraction
+
     k = len(points)
     coeffs = [Fraction(0)] * k
     for i, (xi, yi) in enumerate(points):
@@ -82,6 +88,8 @@ class MLPolynomial(NamedTuple):
         return len(self.coeffs) - 1
 
     def evaluate(self, n: int) -> Fraction:
+        from fractions import Fraction
+
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * n + c

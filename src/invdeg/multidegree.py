@@ -13,9 +13,13 @@ The whole vector (``beta_vector`` and all built on it) is read off
 G(t) = sum_d beta(n, d) t^d, one Pfaffian of size n + 1 or n + 2 by minor
 summation, evaluated at t = 2^K and decoded digit by digit; a second
 variable for the subset size gives every ``sdp_degree`` of one n the same
-way. ``gamma_prefix`` needs only beta(n, 0..k-1) and visits the subsets of
-weight below k (see ``_light_psi``). Neither engine stores a 2**n table;
-the public ``psi.psi_seq`` route stays independent to check them against.
+way. Pair values do not depend on n, so the matrix of every smaller n of the
+same parity is a leading principal block of the largest one: ``_gamma_rows``
+reads every row up to n off the pivots of one elimination per parity at
+t = 1 and one at t = 2^K. ``gamma_prefix`` needs only beta(n, 0..k-1) and
+visits the subsets of weight below k (see ``_light_psi``). Neither engine
+stores a 2**n table; the public ``psi.psi_seq`` route stays independent to
+check them against.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .exact import InvariantViolation, SkewMatrix, _eliminate, pfaffian
+from .exact import InvariantViolation, SkewMatrix, _eliminate, leading_pfaffians, pfaffian
 from .psi import psi_table
 
 
@@ -81,10 +85,11 @@ def _expand_pfaffians(w: list[list[int]], masks: Iterable[int], pf):
     return pf
 
 
-def _generating_value(n: int, t: int, s: int = 1) -> int:
-    """G(t, s) = sum of s^|a| t^weight(a) psi(a) psi(complement of a) over
-    subsets a of {1..n}, at integers t and s, as one Pfaffian by minor summation
-    (Ishikawa-Wakayama): Pf(A + B) = sum_I eps(I) Pf(A_I) Pf(B_(complement of I)).
+def _generating_matrix(n: int, t: int, s: int = 1) -> SkewMatrix:
+    """The skew matrix whose Pfaffian is G(t, s) = sum of s^|a| t^weight(a)
+    psi(a) psi(complement of a) over subsets a of {1..n}, at integers t and s,
+    by minor summation (Ishikawa-Wakayama): Pf(A + B) = sum_I eps(I) Pf(A_I)
+    Pf(B_(complement of I)).
 
     B is the bordered pair matrix; A is B with entry (p, q) times -(-1)^(p+q),
     cancelling eps(I), and each real index l scaled by t^l s. For odd n, A and
@@ -105,7 +110,28 @@ def _generating_value(n: int, t: int, s: int = 1) -> int:
         # the last term is the 1 at (A0, B0), where w is 0; even n only
         return w[lp][lq] * (bp * bq + (ap * aq if (p + q) & 1 else -ap * aq)) + (q < len(border))
 
-    return pfaffian(SkewMatrix.from_upper(len(points), upper))
+    return SkewMatrix.from_upper(len(points), upper)
+
+
+def _generating_value(n: int, t: int, s: int = 1) -> int:
+    """G(t, s) of ``_generating_matrix``, one Pfaffian."""
+    return pfaffian(_generating_matrix(n, t, s))
+
+
+def _generating_values(n_max: int, t: int) -> list[int]:
+    """G(t) for n = 1..n_max, at index n - 1, from one elimination per parity.
+
+    The matrix of n, with its borders first, is the leading principal block
+    of size n + 1 (odd n) or n + 2 (even n) of the matrix of n_max or
+    n_max - 1 of the same parity, so G(t) is a pivot of that elimination.
+    """
+    out = [0] * n_max
+    for top in range(max(1, n_max - 1), n_max + 1):
+        for i, pf in enumerate(leading_pfaffians(_generating_matrix(top, t))):
+            n = 2 * i + (top & 1)  # the block of size 2i + 2
+            if n:
+                out[n - 1] = pf
+    return out
 
 
 def _digits(value: int, k: int, count: int, total: int) -> list[int]:
@@ -196,6 +222,19 @@ def _gamma_from_beta(betas) -> tuple[int, ...]:
 def gamma_degrees(n: int) -> tuple[int, ...]:
     """Multidegree coefficients of the inverse-pairs variety, d = 0..m-1."""
     return _gamma_from_beta(beta_vector(n)[:-1])
+
+
+def _gamma_rows(n_max: int) -> list[tuple[int, ...]]:
+    """gamma_degrees(n) for n = 1..n_max: G(1) of every n from one elimination
+    per parity, then G(2^K) from one more, K two bits above the largest G(1),
+    which leaves room for every coefficient of every n."""
+    totals = _generating_values(n_max, 1)
+    k = max(totals).bit_length() + 2
+    values = _generating_values(n_max, 1 << k)
+    return [
+        _gamma_from_beta(_digits(value, k, sym_dimension(n) + 1, total)[:-1])
+        for n, (value, total) in enumerate(zip(values, totals), 1)
+    ]
 
 
 def _light_psi(n: int, k: int) -> list[tuple[int, int, int, int]]:

@@ -12,7 +12,11 @@ every field and raises ValueError, before any carry could reach the next
 variable. Keys are decoded to sorted VarId tuples, by walking their set bits,
 only to print, evaluate or substitute. One kernel, ``_mul_into``, adds
 products in place (out[ma + mb] += ca * cb) for ``*``, ``substitute``,
-``mat_mul`` and the determinant DP; sums go through ``_add_into``.
+``mat_mul`` and the determinant DP; sums go through ``_add_into``. The
+per-term check is skipped when the operands rule overflow out: in ``*`` and
+``mat_mul`` when no field of any operand key reaches 2^6, in the k x k
+determinant DP when k times the largest field stays below 2^7.
+``substitute`` always checks.
 
 The ideal of the inversion graph is generated by the off-diagonal entries of
 X*Y together with the consecutive diagonal differences; this module builds
@@ -31,7 +35,10 @@ that fixes X, so each generator of X*Y goes under Y -> adj(X) to the
 matching generator of P, and only other polynomials are substituted.
 
 Matrices of numbers get rank, determinant and adjugate from the one
-fraction-free Gauss-Jordan elimination in ``exact``, O(k^3). Polynomial
+fraction-free Bareiss elimination in ``exact``, O(k^3): Gauss-Jordan on
+[B | I] where the adjugate is needed, forward elimination for a rank. The
+span comparison ranks sparse coefficient vectors by fraction-free row
+reduction in integers. Polynomial
 entries cannot be divided, so ``determinant`` runs a division-free DP over
 column subsets, O(2^k * k) ring operations, which serves only the small
 symbolic sizes. ``adjugate`` runs that DP once per minor; it is the oracle
@@ -41,11 +48,15 @@ that the derivative adjugate is tested against.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from math import isqrt
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from functools import reduce
+from math import gcd, isqrt, lcm
+from operator import or_
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .exact import InvariantViolation, Scalar, _eliminate
+from .exact import InvariantViolation, Scalar, _eliminate, _is_scalar
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class VarId(NamedTuple):
@@ -120,10 +131,22 @@ def _add_into(out: dict, terms: Mapping, scale: Scalar = 1) -> None:
             out.pop(key, None)
 
 
-def _guard(polys: Iterable[Mapping[int, Scalar]]) -> int:
+def _guard(polys: Iterable[Mapping[int, Scalar]], factors: Optional[int] = None) -> int:
     """The top bit of every field used in ``polys``, sized once per operation:
-    a product of keys with fields below 2^7 uses no field above its factors'."""
-    return _fields_mask(b"\x80", max((max(p) for p in polys if p), default=0))
+    a product of keys with fields below 2^7 uses no field above its factors'.
+
+    0, which lets ``_mul_into`` skip its per-term check, when every product
+    of up to ``factors`` keys of ``polys`` keeps each field below 2^7:
+    ``factors`` times the largest byte of the OR of all keys, a bound on
+    every field, is below 2^7. None always gives the mask.
+    """
+    used = 0
+    for p in polys:
+        used = reduce(or_, p, used)
+    widest = max(used.to_bytes(-(-used.bit_length() // 8), "little"), default=0)
+    if factors is not None and factors * widest < 0x80:
+        return 0
+    return _fields_mask(b"\x80", used)
 
 
 def _mul_into(out: dict, a: Mapping[int, Scalar], b: Mapping[int, Scalar], guard: int) -> None:
@@ -131,7 +154,8 @@ def _mul_into(out: dict, a: Mapping[int, Scalar], b: Mapping[int, Scalar], guard
 
     Raises ValueError when a product exponent reaches 2^7; ``guard`` is
     ``_guard`` of a set of polynomials covering a and b. Fields below 2^7
-    sum to at most 254, so the check sees the top bit before any carry.
+    sum to at most 254, so the check sees the top bit before any carry. A
+    guard of 0 means the operands rule overflow out, and nothing is checked.
     """
     if not a or not b:
         return
@@ -141,10 +165,20 @@ def _mul_into(out: dict, a: Mapping[int, Scalar], b: Mapping[int, Scalar], guard
         # one term times b is a bijection on keys: nothing collides or cancels
         ((ma, ca),) = a.items()
         out.update({ma + mb: ca * cb for mb, cb in b.items()})
-        if any(k & guard for k in out):
+        if guard and any(k & guard for k in out):
             raise ValueError(_OVERFLOW)
         return
     get = out.get
+    if not guard:
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                k = ma + mb
+                c = get(k, 0) + ca * cb
+                if c:
+                    out[k] = c
+                else:
+                    del out[k]
+        return
     for ma, ca in a.items():
         for mb, cb in b.items():
             k = ma + mb
@@ -229,12 +263,12 @@ class SparsePoly:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other: Union["SparsePoly", Scalar]) -> "SparsePoly":
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             if not other:
                 return SparsePoly()
             return SparsePoly({mono: c * other for mono, c in self.terms.items()})
         out: dict[int, Scalar] = {}
-        _mul_into(out, self.terms, other.terms, _guard((self.terms, other.terms)))
+        _mul_into(out, self.terms, other.terms, _guard((self.terms, other.terms), 2))
         return SparsePoly(out)
 
     __rmul__ = __mul__
@@ -250,7 +284,7 @@ class SparsePoly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SparsePoly):
             return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return self.terms == SparsePoly.constant(other).terms
         return NotImplemented
 
@@ -349,7 +383,7 @@ def determinant(rows: Sequence[Sequence[Entry]]):
     full = (1 << k) - 1
     minors: list = [None] * (full + 1)
     minors[0] = {0: 1}
-    guard = _guard(e for row in terms for e in row)
+    guard = _guard((e for row in terms for e in row), k)
     for mask in range(1, full + 1):
         t = mask.bit_count()
         row = terms[t - 1]
@@ -427,7 +461,7 @@ def mat_mul(a: SymbolicMatrix, b: SymbolicMatrix) -> SymbolicMatrix:
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
     n = a.n
-    guard = _guard(e.terms for m in (a, b) for row in m.entries for e in row)
+    guard = _guard((e.terms for m in (a, b) for row in m.entries for e in row), 2)
     rows = []
     for i in range(n):
         row = []
@@ -563,34 +597,55 @@ def adjugate_identity_holds(n: int, adj_x: Union[SymbolicMatrix, InversePair, No
 
 # ------------------------------------------------------------- span comparison
 
-def sparse_rank(vectors: Iterable[Mapping]) -> int:
-    """Rank over the rationals of sparse coefficient vectors (dict keyed)."""
-    basis: dict = {}
+def _reduce_into(basis: dict, vectors: Iterable[Mapping]) -> dict:
+    """Extend ``basis`` in place by the vectors and return it.
+
+    ``basis`` maps a pivot key to the integer vector whose largest key it is.
+    Fraction-free row reduction: a vector scaled to integers on entry is
+    reduced by v <- a * v - b * other at each pivot it shares, a and b the
+    pivot coefficients over their gcd, and divided by its content; what
+    survives starts a new pivot.
+    """
     for vec in vectors:
-        v = {k: Fraction(c) for k, c in vec.items() if c}
+        scale = lcm(*(c.denominator for c in vec.values()))
+        v = {k: c.numerator * (scale // c.denominator) for k, c in vec.items() if c}
         while v:
             pivot = max(v)
-            if pivot in basis:
-                other = basis[pivot]
-                _add_into(v, other, -v[pivot] / other[pivot])
-            else:
+            other = basis.get(pivot)
+            if other is None:
                 basis[pivot] = v
                 break
-    return len(basis)
+            g = gcd(v[pivot], other[pivot])
+            a, b = other[pivot] // g, v[pivot] // g
+            if a != 1:
+                for k in v:
+                    v[k] *= a
+            _add_into(v, other, -b)
+            g = gcd(*v.values())
+            if g > 1:
+                for k in v:
+                    v[k] //= g
+    return basis
+
+
+def sparse_rank(vectors: Iterable[Mapping]) -> int:
+    """Rank over the rationals of sparse coefficient vectors (dict keyed)."""
+    return len(_reduce_into({}, vectors))
 
 
 def spans_product_entries(n: int) -> bool:
     """Graph generators plus the (1,1) product entry span every entry of X*Y.
 
     All vectors live in the bidegree-(1,1) coefficient space, so span
-    equality is three rank computations.
+    equality is three equal ranks; the union's comes from extending the
+    left basis by the right vectors, so the left ones are reduced once.
     """
     prod = product_matrix(n)
     right = [p.terms for row in prod.entries for p in row]
-    left = [g.terms for g in _generators_of(prod)] + right[:1]
-    r_left = sparse_rank(left)
+    basis = _reduce_into({}, [g.terms for g in _generators_of(prod)] + right[:1])
+    r_left = len(basis)
     r_right = sparse_rank(right)
-    r_union = sparse_rank(left + right)
+    r_union = len(_reduce_into(basis, right))
     return r_left == r_right == r_union
 
 
@@ -716,8 +771,9 @@ def adjugate_identity_numeric(n: int, trials: int, seed: int, executor=None) -> 
 # ------------------------------------------------------------- rational witnesses
 
 def matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Exact rank over the rationals of an int/Fraction matrix of any shape."""
-    return _eliminate(rows)[0]
+    """Exact rank over the rationals of an int/Fraction matrix of any shape,
+    by forward elimination alone."""
+    return _eliminate(rows, adjugate=False)[0]
 
 
 class _RationalSymMatrixFields(NamedTuple):
@@ -743,6 +799,8 @@ class RationalSymMatrix(_RationalSymMatrixFields):
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalar]]) -> "RationalSymMatrix":
+        from fractions import Fraction
+
         return cls(len(rows), tuple(tuple(Fraction(x) for x in row) for row in rows))
 
     def rank(self) -> int:
@@ -776,6 +834,8 @@ def witness_rank_pair(n: int, r: int, seed: int = 0) -> tuple[RationalSymMatrix,
     complementary nonzero diagonals D, E, so the ranks are exact and the
     product vanishes identically. Deterministic in the seed.
     """
+    from fractions import Fraction
+
     m, w, det = _witness_rows(n, r, seed)
     scale = det * det
     return (

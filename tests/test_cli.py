@@ -363,6 +363,26 @@ def test_psi_run_loads_only_the_psi_engine():
     assert loaded & unwanted == set()
 
 
+@pytest.mark.parametrize("args", [
+    ("psi", "--n", "1"),
+    ("multidegree", "--n", "3"),
+    ("mldeg", "--n-max", "4"),
+    ("mldeg", "--d", "3", "--window", "6"),
+    ("verify", "--n", "3", "--mode", "numeric", "--trials", "2"),
+    ("verify", "--n", "3"),
+])
+def test_runs_without_rationals_load_neither_fractions_nor_decimal(args):
+    code, loaded = _modules_loaded_by(*args)
+    assert code == 0 and "invdeg.cli" in loaded
+    assert loaded & {"fractions", "decimal"} == set()
+
+
+def test_poly_run_loads_fractions():
+    # the interpolant has rational coefficients; this run shows the check above can see the import
+    code, loaded = _modules_loaded_by("mldeg", "--d", "3", "--poly")
+    assert code == 0 and "fractions" in loaded
+
+
 def test_verify_run_loads_neither_degree_engine():
     code, loaded = _modules_loaded_by("verify", "--n", "2")
     assert code == 0 and "invdeg.symbolic" in loaded

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from invdeg.exact import InvariantViolation, SkewMatrix, binomial, pfaffian, pfaffian_reference
+from invdeg.exact import InvariantViolation, SkewMatrix, binomial, leading_pfaffians, pfaffian, pfaffian_reference
 
 
 def det_fraction(rows):
@@ -191,6 +191,34 @@ def test_pfaffian_kernel_differential_sparse(rows):
         got = pfaffian(arg)
         assert type(got) is int
         assert got == expected
+
+
+@given(st.one_of(skew_matrices(), sparse_skew_rows()))
+def test_leading_pfaffians_are_the_pfaffians_of_the_leading_blocks(m):
+    rows = m.rows if isinstance(m, SkewMatrix) else m
+    blocks = [pfaffian([row[:size] for row in rows[:size]]) for size in range(2, len(rows) + 1, 2)]
+    if all(blocks):
+        got = leading_pfaffians(m)
+        assert got == blocks
+        assert all(type(v) is int for v in got)
+        assert (got[-1] if got else 1) == pfaffian(m)
+    else:
+        with pytest.raises(InvariantViolation, match="leading principal Pfaffian"):
+            leading_pfaffians(m)
+
+
+def test_leading_pfaffians_examples():
+    assert leading_pfaffians([]) == []
+    assert leading_pfaffians([[0, 3], [-3, 0]]) == [3]
+    # Pf of the 4 x 4 block is a01 a23 - a02 a13 + a03 a12 = 1*1 - 2*3 + 4*5 = 15
+    m = SkewMatrix.from_upper(4, lambda i, j: {(0, 1): 1, (0, 2): 2, (0, 3): 4, (1, 2): 5, (1, 3): 3, (2, 3): 1}[i, j])
+    assert leading_pfaffians(m) == [1, 15] and pfaffian(m) == 15
+    swapped = SkewMatrix.from_upper(4, lambda i, j: {(0, 1): 0, (0, 2): 2}.get((i, j), 1))
+    assert pfaffian(swapped) == pfaffian_reference(swapped) == -1
+    with pytest.raises(InvariantViolation, match="size 2 is zero"):
+        leading_pfaffians(swapped)
+    with pytest.raises(ValueError, match="even dimension"):
+        leading_pfaffians([[0]])
 
 
 def test_pfaffian_accepts_list_input_and_validates():

@@ -41,6 +41,37 @@ def test_ml_table_rows():
         ml_table(0)
 
 
+def test_ml_table_equals_gamma_degrees_up_to_20():
+    rows = [gamma_degrees(n) for n in range(1, 21)]
+    for n_max in range(1, 21):
+        assert ml_table(n_max) == rows[:n_max]
+
+
+def test_ml_table_runs_two_eliminations_per_parity(monkeypatch):
+    sizes = []
+    real = multidegree.leading_pfaffians
+
+    def counting(matrix):
+        sizes.append(matrix.size)
+        return real(matrix)
+
+    def refuse(matrix):
+        raise AssertionError("ml_table evaluated one Pfaffian per n")
+
+    monkeypatch.setattr(multidegree, "leading_pfaffians", counting)
+    monkeypatch.setattr(multidegree, "pfaffian", refuse)
+    assert ml_table(1) == [(1,)] and sizes == [2, 2]  # G(1) and G(2^K) for n = 1
+    sizes.clear()
+    ml_table(9)
+    assert sorted(sizes) == [10, 10, 10, 10]  # n = 9 (size 10) and n = 8 (size 8 + 2)
+
+
+def test_ml_table_rejects_a_zero_leading_pfaffian(monkeypatch):
+    monkeypatch.setattr(multidegree, "_pair_matrix", lambda size: [[0] * (size + 1) for _ in range(size + 1)])
+    with pytest.raises(InvariantViolation, match="leading principal Pfaffian"):
+        ml_table(4)
+
+
 def test_ml_degree_boundaries():
     for n in range(1, 11):
         m = sym_dimension(n)

@@ -94,6 +94,11 @@ def test_poly_scalar_equality():
     assert SparsePoly.zero() == 0
     assert SparsePoly.constant(Fraction(1, 2)) == Fraction(1, 2)
     assert var(xvar(1, 1)) != 1
+    x = var(xvar(1, 1))
+    assert x * Fraction(1, 2) == Fraction(1, 2) * x == SparsePoly({1: Fraction(1, 2)})
+    assert str(x * Fraction(3, 2) - x) == "1/2*X[1,1]"
+    assert x * Fraction(0) == 0
+    assert (x == "X[1,1]") is False
 
 
 def test_poly_bidegree():
@@ -251,6 +256,76 @@ def test_exponent_overflow_raises_and_spares_neighbours():
     assert str(x ** 127 * var(xvar(1, 2)) ** 127) == "X[1,1]^127*X[1,2]^127"
 
 
+def _recorded_guards(monkeypatch):
+    """Every guard ``_mul_into`` is called with, 0 meaning the unchecked loop."""
+    guards = []
+    real = symbolic._mul_into
+
+    def spy(out, a, b, guard):
+        guards.append(guard)
+        return real(out, a, b, guard)
+
+    monkeypatch.setattr(symbolic, "_mul_into", spy)
+    return guards
+
+
+def test_overflow_check_is_skipped_only_when_no_field_can_reach_2_7(monkeypatch):
+    x, y = var(xvar(1, 1)), var(yvar(1, 1))  # neighbouring fields
+    x42, x43, x63, x64 = x ** 42, x ** 43, x ** 63, x ** 64
+    x63y, x64y = x63 * y ** 5, x64 * y ** 5
+    guards = _recorded_guards(monkeypatch)
+
+    def guards_of(op):
+        guards.clear()
+        result = op()
+        assert guards
+        return result, set(guards)
+
+    def one(p):
+        return SymbolicMatrix(1, ((p,),))
+
+    def diagonal(p, k):
+        return SymbolicMatrix(k, tuple(tuple(p if i == j else SparsePoly() for j in range(k)) for i in range(k)))
+
+    # every field below 2^6: the product cannot reach 2^7, nothing is checked
+    for op, want in (
+        (lambda: x63 * x63y, "X[1,1]^126*Y[1,1]^5"),
+        (lambda: mat_mul(one(x63y), one(x63)).entries[0][0], "X[1,1]^126*Y[1,1]^5"),
+        (lambda: det_sym(diagonal(x63, 2)), "X[1,1]^126"),
+        (lambda: det_sym(diagonal(x42, 3)), "X[1,1]^126"),
+        (lambda: mat_mul(generic_sym_matrix(3, "X"), generic_sym_matrix(3, "Y")).entries[2][1],
+         str(product_matrix(3).entries[2][1])),
+    ):
+        result, seen = guards_of(op)
+        assert (str(result), seen) == (want, {0})
+    # a field at 2^6 (or k * 43 >= 2^7): checked, and a product below 2^7 is exact
+    for op, want in (
+        (lambda: x64y * x63, "X[1,1]^127*Y[1,1]^5"),
+        (lambda: x63 * x64y, "X[1,1]^127*Y[1,1]^5"),
+        (lambda: mat_mul(one(x64y), one(x63)).entries[0][0], "X[1,1]^127*Y[1,1]^5"),
+        (lambda: det_sym(SymbolicMatrix(2, ((x64y, x), (x, x63)))), "X[1,1]^127*Y[1,1]^5 - X[1,1]^2"),
+    ):
+        result, seen = guards_of(op)
+        assert str(result) == want and 0 not in seen
+    # at 2^7 it raises, before the carry could reach Y[1,1]
+    for overflow in (
+        lambda: x64 * x64,
+        lambda: x64y * x64,
+        lambda: mat_mul(one(x64y), one(x64)),
+        lambda: det_sym(diagonal(x64y, 2)),
+        lambda: det_sym(diagonal(x43, 3)),
+    ):
+        with pytest.raises(ValueError, match=r"2\^7"):
+            overflow()
+        assert 0 not in guards
+    assert str(x64y) == "X[1,1]^64*Y[1,1]^5"
+    # substitute chains products, so it always checks
+    cube, want = x * x * x, y * y * y
+    guards.clear()
+    assert cube.substitute({xvar(1, 1): y}) == want
+    assert guards and 0 not in guards
+
+
 # sha256 of str() of every generator and then every product entry, one per
 # line, recorded before the monomial format changed.
 GENERATOR_STR_SHA256 = {
@@ -369,6 +444,71 @@ def rational_matrices(draw):
 
 def sparse_rows(rows):
     return [{c: x for c, x in enumerate(row)} for row in rows]
+
+
+def fraction_sparse_rank(vectors):
+    """Rank oracle: Gaussian elimination of dict vectors over Fraction, the
+    kernel ``sparse_rank`` used before it moved to integers."""
+    basis = {}
+    for vec in vectors:
+        v = {k: Fraction(c) for k, c in vec.items() if c}
+        while v:
+            pivot = max(v)
+            if pivot not in basis:
+                basis[pivot] = v
+                break
+            other = basis[pivot]
+            f = v[pivot] / other[pivot]
+            for k, c in other.items():
+                nc = v.get(k, 0) - f * c
+                if nc:
+                    v[k] = nc
+                else:
+                    v.pop(k, None)
+    return len(basis)
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """A B for random nrows x r and r x ncols A, B: rank at most r, often less."""
+    nrows, ncols, r = draw(st.integers(0, 7)), draw(st.integers(1, 7)), draw(st.integers(0, 4))
+    entry = st.builds(Fraction, sparse_entries, st.sampled_from([1, 1, 1, 2, 3]))
+    a = [draw(st.lists(entry, min_size=r, max_size=r)) for _ in range(nrows)]
+    b = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(r)]
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] or [0] * ncols for row in a]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(square_matrices(), rational_matrices(), low_rank_matrices()))
+def test_forward_rank_matches_gauss_jordan_and_fractions(rows):
+    forward = symbolic._eliminate(rows, adjugate=False)
+    full = symbolic._eliminate(rows)
+    assert forward[0] == full[0] == matrix_rank(rows) == fraction_sparse_rank(sparse_rows(rows))
+    assert forward[1] == full[1] and forward[2] is None
+
+
+@st.composite
+def sparse_vector_lists(draw):
+    """Dict vectors with string keys and int or Fraction coefficients, plus
+    rational combinations of them, so that dependent vectors are common."""
+    coeff = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+    vectors = draw(st.lists(st.dictionaries(st.sampled_from("abcdefg"), coeff, max_size=5), max_size=7))
+    for _ in range(draw(st.integers(0, 3))):
+        combo: dict = {}
+        for vec in vectors:
+            f = draw(coeff)
+            for k, c in vec.items():
+                combo[k] = combo.get(k, 0) + f * c
+        vectors.insert(draw(st.integers(0, len(vectors))), combo)
+    return vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_vector_lists())
+def test_integer_sparse_rank_matches_fraction_elimination(vectors):
+    copies = [dict(v) for v in vectors]
+    assert sparse_rank(vectors) == fraction_sparse_rank(vectors)
+    assert vectors == copies  # the input vectors are not reduced in place
 
 
 @settings(max_examples=150, deadline=None)
@@ -601,6 +741,22 @@ def test_swap_symmetry_verdict(monkeypatch, gens, stable):
 def test_spans_product_entries():
     for n in range(1, 6):
         assert spans_product_entries(n)
+
+
+def test_span_check_fails_on_a_smaller_or_different_span(monkeypatch):
+    generators_of = symbolic._generators_of
+    monkeypatch.setattr(symbolic, "_generators_of", lambda prod: generators_of(prod)[:-1])
+    assert spans_product_entries(1)  # n = 1 has no difference to drop
+    for n in range(2, 5):
+        assert not spans_product_entries(n)
+    # X[1,1]*Y[1,1] for the last difference keeps the rank but not the span
+    swapped_in = var(xvar(1, 1)) * var(yvar(1, 1))
+    monkeypatch.setattr(symbolic, "_generators_of", lambda prod: generators_of(prod)[:-1] + [swapped_in])
+    for n in range(2, 5):
+        prod = product_matrix(n)
+        left = [g.terms for g in symbolic._generators_of(prod)] + [prod.entries[0][0].terms]
+        assert sparse_rank(left) == sparse_rank([p.terms for row in prod.entries for p in row])
+        assert not spans_product_entries(n)
 
 
 def test_span_check_builds_one_product(monkeypatch):
