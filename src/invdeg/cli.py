@@ -392,8 +392,9 @@ def _cmd_mldeg(ns: argparse.Namespace) -> _Report:
 def _cmd_verify(ns: argparse.Namespace) -> _Report:
     from .symbolic import (
         adjugate_identity_holds,
-        adjugate_identity_numeric,
         inverse_pair,
+        numeric_checks,
+        product_matrix,
         spans_product_entries,
         swap_symmetry_holds,
         verify_graph_vanishing,
@@ -403,39 +404,37 @@ def _cmd_verify(ns: argparse.Namespace) -> _Report:
     n = ns.n
     # One determinant, adjugate and X * adj(X) serve both symbolic checks.
     pair = inverse_pair(n) if ns.mode == "symbolic" else None
+    # One X * Y serves graph vanishing, the swap check and the span check.
+    prod = product_matrix(n)
     executor = None
     if ns.threads > 1:  # imported here, so that no other run loads the pool
         from concurrent.futures import ThreadPoolExecutor
         executor = ThreadPoolExecutor(max_workers=ns.threads)
     checks = []
     try:
-        try:
-            report = verify_graph_vanishing(
-                n, mode=ns.mode, trials=ns.trials, seed=ns.seed,
-                symbolic_cap=ns.symbolic_cap, executor=executor, adj_x=pair,
-            )
-            if report.mode == "symbolic":
-                detail = f"{report.generators} generators vanish identically under Y -> adj(X)"
-            else:
-                detail = f"{report.generators} generators vanish on {report.trials} exact samples"
-            checks.append({"name": "graph_vanishing", "pass": True, "detail": detail})
-        except InvariantViolation as exc:
-            checks.append({"name": "graph_vanishing", "pass": False, "detail": str(exc)})
         if ns.mode == "symbolic":
-            ok = adjugate_identity_holds(n, pair)
-            detail = "X * adj(X) = det(X) * Id symbolically"
+            try:
+                report = verify_graph_vanishing(n, symbolic_cap=ns.symbolic_cap, adj_x=pair, prod=prod)
+                graph = (True, f"{report.generators} generators vanish identically under Y -> adj(X)")
+            except InvariantViolation as exc:
+                graph = (False, str(exc))
+            identity = (adjugate_identity_holds(n, pair), "X * adj(X) = det(X) * Id symbolically")
         else:
-            ok = adjugate_identity_numeric(n, ns.trials, ns.seed, executor=executor)
-            detail = f"X * adj(X) = det(X) * Id on {ns.trials} exact samples"
-        checks.append({"name": "adjugate_identity", "pass": ok, "detail": detail})
+            # One pass of exact samples serves both numeric checks.
+            sampled = numeric_checks(n, ns.trials, ns.seed, executor, prod)
+            detail = f"{sampled.generators} generators vanish on {ns.trials} exact samples"
+            graph = (sampled.residual is None, sampled.residual or detail)
+            identity = (sampled.identity, f"X * adj(X) = det(X) * Id on {ns.trials} exact samples")
+        for name, (ok, detail) in (("graph_vanishing", graph), ("adjugate_identity", identity)):
+            checks.append({"name": name, "pass": ok, "detail": detail})
         checks.append({
             "name": "swap_symmetry",
-            "pass": swap_symmetry_holds(n),
+            "pass": swap_symmetry_holds(n, prod),
             "detail": "generator set stable under exchanging X and Y",
         })
         checks.append({
             "name": "product_span",
-            "pass": spans_product_entries(n),
+            "pass": spans_product_entries(n, prod),
             "detail": "generators plus the (1,1) entry span all product entries in bidegree (1,1)",
         })
         seeds_per_rank = 3

@@ -33,6 +33,11 @@ partial derivatives of det(X), and P = X * adj(X) from one ``mat_mul``. The
 adjugate identity compares P with det(X) * Id. Substitution is a ring map
 that fixes X, so each generator of X*Y goes under Y -> adj(X) to the
 matching generator of P, and only other polynomials are substituted.
+Numeric mode shares the same way, per sample: one random nonsingular
+integer M with det M and adj M, and P = M * adj M formed once. The
+adjugate identity compares P with det M * Id, and graph vanishing reads
+each generator's value at (M, adj M) off P. The caller builds X * Y once
+and passes it to graph vanishing, the swap check and the span check.
 
 Matrices of numbers get rank, determinant and adjugate from the one
 fraction-free Bareiss elimination in ``exact``, O(k^3): Gauss-Jordan on
@@ -50,7 +55,7 @@ from __future__ import annotations
 import random
 from functools import reduce
 from math import gcd, isqrt, lcm
-from operator import or_
+from operator import mul, or_
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .exact import InvariantViolation, Scalar, _eliminate, _is_scalar
@@ -497,18 +502,33 @@ def product_entries(n: int) -> list[SparsePoly]:
     return [p for row in product_matrix(n).entries for p in row]
 
 
+def _product_for(n: int, prod: Optional[SymbolicMatrix]) -> SymbolicMatrix:
+    """``prod`` when given, checked to be n x n, else a fresh X * Y."""
+    if prod is None:
+        return product_matrix(n)
+    if prod.n != n:
+        raise ValueError(f"the product X * Y is for n = {prod.n}, not {n}")
+    return prod
+
+
+def _at_generator_places(e: Sequence[Sequence]) -> list:
+    """The off-diagonal entries of a square matrix, row-major, then the
+    differences of consecutive diagonal entries."""
+    n = len(e)
+    out = [e[i][j] for i in range(n) for j in range(n) if i != j]
+    out.extend(e[i][i] - e[i + 1][i + 1] for i in range(n - 1))
+    return out
+
+
 def _generators_of(prod: SymbolicMatrix) -> list[SparsePoly]:
-    n, e = prod.n, prod.entries
-    gens = [e[i][j] for i in range(n) for j in range(n) if i != j]
-    gens.extend(e[i][i] - e[i + 1][i + 1] for i in range(n - 1))
-    return gens
+    return _at_generator_places(prod.entries)
 
 
-def graph_ideal_generators(n: int) -> list[SparsePoly]:
+def graph_ideal_generators(n: int, prod: Optional[SymbolicMatrix] = None) -> list[SparsePoly]:
     """Generators of the inversion-graph ideal: the n(n-1) off-diagonal
     entries of X * Y (row-major) plus the n - 1 consecutive diagonal
-    differences."""
-    return _generators_of(product_matrix(n))
+    differences. ``prod`` is X * Y when the caller has built it."""
+    return _generators_of(_product_for(n, prod))
 
 
 def swap_sides(p: SparsePoly) -> SparsePoly:
@@ -521,11 +541,12 @@ def swap_sides(p: SparsePoly) -> SparsePoly:
     })
 
 
-def swap_symmetry_holds(n: int) -> bool:
+def swap_symmetry_holds(n: int, prod: Optional[SymbolicMatrix] = None) -> bool:
     """Generator set is stable (up to sign) under exchanging X and Y. The swap
     is linear and injective, so the swapped sign classes equal the original
-    ones once each lies among them; one swapped generator is held at a time."""
-    gens = graph_ideal_generators(n)
+    ones once each lies among them; one swapped generator is held at a time.
+    ``prod`` is X * Y when the caller has built it."""
+    gens = graph_ideal_generators(n, prod)
     originals = {g.sign_normalized().canonical() for g in gens}
     return all(swap_sides(g).sign_normalized().canonical() in originals for g in gens)
 
@@ -633,14 +654,15 @@ def sparse_rank(vectors: Iterable[Mapping]) -> int:
     return len(_reduce_into({}, vectors))
 
 
-def spans_product_entries(n: int) -> bool:
+def spans_product_entries(n: int, prod: Optional[SymbolicMatrix] = None) -> bool:
     """Graph generators plus the (1,1) product entry span every entry of X*Y.
 
     All vectors live in the bidegree-(1,1) coefficient space, so span
     equality is three equal ranks; the union's comes from extending the
     left basis by the right vectors, so the left ones are reduced once.
+    ``prod`` is X * Y when the caller has built it.
     """
-    prod = product_matrix(n)
+    prod = _product_for(n, prod)
     right = [p.terms for row in prod.entries for p in row]
     basis = _reduce_into({}, [g.terms for g in _generators_of(prod)] + right[:1])
     r_left = len(basis)
@@ -675,8 +697,9 @@ def _is_symmetric(rows: Sequence[Sequence]) -> bool:
 
 
 def _product(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    """Exact matrix product of int/Fraction matrices."""
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    """Exact matrix product of int/Fraction matrices; b is transposed once."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def _pair_assignment(m: Sequence[Sequence[Entry]], y: Sequence[Sequence[Entry]]) -> dict[VarId, Entry]:
@@ -690,14 +713,22 @@ def _pair_assignment(m: Sequence[Sequence[Entry]], y: Sequence[Sequence[Entry]])
     return out
 
 
-def _graph_images(gens: Iterable[SparsePoly], pair: InversePair) -> Iterator[SparsePoly]:
-    """``gens`` under Y -> adj(X), adj symmetric: a generator of X * Y maps to
-    the generator of P = X * adj(X) at its place, any other is substituted."""
-    standard = _generators_of(product_matrix(pair.x.n))
-    images = {g.canonical(): p for g, p in zip(standard, _generators_of(pair.prod))}
+def _graph_images(
+    gens: Sequence[SparsePoly], pair: InversePair, prod: Optional[SymbolicMatrix] = None
+) -> Iterator[SparsePoly]:
+    """``gens`` under Y -> adj(X), adj symmetric. The generators of X * Y
+    (``prod``, built when None) map to the generators of P = X * adj(X) at
+    their places: by position when ``gens`` is that list term by term, else
+    by lookup, and any other polynomial is substituted."""
+    standard = _generators_of(_product_for(pair.x.n, prod))
+    images = _generators_of(pair.prod)
+    if list(gens) == standard:
+        yield from images
+        return
+    by_key = {g.canonical(): p for g, p in zip(standard, images)}
     assignment = _pair_assignment(pair.x.entries, pair.adj.entries)
     for g in gens:
-        image = images.get(g.canonical())
+        image = by_key.get(g.canonical())
         yield g.substitute(assignment) if image is None else image
 
 
@@ -709,6 +740,7 @@ def verify_graph_vanishing(
     symbolic_cap: int = 4,
     executor=None,
     adj_x: Union[SymbolicMatrix, InversePair, None] = None,
+    prod: Optional[SymbolicMatrix] = None,
 ) -> VanishingReport:
     """Certify that every graph generator vanishes on pairs (M, adj M).
 
@@ -716,56 +748,91 @@ def verify_graph_vanishing(
     ``_graph_images``) and demands the zero polynomial; it is exponential in
     n and refuses to run past ``symbolic_cap`` unless the cap is raised.
     ``adj_x``, when given, is the symmetric adjugate of the generic X, or an
-    ``InversePair`` holding it. Numeric mode evaluates the generators on
-    seeded random integer symmetric M with det != 0, exactly; trials fan out
-    over ``executor`` when given, in deterministic order. A nonzero residual
-    raises InvariantViolation naming the offending generator.
+    ``InversePair`` holding it. Numeric mode is the graph half of
+    ``numeric_checks``. ``prod`` is X * Y when the caller has built it. A
+    nonzero residual raises InvariantViolation naming the offending
+    generator.
     """
     if mode not in ("symbolic", "numeric"):
         raise ValueError(f'mode must be "symbolic" or "numeric", got {mode!r}')
-    gens = graph_ideal_generators(n)
-    if mode == "symbolic":
-        if n > symbolic_cap:
-            raise ValueError(
-                f"symbolic mode is capped at n <= {symbolic_cap}; raise symbolic_cap to override"
-            )
-        pair = _shared_pair(n, adj_x)
-        if not _is_symmetric(pair.adj.entries):
-            raise InvariantViolation("Y -> adj(X) needs a symmetric adjugate; the one given is not")
-        for g, image in zip(gens, _graph_images(gens, pair)):
-            if image:
-                raise InvariantViolation(f"graph generator does not vanish on inverse pairs: {g}")
-        return VanishingReport(n, "symbolic", len(gens), 0)
+    if mode == "numeric":
+        checks = numeric_checks(n, trials, seed, executor, prod)
+        if checks.residual is not None:
+            raise InvariantViolation(checks.residual)
+        return VanishingReport(n, "numeric", checks.generators, trials)
+    if n > symbolic_cap:
+        raise ValueError(f"symbolic mode is capped at n <= {symbolic_cap}; raise symbolic_cap to override")
+    prod = _product_for(n, prod)
+    gens = graph_ideal_generators(n, prod)
+    pair = _shared_pair(n, adj_x)
+    if not _is_symmetric(pair.adj.entries):
+        raise InvariantViolation("Y -> adj(X) needs a symmetric adjugate; the one given is not")
+    for g, image in zip(gens, _graph_images(gens, pair, prod)):
+        if image:
+            raise InvariantViolation(f"graph generator does not vanish on inverse pairs: {g}")
+    return VanishingReport(n, "symbolic", len(gens), 0)
+
+
+class NumericChecks(NamedTuple):
+    """Graph vanishing and the adjugate identity, read off one pass of samples."""
+
+    generators: int
+    residual: Optional[str]  # why a generator does not vanish, or None
+    identity: bool  # M * adj M = det M * Id on every sample
+
+
+def numeric_checks(
+    n: int, trials: int, seed: int, executor=None, prod: Optional[SymbolicMatrix] = None
+) -> NumericChecks:
+    """Both numeric checks on the same exact samples.
+
+    Sample t is a random integer symmetric M with det M != 0, drawn from
+    ``seed * 1_000_003 + t``, with det M and adj M from one elimination,
+    and P = M * adj M formed once. The adjugate identity compares P with
+    det M * Id. At X = M, Y = adj M a generator of X * Y takes the value
+    of P at its place, so when the generators are that list term by term
+    (built from ``prod``, or a fresh X * Y) their values are read off P;
+    any other list is evaluated term by term. Trials fan out over
+    ``executor`` when given, in deterministic order.
+    """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    prod = _product_for(n, prod)
+    gens = graph_ideal_generators(n, prod)
+    # decoded once per call, not once per trial, and only off the standard list
+    decoded = None
+    if gens != _generators_of(prod):
+        decoded = [[(_decode(key), c) for key, c in g.terms.items()] for g in gens]
 
-    # decoded once per call, not once per trial
-    decoded = [[(_decode(key), c) for key, c in g.terms.items()] for g in gens]
-
-    def trial(t: int) -> Optional[str]:
-        m, _, adj = _invertible_symmetric(random.Random(seed * 1_000_003 + t), n)
-        values = _by_slot(_pair_assignment(m, adj))
-        for g, terms in zip(gens, decoded):
-            if _evaluate(terms, values) != 0:
-                return f"trial {t}: generator {g} evaluates to nonzero"
-        return None
+    def trial(t: int) -> tuple[Optional[str], bool]:
+        m, det, adj = _invertible_symmetric(random.Random(seed * 1_000_003 + t), n)
+        p = _product(m, adj)
+        identity = p == [[det if i == j else 0 for j in range(n)] for i in range(n)]
+        if decoded is None:
+            values: Iterable[Scalar] = _at_generator_places(p)
+        else:
+            at = _by_slot(_pair_assignment(m, adj))
+            values = (_evaluate(terms, at) for terms in decoded)
+        for g, v in zip(gens, values):
+            if v:
+                return f"trial {t}: generator {g} evaluates to nonzero", identity
+        return None, identity
 
     runner = executor.map if executor is not None else map
-    for failure in runner(trial, range(trials)):
-        if failure is not None:
-            raise InvariantViolation(f"graph generator does not vanish on inverse pairs: {failure}")
-    return VanishingReport(n, "numeric", len(gens), trials)
+    residual, identity = None, True
+    for failure, ok in runner(trial, range(trials)):
+        residual = residual or failure
+        identity = identity and ok
+    if residual is not None:
+        residual = f"graph generator does not vanish on inverse pairs: {residual}"
+    return NumericChecks(len(gens), residual, identity)
 
 
 def adjugate_identity_numeric(n: int, trials: int, seed: int, executor=None) -> bool:
-    """Exact spot check of A * adj(A) = det(A) * Id on random nonsingular symmetric A."""
-
-    def trial(t: int) -> bool:
-        m, det, adj = _invertible_symmetric(random.Random(seed * 2_000_003 + t), n)
-        return _product(m, adj) == [[det if i == j else 0 for j in range(n)] for i in range(n)]
-
-    runner = executor.map if executor is not None else map
-    return all(runner(trial, range(trials)))
+    """Exact spot check of M * adj(M) = det(M) * Id on random nonsingular
+    symmetric M: the identity half of ``numeric_checks``, on the samples
+    that graph vanishing uses."""
+    return numeric_checks(n, trials, seed, executor).identity
 
 
 # ------------------------------------------------------------- rational witnesses
@@ -822,8 +889,12 @@ def _witness_rows(n: int, r: int, seed: int) -> tuple[list[list[int]], list[list
             break
     d = [rng.randint(1, 9) * rng.choice((1, -1)) for _ in range(r)]
     e = [rng.randint(1, 9) * rng.choice((1, -1)) for _ in range(n - r)]
-    m = [[sum(a[i][k] * d[k] * a[j][k] for k in range(r)) for j in range(n)] for i in range(n)]
-    w = [[sum(adj[r + k][i] * e[k] * adj[r + k][j] for k in range(n - r)) for j in range(n)] for i in range(n)]
+    # both triangles are computed, so that a symmetry check still means something
+    ad = [list(map(mul, row, d)) for row in a]  # map stops at the first r columns
+    m = [[sum(map(mul, x, y)) for y in a] for x in ad]
+    cols = [col[r:] for col in zip(*adj)]  # the last n - r rows of adj(A), transposed
+    ce = [list(map(mul, col, e)) for col in cols]
+    w = [[sum(map(mul, x, y)) for y in cols] for x in ce]
     return m, w, det
 
 

@@ -1,6 +1,7 @@
 import importlib.metadata as md
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -239,7 +240,7 @@ def test_verify_numeric(capsys):
 
 
 def test_verify_failure_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(symbolic, "swap_symmetry_holds", lambda n: False)
+    monkeypatch.setattr(symbolic, "swap_symmetry_holds", lambda n, prod=None: False)
     code, out, _ = run_cli(capsys, ["verify", "--n", "2"])
     assert code == 2
     payload = json.loads(out)
@@ -253,7 +254,7 @@ def test_verify_graph_residual_exits_2(capsys, monkeypatch, mode):
     # A generator that does not vanish on the graph is a failed check, not an
     # invariant violation: every check still reports and the exit code is 2.
     bad = symbolic.SparsePoly.variable(symbolic.xvar(1, 1))
-    monkeypatch.setattr(symbolic, "graph_ideal_generators", lambda n: [bad])
+    monkeypatch.setattr(symbolic, "graph_ideal_generators", lambda n, prod=None: [bad])
     code, out, err = run_cli(capsys, ["verify", "--n", "2", "--mode", mode, "--trials", "3"])
     assert code == 2
     assert err == ""
@@ -267,6 +268,55 @@ def test_verify_graph_residual_exits_2(capsys, monkeypatch, mode):
     ]
     assert checks[0]["pass"] is False
     assert "does not vanish" in checks[0]["detail"] and "X[1,1]" in checks[0]["detail"]
+
+
+def _verify_with_adjugate(capsys, monkeypatch, change):
+    draw = symbolic._invertible_symmetric
+
+    def changed(rng, n):
+        m, det, adj = draw(rng, n)
+        return m, det, change(adj)
+
+    monkeypatch.setattr(symbolic, "_invertible_symmetric", changed)
+    code, out, err = run_cli(capsys, ["verify", "--n", "3", "--mode", "numeric", "--trials", "4"])
+    assert (code, err) == (2, "")
+    return changed, {c["name"]: (c["pass"], c["detail"]) for c in json.loads(out)["checks"]}
+
+
+@pytest.mark.parametrize("cells", [[(0, 0)], [(0, 1)], [(1, 0)], [(2, 2)], [(0, 2), (2, 0)]])
+def test_verify_numeric_fails_both_checks_on_a_wrong_adjugate(capsys, monkeypatch, cells):
+    def off_by_one(adj):
+        for i, j in cells:
+            adj[i][j] += 1
+        return adj
+
+    changed, checks = _verify_with_adjugate(capsys, monkeypatch, off_by_one)
+    assert {name: ok for name, (ok, _) in checks.items()} == {
+        "graph_vanishing": False,
+        "adjugate_identity": False,
+        "swap_symmetry": True,
+        "product_span": True,
+        "witness_rank_pairs": True,
+    }
+    if len(cells) == 2 or cells[0][0] == cells[0][1]:
+        # adj stays symmetric: the first residual is the one that evaluating
+        # each generator at (M, adj) finds
+        gens = symbolic.graph_ideal_generators(3)
+        residuals = (
+            f"trial {t}: generator {g} evaluates to nonzero"
+            for t in range(4)
+            for m, _, adj in [changed(random.Random(t), 3)]
+            for g in gens
+            if g.evaluate(symbolic._pair_assignment(m, adj))
+        )
+        assert checks["graph_vanishing"][1] == "graph generator does not vanish on inverse pairs: " + next(residuals)
+
+
+def test_verify_numeric_scaled_adjugate_fails_the_identity_alone(capsys, monkeypatch):
+    # M * (2 adj M) = 2 det M * Id: every generator vanishes, the identity does not hold
+    _, checks = _verify_with_adjugate(capsys, monkeypatch, lambda adj: [[2 * x for x in row] for row in adj])
+    assert checks["graph_vanishing"][0] is True
+    assert checks["adjugate_identity"][0] is False
 
 
 def test_verify_csv_and_latex(capsys):

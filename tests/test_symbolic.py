@@ -581,6 +581,32 @@ def test_symbolic_verify_builds_one_adjugate(capsys, monkeypatch):
     assert calls == {"adjugate": 0, "det_sym": 1}
 
 
+def test_numeric_verify_draws_one_sample_per_trial(capsys, monkeypatch):
+    draws = []
+    draw = symbolic._invertible_symmetric
+    monkeypatch.setattr(symbolic, "_invertible_symmetric", lambda rng, n: draws.append(n) or draw(rng, n))
+    for threads in ("1", "2"):
+        draws.clear()
+        args = ["--threads", threads, "verify", "--n", "5", "--mode", "numeric", "--trials", "7", "--format", "csv"]
+        assert main(args) == 0
+        assert "fail" not in capsys.readouterr().out
+        assert draws == [5] * 7
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "numeric"])
+def test_verify_builds_one_product_matrix(capsys, monkeypatch, mode):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return product_matrix(n)
+
+    monkeypatch.setattr(symbolic, "product_matrix", counted)
+    assert main(["verify", "--n", "4", "--mode", mode, "--trials", "3", "--format", "csv"]) == 0
+    assert "fail" not in capsys.readouterr().out
+    assert calls == [4]
+
+
 def test_adjugate_from_det_matches_the_minor_dp():
     for n in range(1, 7):
         pair = inverse_pair(n)
@@ -734,7 +760,7 @@ def test_swap_symmetry_verdict(monkeypatch, gens, stable):
     g = var(xvar(1, 1)) * var(yvar(1, 2)) - 2 * var(xvar(2, 2)) * var(yvar(1, 1))
     h = var(xvar(1, 2)) * var(yvar(1, 2)) + var(xvar(1, 1))  # swap(h) is neither h nor -h
     polys = {"g": g, "-swap(g)": -swap_sides(g), "swap(g)": swap_sides(g), "h": h}
-    monkeypatch.setattr(symbolic, "graph_ideal_generators", lambda n: [polys[name] for name in gens])
+    monkeypatch.setattr(symbolic, "graph_ideal_generators", lambda n, prod=None: [polys[name] for name in gens])
     assert swap_symmetry_holds(2) is stable
 
 
@@ -795,6 +821,8 @@ def test_graph_vanishing_numeric():
 
 
 def test_numeric_verify_decodes_outside_the_trial_loop(monkeypatch):
+    # the standard generators are read off P = M * adj M and never decoded;
+    # any other list is decoded once per term, however many trials run
     calls = []
 
     def counted(key):
@@ -803,12 +831,78 @@ def test_numeric_verify_decodes_outside_the_trial_loop(monkeypatch):
 
     decode = symbolic._decode
     monkeypatch.setattr(symbolic, "_decode", counted)
-    counts = []
-    for trials in (1, 5):
-        calls.clear()
-        assert verify_graph_vanishing(4, mode="numeric", trials=trials, seed=2).trials == trials
-        counts.append(len(calls))
-    assert counts[0] == counts[1] == sum(len(g.terms) for g in graph_ideal_generators(4))
+    standard = graph_ideal_generators(4)
+    for gens, decodes in ((standard, 0), (standard[::-1], sum(len(g.terms) for g in standard))):
+        monkeypatch.setattr(symbolic, "graph_ideal_generators", lambda n, prod=None: gens)
+        for trials in (1, 5):
+            calls.clear()
+            assert verify_graph_vanishing(4, mode="numeric", trials=trials, seed=2).trials == trials
+            assert len(calls) == decodes, (trials, decodes)
+
+
+def _reordered(gens):
+    return gens[1:] + gens[:1]
+
+
+def _one_sign_flipped(gens):
+    return gens[:2] + [-gens[2]] + gens[3:]
+
+
+@pytest.mark.parametrize("change", [_reordered, _one_sign_flipped])
+def test_fast_paths_run_only_on_the_standard_list(monkeypatch, change):
+    n = 4
+    gens = change(graph_ideal_generators(n))
+    assert gens != graph_ideal_generators(n)
+    calls = Counter()
+    canonical, substitute, decode = SparsePoly.canonical, SparsePoly.substitute, symbolic._decode
+    monkeypatch.setattr(SparsePoly, "canonical", lambda self: calls.update(["canonical"]) or canonical(self))
+    monkeypatch.setattr(SparsePoly, "substitute", lambda self, a: calls.update(["substitute"]) or substitute(self, a))
+    monkeypatch.setattr(symbolic, "_decode", lambda key: calls.update(["decode"]) or decode(key))
+    # the standard list takes its images by position and is never decoded
+    assert verify_graph_vanishing(n, mode="symbolic").generators == len(gens)
+    assert verify_graph_vanishing(n, mode="numeric", trials=3, seed=1).trials == 3
+    assert calls == Counter()
+    # any other list goes through the canonical lookup, or is evaluated, and still passes
+    monkeypatch.setattr(symbolic, "graph_ideal_generators", lambda n, prod=None: gens)
+    assert verify_graph_vanishing(n, mode="symbolic").generators == len(gens)
+    assert calls["canonical"] >= len(gens)
+    assert calls["substitute"] == (change is _one_sign_flipped)
+    calls.clear()
+    assert verify_graph_vanishing(n, mode="numeric", trials=3, seed=1).trials == 3
+    assert calls == Counter(decode=sum(len(g.terms) for g in gens))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_product_matches_the_triple_sum(data):
+    rows, inner, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-50, 50), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)))
+    a = [data.draw(st.lists(entry, min_size=inner, max_size=inner)) for _ in range(rows)]
+    b = [data.draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(inner)]
+    naive = [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)] for i in range(rows)]
+    assert symbolic._product(a, b) == naive
+
+
+def _witness_rows_by_comprehension(n, r, seed):
+    """``_witness_rows`` as it was written with per-entry comprehensions."""
+    rng = random.Random(seed)
+    while True:
+        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        _, det, adj = symbolic._eliminate(a)
+        if adj is not None:
+            break
+    d = [rng.randint(1, 9) * rng.choice((1, -1)) for _ in range(r)]
+    e = [rng.randint(1, 9) * rng.choice((1, -1)) for _ in range(n - r)]
+    m = [[sum(a[i][k] * d[k] * a[j][k] for k in range(r)) for j in range(n)] for i in range(n)]
+    w = [[sum(adj[r + k][i] * e[k] * adj[r + k][j] for k in range(n - r)) for j in range(n)] for i in range(n)]
+    return m, w, det
+
+
+def test_witness_rows_match_the_comprehension_formulas():
+    for n in range(1, 8):
+        for r in range(n + 1):
+            for seed in (0, 7 * n + r):
+                assert symbolic._witness_rows(n, r, seed) == _witness_rows_by_comprehension(n, r, seed), (n, r)
 
 
 def test_graph_vanishing_bad_arguments():
@@ -820,7 +914,7 @@ def test_graph_vanishing_bad_arguments():
 
 def test_graph_vanishing_detects_nonmember(monkeypatch):
     # a constant can never vanish under either mode
-    monkeypatch.setattr(symbolic, "graph_ideal_generators", lambda n: [SparsePoly.constant(1)])
+    monkeypatch.setattr(symbolic, "graph_ideal_generators", lambda n, prod=None: [SparsePoly.constant(1)])
     with pytest.raises(InvariantViolation, match="does not vanish"):
         verify_graph_vanishing(2, mode="symbolic")
     with pytest.raises(InvariantViolation, match="does not vanish"):
