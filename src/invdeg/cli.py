@@ -62,8 +62,8 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--threads",
         default="1",
-        help="worker threads for verification fan-out (N or auto); never changes output, "
-        "and gives no speed-up on a standard (GIL) build",
+        help="worker threads for verification fan-out (N or auto, at most the CPU count); "
+        "never changes output, and gives no speed-up on a standard (GIL) build",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -95,7 +95,9 @@ def build_parser() -> _Parser:
 def _validate(ns: argparse.Namespace) -> None:
     """Reject a bad invocation; fill in ``window`` and the thread count.
 
-    Equal namespaces after this step give byte-identical output.
+    The thread count is clamped to the CPU count, so a large ``--threads``
+    starts no more threads than ``auto`` does. Equal namespaces after this
+    step give byte-identical output.
     """
     if ns.threads != "auto":
         try:
@@ -103,7 +105,8 @@ def _validate(ns: argparse.Namespace) -> None:
                 raise ValueError
         except ValueError:
             raise UsageError(f"--threads must be a positive integer or 'auto', got {ns.threads!r}")
-    ns.threads = (os.cpu_count() or 1) if ns.threads == "auto" else int(ns.threads)
+    cpus = os.cpu_count() or 1
+    ns.threads = cpus if ns.threads == "auto" else min(int(ns.threads), cpus)
     if ns.command in ("psi", "multidegree", "verify") and ns.n < 1:
         raise UsageError(f"--n must be >= 1, got {ns.n}")
     if ns.command == "mldeg":
@@ -391,42 +394,38 @@ def _cmd_mldeg(ns: argparse.Namespace) -> _Report:
 
 def _cmd_verify(ns: argparse.Namespace) -> _Report:
     from .symbolic import (
-        adjugate_identity_holds,
-        inverse_pair,
         numeric_checks,
         product_matrix,
         spans_product_entries,
         swap_symmetry_holds,
-        verify_graph_vanishing,
+        symbolic_checks,
         witness_pair_valid,
     )
 
     n = ns.n
-    # One determinant, adjugate and X * adj(X) serve both symbolic checks.
-    pair = inverse_pair(n) if ns.mode == "symbolic" else None
     # One X * Y serves graph vanishing, the swap check and the span check.
     prod = product_matrix(n)
     executor = None
     if ns.threads > 1:  # imported here, so that no other run loads the pool
         from concurrent.futures import ThreadPoolExecutor
         executor = ThreadPoolExecutor(max_workers=ns.threads)
-    checks = []
     try:
+        # One P serves graph vanishing and the adjugate identity: X * adj(X)
+        # symbolically, M * adj M per exact sample numerically.
         if ns.mode == "symbolic":
-            try:
-                report = verify_graph_vanishing(n, symbolic_cap=ns.symbolic_cap, adj_x=pair, prod=prod)
-                graph = (True, f"{report.generators} generators vanish identically under Y -> adj(X)")
-            except InvariantViolation as exc:
-                graph = (False, str(exc))
-            identity = (adjugate_identity_holds(n, pair), "X * adj(X) = det(X) * Id symbolically")
+            checked = symbolic_checks(n, prod)
+            vanish, holds = "identically under Y -> adj(X)", "symbolically"
         else:
-            # One pass of exact samples serves both numeric checks.
-            sampled = numeric_checks(n, ns.trials, ns.seed, executor, prod)
-            detail = f"{sampled.generators} generators vanish on {ns.trials} exact samples"
-            graph = (sampled.residual is None, sampled.residual or detail)
-            identity = (sampled.identity, f"X * adj(X) = det(X) * Id on {ns.trials} exact samples")
-        for name, (ok, detail) in (("graph_vanishing", graph), ("adjugate_identity", identity)):
-            checks.append({"name": name, "pass": ok, "detail": detail})
+            checked = numeric_checks(n, ns.trials, ns.seed, executor, prod)
+            vanish = holds = f"on {ns.trials} exact samples"
+        checks = [
+            {
+                "name": "graph_vanishing",
+                "pass": checked.residual is None,
+                "detail": checked.residual or f"{checked.generators} generators vanish {vanish}",
+            },
+            {"name": "adjugate_identity", "pass": checked.identity, "detail": f"X * adj(X) = det(X) * Id {holds}"},
+        ]
         checks.append({
             "name": "swap_symmetry",
             "pass": swap_symmetry_holds(n, prod),

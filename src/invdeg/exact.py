@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
+from operator import index
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence, Union
 
 if TYPE_CHECKING:
@@ -41,11 +42,14 @@ class _SkewMatrixFields(NamedTuple):
 
 
 class SkewMatrix(_SkewMatrixFields):
-    """Square antisymmetric integer matrix (zero diagonal forced)."""
+    """Square antisymmetric integer matrix (zero diagonal forced). Entries
+    go through ``operator.index``, so a float or Fraction raises TypeError
+    instead of being truncated."""
 
     __slots__ = ()
 
-    def __new__(cls, rows: tuple[tuple[int, ...], ...]) -> "SkewMatrix":
+    def __new__(cls, rows: Sequence[Sequence[int]]) -> "SkewMatrix":
+        rows = tuple(tuple(map(index, row)) for row in rows)
         k = len(rows)
         for row in rows:
             if len(row) != k:
@@ -69,7 +73,7 @@ class SkewMatrix(_SkewMatrixFields):
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "SkewMatrix":
         """Validate and freeze a square antisymmetric array."""
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        return cls(rows)
 
     @classmethod
     def from_upper(cls, size: int, upper) -> "SkewMatrix":
@@ -77,10 +81,10 @@ class SkewMatrix(_SkewMatrixFields):
         rows = [[0] * size for _ in range(size)]
         for i in range(size):
             for j in range(i + 1, size):
-                v = int(upper(i, j))
+                v = upper(i, j)
                 rows[i][j] = v
                 rows[j][i] = -v
-        return cls(tuple(tuple(row) for row in rows))
+        return cls(rows)
 
 
 MatrixLike = Union[SkewMatrix, Sequence[Sequence[int]]]

@@ -28,16 +28,17 @@ are built in integers, as M and det(A)^2 N; symmetry, rank and a zero
 product do not change under that scale, so only ``witness_rank_pair``
 divides, once, to return the rational N.
 
-The symbolic checks share one ``InversePair``: det(X), adj(X) read off the
-partial derivatives of det(X), and P = X * adj(X) from one ``mat_mul``. The
-adjugate identity compares P with det(X) * Id. Substitution is a ring map
-that fixes X, so each generator of X*Y goes under Y -> adj(X) to the
-matching generator of P, and only other polynomials are substituted.
-Numeric mode shares the same way, per sample: one random nonsingular
-integer M with det M and adj M, and P = M * adj M formed once. The
-adjugate identity compares P with det M * Id, and graph vanishing reads
-each generator's value at (M, adj M) off P. The caller builds X * Y once
-and passes it to graph vanishing, the swap check and the span check.
+Graph vanishing and the adjugate identity are read off one P per mode,
+``symbolic_checks`` and ``numeric_checks``. Symbolically, one
+``InversePair`` holds det(X), adj(X) read off the partial derivatives of
+det(X), and P = X * adj(X) from one ``mat_mul``. Substitution is a ring
+map that fixes X, so each generator of X*Y goes under Y -> adj(X) to the
+entry of P at its place, and nothing is substituted. Numerically, each
+sample is one random nonsingular integer M with det M and adj M, and
+P = M * adj M formed once; a generator's value at (M, adj M) is the entry
+of P at its place. Either way the adjugate identity compares P with
+det * Id. The caller builds X * Y once and passes it to both checks, the
+swap check and the span check.
 
 Matrices of numbers get rank, determinant and adjugate from the one
 fraction-free Bareiss elimination in ``exact``, O(k^3): Gauss-Jordan on
@@ -56,7 +57,7 @@ import random
 from functools import reduce
 from math import gcd, isqrt, lcm
 from operator import mul, or_
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .exact import InvariantViolation, Scalar, _eliminate, _is_scalar
 
@@ -200,20 +201,6 @@ def _by_slot(assignment: Mapping[VarId, object]) -> dict[int, object]:
     return {_slot(v): x for v, x in assignment.items()}
 
 
-def _evaluate(terms: Iterable[tuple[tuple[int, ...], Scalar]], values: Mapping[int, Scalar]) -> Scalar:
-    """Exact sum over (slots, coefficient) terms, ``values`` keyed by slot."""
-    total: Scalar = 0
-    try:
-        for slots, coeff in terms:
-            v: Scalar = coeff
-            for s in slots:
-                v *= values[s]
-            total += v
-    except KeyError as err:
-        raise ValueError(f"missing variable in substitution: {_var(err.args[0])}") from None
-    return total
-
-
 class SparsePoly:
     """Multivariate polynomial as a dict from packed monomials to coefficients.
 
@@ -331,7 +318,17 @@ class SparsePoly:
 
     def evaluate(self, assignment: Mapping[VarId, Scalar]) -> Scalar:
         """Exact value at a scalar point covering every variable."""
-        return _evaluate(((_decode(key), c) for key, c in self.terms.items()), _by_slot(assignment))
+        values = _by_slot(assignment)
+        total: Scalar = 0
+        try:
+            for key, coeff in self.terms.items():
+                v: Scalar = coeff
+                for s in _decode(key):
+                    v *= values[s]
+                total += v
+        except KeyError as err:
+            raise ValueError(f"missing variable in substitution: {_var(err.args[0])}") from None
+        return total
 
     def canonical(self) -> tuple[tuple[int, Scalar], ...]:
         """Hashable sorted form, for set comparisons."""
@@ -520,15 +517,11 @@ def _at_generator_places(e: Sequence[Sequence]) -> list:
     return out
 
 
-def _generators_of(prod: SymbolicMatrix) -> list[SparsePoly]:
-    return _at_generator_places(prod.entries)
-
-
 def graph_ideal_generators(n: int, prod: Optional[SymbolicMatrix] = None) -> list[SparsePoly]:
     """Generators of the inversion-graph ideal: the n(n-1) off-diagonal
     entries of X * Y (row-major) plus the n - 1 consecutive diagonal
     differences. ``prod`` is X * Y when the caller has built it."""
-    return _generators_of(_product_for(n, prod))
+    return _at_generator_places(_product_for(n, prod).entries)
 
 
 def swap_sides(p: SparsePoly) -> SparsePoly:
@@ -590,32 +583,6 @@ def inverse_pair(n: int, adj_x: Optional[SymbolicMatrix] = None) -> InversePair:
     return InversePair(x, det, adj, mat_mul(x, adj))
 
 
-def _shared_pair(n: int, adj_x: Union[SymbolicMatrix, InversePair, None]) -> InversePair:
-    if not isinstance(adj_x, InversePair):
-        return inverse_pair(n, adj_x)
-    if adj_x.x.n != n:
-        raise ValueError(f"the inverse pair is for n = {adj_x.x.n}, not {n}")
-    return adj_x
-
-
-def adjugate_identity_holds(n: int, adj_x: Union[SymbolicMatrix, InversePair, None] = None) -> bool:
-    """Symbolic check that X * adj(X) = det(X) * Id, that adj(X) is symmetric,
-    and that X[1,1]*...*X[n,n] has coefficient 1 in det(X).
-
-    ``adj_x`` is the adjugate under test, or an ``InversePair`` holding it;
-    when None it is read off the derivatives of det(X). Read off the
-    derivatives of any f, it gives X * adj = f * Id only for f a constant
-    times det(X), and the coefficient check pins the constant to 1, so a
-    zero or scaled determinant fails.
-    """
-    pair = _shared_pair(n, adj_x)
-    det, prod = pair.det, pair.prod.entries
-    diagonal = sum(1 << _FIELD_BITS * _slot(xvar(i, i)) for i in range(1, n + 1))
-    if det.terms.get(diagonal) != 1 or not _is_symmetric(pair.adj.entries):
-        return False
-    return all(prod[i][j] == (det if i == j else 0) for i in range(n) for j in range(n))
-
-
 # ------------------------------------------------------------- span comparison
 
 def _reduce_into(basis: dict, vectors: Iterable[Mapping]) -> dict:
@@ -664,7 +631,7 @@ def spans_product_entries(n: int, prod: Optional[SymbolicMatrix] = None) -> bool
     """
     prod = _product_for(n, prod)
     right = [p.terms for row in prod.entries for p in row]
-    basis = _reduce_into({}, [g.terms for g in _generators_of(prod)] + right[:1])
+    basis = _reduce_into({}, [g.terms for g in _at_generator_places(prod.entries)] + right[:1])
     r_left = len(basis)
     r_right = sparse_rank(right)
     r_union = len(_reduce_into(basis, right))
@@ -702,118 +669,73 @@ def _product(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> li
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _pair_assignment(m: Sequence[Sequence[Entry]], y: Sequence[Sequence[Entry]]) -> dict[VarId, Entry]:
-    """X[i,j] -> m[i][j] and Y[i,j] -> y[i][j] on the upper triangle."""
-    n = len(m)
-    out: dict[VarId, Entry] = {}
-    for i in range(n):
-        for j in range(i, n):
-            out[xvar(i + 1, j + 1)] = m[i][j]
-            out[yvar(i + 1, j + 1)] = y[i][j]
-    return out
-
-
-def _graph_images(
-    gens: Sequence[SparsePoly], pair: InversePair, prod: Optional[SymbolicMatrix] = None
-) -> Iterator[SparsePoly]:
-    """``gens`` under Y -> adj(X), adj symmetric. The generators of X * Y
-    (``prod``, built when None) map to the generators of P = X * adj(X) at
-    their places: by position when ``gens`` is that list term by term, else
-    by lookup, and any other polynomial is substituted."""
-    standard = _generators_of(_product_for(pair.x.n, prod))
-    images = _generators_of(pair.prod)
-    if list(gens) == standard:
-        yield from images
-        return
-    by_key = {g.canonical(): p for g, p in zip(standard, images)}
-    assignment = _pair_assignment(pair.x.entries, pair.adj.entries)
-    for g in gens:
-        image = by_key.get(g.canonical())
-        yield g.substitute(assignment) if image is None else image
-
-
-def verify_graph_vanishing(
-    n: int,
-    mode: str = "symbolic",
-    trials: int = 100,
-    seed: int = 0,
-    symbolic_cap: int = 4,
-    executor=None,
-    adj_x: Union[SymbolicMatrix, InversePair, None] = None,
-    prod: Optional[SymbolicMatrix] = None,
-) -> VanishingReport:
-    """Certify that every graph generator vanishes on pairs (M, adj M).
-
-    Symbolic mode maps each generator through Y -> adj(X) (see
-    ``_graph_images``) and demands the zero polynomial; it is exponential in
-    n and refuses to run past ``symbolic_cap`` unless the cap is raised.
-    ``adj_x``, when given, is the symmetric adjugate of the generic X, or an
-    ``InversePair`` holding it. Numeric mode is the graph half of
-    ``numeric_checks``. ``prod`` is X * Y when the caller has built it. A
-    nonzero residual raises InvariantViolation naming the offending
-    generator.
-    """
-    if mode not in ("symbolic", "numeric"):
-        raise ValueError(f'mode must be "symbolic" or "numeric", got {mode!r}')
-    if mode == "numeric":
-        checks = numeric_checks(n, trials, seed, executor, prod)
-        if checks.residual is not None:
-            raise InvariantViolation(checks.residual)
-        return VanishingReport(n, "numeric", checks.generators, trials)
-    if n > symbolic_cap:
-        raise ValueError(f"symbolic mode is capped at n <= {symbolic_cap}; raise symbolic_cap to override")
-    prod = _product_for(n, prod)
-    gens = graph_ideal_generators(n, prod)
-    pair = _shared_pair(n, adj_x)
-    if not _is_symmetric(pair.adj.entries):
-        raise InvariantViolation("Y -> adj(X) needs a symmetric adjugate; the one given is not")
-    for g, image in zip(gens, _graph_images(gens, pair, prod)):
-        if image:
-            raise InvariantViolation(f"graph generator does not vanish on inverse pairs: {g}")
-    return VanishingReport(n, "symbolic", len(gens), 0)
-
-
-class NumericChecks(NamedTuple):
-    """Graph vanishing and the adjugate identity, read off one pass of samples."""
+class PairChecks(NamedTuple):
+    """Graph vanishing and the adjugate identity, read off one P."""
 
     generators: int
     residual: Optional[str]  # why a generator does not vanish, or None
-    identity: bool  # M * adj M = det M * Id on every sample
+    identity: bool  # P = det * Id, on every sample in numeric mode
+
+
+_NONZERO = "graph generator does not vanish on inverse pairs: "
+
+
+def symbolic_checks(
+    n: int, prod: Optional[SymbolicMatrix] = None, adj_x: Optional[SymbolicMatrix] = None
+) -> PairChecks:
+    """Both symbolic checks off one ``inverse_pair``.
+
+    Y -> adj(X) is a ring map that fixes X, so each generator of X * Y
+    (``prod``, built when None) goes to the entry of P = X * adj(X) at its
+    place; graph vanishing demands that every such entry is the zero
+    polynomial. It needs a symmetric adjugate, Y being symmetric. The
+    adjugate identity asks for P = det(X) * Id, a symmetric adjugate and
+    coefficient 1 for X[1,1]*...*X[n,n] in det(X).
+
+    ``adj_x`` is the adjugate under test; when None it is read off the
+    derivatives of det(X). Read off the derivatives of any f, it gives
+    X * adj = f * Id only for f a constant times det(X), and the
+    coefficient check pins the constant to 1, so a zero or scaled
+    determinant fails the identity.
+    """
+    gens = graph_ideal_generators(n, prod)
+    pair = inverse_pair(n, adj_x)
+    det, p = pair.det, pair.prod.entries
+    symmetric = _is_symmetric(pair.adj.entries)
+    if not symmetric:
+        residual = "Y -> adj(X) needs a symmetric adjugate; the one given is not"
+    else:
+        residual = next((_NONZERO + str(g) for g, v in zip(gens, _at_generator_places(p)) if v), None)
+    diagonal = sum(1 << _FIELD_BITS * _slot(xvar(i, i)) for i in range(1, n + 1))
+    identity = (
+        symmetric
+        and det.terms.get(diagonal) == 1
+        and all(p[i][j] == (det if i == j else 0) for i in range(n) for j in range(n))
+    )
+    return PairChecks(len(gens), residual, identity)
 
 
 def numeric_checks(
     n: int, trials: int, seed: int, executor=None, prod: Optional[SymbolicMatrix] = None
-) -> NumericChecks:
+) -> PairChecks:
     """Both numeric checks on the same exact samples.
 
     Sample t is a random integer symmetric M with det M != 0, drawn from
     ``seed * 1_000_003 + t``, with det M and adj M from one elimination,
     and P = M * adj M formed once. The adjugate identity compares P with
-    det M * Id. At X = M, Y = adj M a generator of X * Y takes the value
-    of P at its place, so when the generators are that list term by term
-    (built from ``prod``, or a fresh X * Y) their values are read off P;
-    any other list is evaluated term by term. Trials fan out over
-    ``executor`` when given, in deterministic order.
+    det M * Id. At X = M, Y = adj M each generator of X * Y (``prod``,
+    built when None) takes the value of P at its place. Trials fan out
+    over ``executor`` when given, in deterministic order.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    prod = _product_for(n, prod)
     gens = graph_ideal_generators(n, prod)
-    # decoded once per call, not once per trial, and only off the standard list
-    decoded = None
-    if gens != _generators_of(prod):
-        decoded = [[(_decode(key), c) for key, c in g.terms.items()] for g in gens]
 
     def trial(t: int) -> tuple[Optional[str], bool]:
         m, det, adj = _invertible_symmetric(random.Random(seed * 1_000_003 + t), n)
         p = _product(m, adj)
         identity = p == [[det if i == j else 0 for j in range(n)] for i in range(n)]
-        if decoded is None:
-            values: Iterable[Scalar] = _at_generator_places(p)
-        else:
-            at = _by_slot(_pair_assignment(m, adj))
-            values = (_evaluate(terms, at) for terms in decoded)
-        for g, v in zip(gens, values):
+        for g, v in zip(gens, _at_generator_places(p)):
             if v:
                 return f"trial {t}: generator {g} evaluates to nonzero", identity
         return None, identity
@@ -823,9 +745,46 @@ def numeric_checks(
     for failure, ok in runner(trial, range(trials)):
         residual = residual or failure
         identity = identity and ok
-    if residual is not None:
-        residual = f"graph generator does not vanish on inverse pairs: {residual}"
-    return NumericChecks(len(gens), residual, identity)
+    return PairChecks(len(gens), None if residual is None else _NONZERO + residual, identity)
+
+
+def verify_graph_vanishing(
+    n: int,
+    mode: str = "symbolic",
+    trials: int = 100,
+    seed: int = 0,
+    symbolic_cap: int = 4,
+    executor=None,
+    adj_x: Optional[SymbolicMatrix] = None,
+    prod: Optional[SymbolicMatrix] = None,
+) -> VanishingReport:
+    """Certify that every graph generator vanishes on pairs (M, adj M): the
+    graph half of ``symbolic_checks`` or of ``numeric_checks``.
+
+    Symbolic mode is exponential in n and refuses to run past
+    ``symbolic_cap`` unless the cap is raised; ``adj_x``, when given, is
+    the adjugate of the generic X under test. ``prod`` is X * Y when the
+    caller has built it. A nonzero residual raises InvariantViolation
+    naming the offending generator.
+    """
+    if mode not in ("symbolic", "numeric"):
+        raise ValueError(f'mode must be "symbolic" or "numeric", got {mode!r}')
+    if mode == "numeric":
+        checks = numeric_checks(n, trials, seed, executor, prod)
+    elif n > symbolic_cap:
+        raise ValueError(f"symbolic mode is capped at n <= {symbolic_cap}; raise symbolic_cap to override")
+    else:
+        checks, trials = symbolic_checks(n, prod, adj_x), 0
+    if checks.residual is not None:
+        raise InvariantViolation(checks.residual)
+    return VanishingReport(n, mode, checks.generators, trials)
+
+
+def adjugate_identity_holds(n: int, adj_x: Optional[SymbolicMatrix] = None) -> bool:
+    """Symbolic check that X * adj(X) = det(X) * Id, that adj(X) is symmetric,
+    and that X[1,1]*...*X[n,n] has coefficient 1 in det(X): the identity
+    half of ``symbolic_checks``."""
+    return symbolic_checks(n, adj_x=adj_x).identity
 
 
 def adjugate_identity_numeric(n: int, trials: int, seed: int, executor=None) -> bool:

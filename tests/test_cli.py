@@ -253,8 +253,8 @@ def test_verify_failure_exits_2(capsys, monkeypatch):
 def test_verify_graph_residual_exits_2(capsys, monkeypatch, mode):
     # A generator that does not vanish on the graph is a failed check, not an
     # invariant violation: every check still reports and the exit code is 2.
-    bad = symbolic.SparsePoly.variable(symbolic.xvar(1, 1))
-    monkeypatch.setattr(symbolic, "graph_ideal_generators", lambda n, prod=None: [bad])
+    # The one generator faked here is the (1,1) entry, which P holds as det.
+    monkeypatch.setattr(symbolic, "_at_generator_places", lambda e: [e[0][0]])
     code, out, err = run_cli(capsys, ["verify", "--n", "2", "--mode", mode, "--trials", "3"])
     assert code == 2
     assert err == ""
@@ -268,6 +268,18 @@ def test_verify_graph_residual_exits_2(capsys, monkeypatch, mode):
     ]
     assert checks[0]["pass"] is False
     assert "does not vanish" in checks[0]["detail"] and "X[1,1]" in checks[0]["detail"]
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "numeric"])
+def test_verify_shifted_generator_place_fails_graph_vanishing_alone(capsys, monkeypatch, mode):
+    # The (1,1) entry in place of the (1,2) one: P is det there, not 0, and
+    # P = det * Id still holds, so only graph vanishing fails.
+    places = symbolic._at_generator_places
+    monkeypatch.setattr(symbolic, "_at_generator_places", lambda e: [e[0][0], *places(e)[1:]])
+    code, out, err = run_cli(capsys, ["verify", "--n", "3", "--mode", mode, "--trials", "3"])
+    assert (code, err) == (2, "")
+    checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+    assert (checks["graph_vanishing"], checks["adjugate_identity"]) == (False, True)
 
 
 def _verify_with_adjugate(capsys, monkeypatch, change):
@@ -284,7 +296,7 @@ def _verify_with_adjugate(capsys, monkeypatch, change):
 
 
 @pytest.mark.parametrize("cells", [[(0, 0)], [(0, 1)], [(1, 0)], [(2, 2)], [(0, 2), (2, 0)]])
-def test_verify_numeric_fails_both_checks_on_a_wrong_adjugate(capsys, monkeypatch, cells):
+def test_verify_numeric_fails_both_checks_on_a_wrong_adjugate(capsys, monkeypatch, cells, pair_assignment):
     def off_by_one(adj):
         for i, j in cells:
             adj[i][j] += 1
@@ -307,7 +319,7 @@ def test_verify_numeric_fails_both_checks_on_a_wrong_adjugate(capsys, monkeypatc
             for t in range(4)
             for m, _, adj in [changed(random.Random(t), 3)]
             for g in gens
-            if g.evaluate(symbolic._pair_assignment(m, adj))
+            if g.evaluate(pair_assignment(m, adj))
         )
         assert checks["graph_vanishing"][1] == "graph generator does not vanish on inverse pairs: " + next(residuals)
 
@@ -341,6 +353,30 @@ def test_output_identical_across_thread_counts(capsys):
     _, four, _ = run_cli(capsys, ["--threads", "4"] + base)
     _, auto, _ = run_cli(capsys, ["--threads", "auto"] + base)
     assert one == four == auto
+
+
+def test_threads_are_clamped_to_the_cpu_count(capsys, monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size asked for and runs every task in this thread."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        map = staticmethod(map)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    base = ["verify", "--n", "3", "--mode", "numeric", "--trials", "5"]
+    outputs = [run_cli(capsys, ["--threads", t] + base) for t in ("1", "2", "1000000", "auto")]
+    assert sizes == [2, 3, 3]
+    assert outputs[1:] == outputs[:1] * 3
 
 
 def declared_script():

@@ -92,6 +92,23 @@ def test_skew_matrix_from_upper():
     assert m.size == 3
 
 
+@pytest.mark.parametrize("x", [1.5, 1.0, Fraction(1, 2), Fraction(2, 1)])
+def test_skew_matrix_rejects_non_integers_on_every_path(x):
+    # int(x) would truncate 1.5 to 1 and 1/2 to 0, and the Pfaffian would be wrong
+    rows = [[0, x], [-x, 0]]
+    good = SkewMatrix(((0, 1), (-1, 0)))
+    for build in (
+        lambda: pfaffian(rows),
+        lambda: SkewMatrix.from_rows(rows),
+        lambda: SkewMatrix.from_upper(2, lambda i, j: x),
+        lambda: SkewMatrix(rows),
+        lambda: SkewMatrix._make([rows]),
+        lambda: good._replace(rows=rows),
+    ):
+        with pytest.raises(TypeError):
+            build()
+
+
 # ----------------------------------------------------------------------- pfaffian
 
 def test_pfaffian_empty_matrix():
