@@ -6,9 +6,13 @@ tables, interpolated polynomials, difference checks) and ``verify`` (the
 symbolic/numeric certificate suite). Output formats are json, csv and latex;
 JSON carries every integer as a decimal string since the values outgrow 64
 bits quickly, and is shaped as {command, params, results, checks}. Each
-command returns one report; one renderer per format prints it. A command
-imports only the engine it runs and a renderer only the stdlib module it
-writes with, so start-up loads no more than the run executes.
+command returns one report; one renderer per format appends its text to one
+list of pieces (a JSON record or array of ints, a CSV row, a LaTeX line or
+psi term), and ``main`` writes them with ``writelines`` once rendering has
+finished. No whole-document string is built, so output memory stays near the
+size of the output, and a run that fails while rendering prints nothing. A
+command imports only the engine it runs and a renderer only the stdlib module
+it writes with, so start-up loads no more than the run executes.
 
 Identical invocations produce byte-identical stdout. ``--threads`` only fans
 independent verification trials over a thread pool; it never changes output,
@@ -25,6 +29,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .exact import InvariantViolation, _is_scalar
@@ -46,15 +52,17 @@ class _Report(NamedTuple):
     """What one command computed, ready for any output format.
 
     ``params`` and ``checks`` are plain values; ``results``, ``rows`` and
-    ``latex`` are built only by the renderer that prints them.
+    ``latex`` are built only by the renderer that prints them, and may be
+    generators. ``latex`` gives the text as pieces, each line ending in a
+    newline.
     """
 
     params: dict
     checks: list[dict]
     results: Callable[[], dict]
     csv_header: list[str]
-    rows: Callable[[], list[list]]
-    latex: Callable[[], list[str]]
+    rows: Callable[[], Iterable[Sequence]]
+    latex: Callable[[], Iterable[str]]
 
 
 def build_parser() -> _Parser:
@@ -135,80 +143,81 @@ def _validate(ns: argparse.Namespace) -> None:
 
 # ------------------------------------------------------------------- rendering
 
-def _to_json(value) -> str:
-    """``json.dumps(value, indent=2)`` in one pass, with every int and
-    Fraction written as its decimal string and dict keys passed through str."""
+def _to_json(value, out: list[str]) -> None:
+    """Append ``json.dumps(value, indent=2)`` to ``out`` as pieces, with every
+    int and Fraction written as its decimal string and dict keys passed
+    through str. Lists, tuples and iterators are arrays. A dict or list whose
+    values are all plain ints is one piece."""
     from json.encoder import encode_basestring_ascii as quote
-
-    out: list[str] = []
 
     def write(value, pad: str) -> None:
         if value is True or value is False:
             out.append("true" if value else "false")
-        elif _is_scalar(value):
-            out.append('"' + str(value) + '"')
-        elif isinstance(value, str):
-            out.append(quote(value))
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                out.append("[]")
-                return
-            inner = pad + "  "
-            sep = "[\n" + inner
-            for v in value:
-                out.append(sep)
-                write(v, inner)
-                sep = ",\n" + inner
-            out.append("\n" + pad + "]")
         elif isinstance(value, dict):
             if not value:
                 out.append("{}")
                 return
             inner = pad + "  "
+            if all(type(v) is int for v in value.values()):
+                fields = [f'{inner}{quote(str(k))}: "{v}"' for k, v in value.items()]
+                out.append("{\n" + ",\n".join(fields) + "\n" + pad + "}")
+                return
             sep = "{\n" + inner
             for k, v in value.items():
                 out.append(sep + quote(str(k)) + ": ")
                 write(v, inner)
                 sep = ",\n" + inner
             out.append("\n" + pad + "}")
+        elif _is_scalar(value):
+            out.append('"' + str(value) + '"')
+        elif isinstance(value, str):
+            out.append(quote(value))
+        elif isinstance(value, (list, tuple, Iterator)):
+            inner = pad + "  "
+            if isinstance(value, (list, tuple)) and value and all(type(v) is int for v in value):
+                out.append(f'[\n{inner}"' + f'",\n{inner}"'.join(map(str, value)) + f'"\n{pad}]')
+                return
+            opening = sep = "[\n" + inner
+            for v in value:
+                out.append(sep)
+                write(v, inner)
+                sep = ",\n" + inner
+            out.append("[]" if sep is opening else "\n" + pad + "]")
         else:
             raise TypeError(f"cannot serialize {type(value)!r}")
 
     write(value, "")
-    return "".join(out)
 
 
-def _render_json(command: str, report: _Report) -> str:
-    return _to_json({
+def _render_json(command: str, report: _Report, out: list[str]) -> None:
+    _to_json({
         "command": command,
         "params": {**report.params, "format": "json"},
         "results": report.results(),
         "checks": report.checks,
-    })
+    }, out)
+    out.append("\n")
 
 
-def _render_csv(command: str, report: _Report) -> str:
+def _render_csv(command: str, report: _Report, out: list[str]) -> None:
     import csv
-    import io
+    from types import SimpleNamespace
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(SimpleNamespace(write=out.append), lineterminator="\n")
     writer.writerow(report.csv_header)
-    for row in report.rows():
-        writer.writerow(["" if v is None else str(v) for v in row])
-    return buf.getvalue().rstrip("\n")
+    writer.writerows(report.rows())
 
 
-def _render_latex(command: str, report: _Report) -> str:
-    return "\n".join(report.latex())
+def _render_latex(command: str, report: _Report, out: list[str]) -> None:
+    out.extend(report.latex())
 
 
 _RENDERERS = {"csv": _render_csv, "json": _render_json, "latex": _render_latex}
 
 
-def _tabular(spec: str, rows: list[list]) -> list[str]:
-    body = [" & ".join(map(str, row)) + " \\\\" for row in rows]
-    return [f"\\begin{{tabular}}{{{spec}}}", *body, "\\end{tabular}"]
+def _tabular(spec: str, rows: Iterable[Sequence]) -> list[str]:
+    body = [" & ".join(map(str, row)) + " \\\\\n" for row in rows]
+    return [f"\\begin{{tabular}}{{{spec}}}\n", *body, "\\end{tabular}\n"]
 
 
 def _latex_bipoly(coeffs: list[int], m: int) -> str:
@@ -263,26 +272,34 @@ def _cmd_psi(ns: argparse.Namespace) -> _Report:
 
     n = ns.n
     table = psi_table(n)
-    pairs = [(i, j, table.pair(i, j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
-    def latex() -> list[str]:
-        singles = ",\\quad ".join(f"\\psi_{{{i}}} = {table.singles[i - 1]}" for i in range(1, n + 1))
-        lines = [f"% psi values, n = {n}", f"\\[ {singles} \\]"]
-        if pairs:
-            body = ",\\quad ".join(f"\\psi_{{{i},{j}}} = {v}" for i, j, v in pairs)
-            lines.append(f"\\[ {body} \\]")
-        return lines
+    def pairs() -> Iterator[tuple[int, int, int]]:
+        for i, row in enumerate(table.pairs, 1):
+            for j in range(i + 1, n + 1):
+                yield i, j, row[j - 1]
+
+    def latex() -> Iterator[str]:
+        singles = ",\\quad ".join(f"\\psi_{{{i}}} = {v}" for i, v in enumerate(table.singles, 1))
+        yield f"% psi values, n = {n}\n\\[ {singles} \\]\n"
+        if n > 1:
+            sep = "\\[ "
+            for i, j, v in pairs():
+                yield f"{sep}\\psi_{{{i},{j}}} = {v}"
+                sep = ",\\quad "
+            yield " \\]\n"
 
     return _Report(
         params={"n": n},
         checks=[],
         results=lambda: {
-            "singles": list(table.singles),
-            "pairs": [{"i": i, "j": j, "value": v} for i, j, v in pairs],
+            "singles": table.singles,
+            "pairs": ({"i": i, "j": j, "value": v} for i, j, v in pairs()),
         },
         csv_header=["kind", "i", "j", "value"],
-        rows=lambda: [["single", i, None, table.singles[i - 1]] for i in range(1, n + 1)]
-        + [["pair", i, j, v] for i, j, v in pairs],
+        rows=lambda: chain(
+            (("single", i, None, v) for i, v in enumerate(table.singles, 1)),
+            (("pair", i, j, v) for i, j, v in pairs()),
+        ),
         latex=latex,
     )
 
@@ -307,9 +324,9 @@ def _cmd_multidegree(ns: argparse.Namespace) -> _Report:
         table += [[d, tb.beta[d], tb.gamma_degs[d] if d < tb.m else ""] for d in range(tb.m + 1)]
         lhs = _latex_bipoly([c.lhs for c in identity.coefficients], tb.m)
         return [
-            f"% multidegrees, n = {n}, m = {tb.m}",
+            f"% multidegrees, n = {n}, m = {tb.m}\n",
             *_tabular("rrr", table),
-            f"\\[ (t_1 + t_2)\\, C_\\Gamma = {lhs} = t_1^{{{tb.m}}} + t_2^{{{tb.m}}} + C_\\Sigma \\]",
+            f"\\[ (t_1 + t_2)\\, C_\\Gamma = {lhs} = t_1^{{{tb.m}}} + t_2^{{{tb.m}}} + C_\\Sigma \\]\n",
         ]
 
     return _Report(
@@ -343,7 +360,7 @@ def _cmd_mldeg(ns: argparse.Namespace) -> _Report:
             csv_header=["n", "d", "value"],
             rows=flat,
             latex=lambda: [
-                f"% ML-degrees, n <= {ns.n_max}",
+                f"% ML-degrees, n <= {ns.n_max}\n",
                 *_tabular("rrr", [["n", "d", "\\varphi(n, d)"], *flat()]),
             ],
         )
@@ -368,8 +385,8 @@ def _cmd_mldeg(ns: argparse.Namespace) -> _Report:
             + [["sample_start", None, poly.sample_start]]
             + [["validated", n, "pass"] for n in poly.validated_at],
             latex=lambda: [
-                f"% ML-degree polynomial, d = {d}",
-                f"\\[ \\varphi_{{{d}}}(n) = {_latex_poly_in_n(poly.coeffs)} \\]",
+                f"% ML-degree polynomial, d = {d}\n",
+                f"\\[ \\varphi_{{{d}}}(n) = {_latex_poly_in_n(poly.coeffs)} \\]\n",
             ],
         )
     report = finite_difference_check(d, ns.window)
@@ -386,8 +403,8 @@ def _cmd_mldeg(ns: argparse.Namespace) -> _Report:
         rows=lambda: [["difference", k, v] for k, v in enumerate(report.differences)]
         + [["vanish", None, "pass" if report.ok else "fail"]],
         latex=lambda: [
-            f"% difference check, d = {d}, window = {report.window}",
-            f"\\[ \\Delta^{{{d}}} \\varphi_{{{d}}}(n) = {verdict}, \\quad n = {report.start_n}, \\ldots \\]",
+            f"% difference check, d = {d}, window = {report.window}\n",
+            f"\\[ \\Delta^{{{d}}} \\varphi_{{{d}}}(n) = {verdict}, \\quad n = {report.start_n}, \\ldots \\]\n",
         ],
     )
 
@@ -460,7 +477,7 @@ def _cmd_verify(ns: argparse.Namespace) -> _Report:
         csv_header=["check", "pass", "detail"],
         rows=lambda: [[c["name"], "pass" if c["pass"] else "fail", c["detail"]] for c in checks],
         latex=lambda: [
-            f"% verification, n = {n}, mode = {ns.mode}",
+            f"% verification, n = {n}, mode = {ns.mode}\n",
             *_tabular("lr", [[c["name"].replace("_", " "), "pass" if c["pass"] else "fail"] for c in checks]),
         ],
     )
@@ -482,17 +499,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    # The pieces are written only once rendering has finished, so a run that
+    # fails while rendering prints nothing.
+    out: list[str] = []
     try:
         report = _DISPATCH[ns.command](ns)
-        text = _RENDERERS[ns.format](ns.command, report)
+        _RENDERERS[ns.format](ns.command, report, out)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
     except MemoryError:
         print(f"out of memory: {ns.command} needs more memory than this process may use", file=sys.stderr)
         return 4
-    if text:
-        print(text)
+    sys.stdout.writelines(out)
     return 0 if all(c["pass"] for c in report.checks) else 2
 
 

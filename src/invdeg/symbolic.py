@@ -825,9 +825,16 @@ class RationalSymMatrix(_RationalSymMatrixFields):
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalar]]) -> "RationalSymMatrix":
+        """Entries must be ints or Fractions: ``Fraction(0.1)`` would take the
+        float's binary value, not 1/10, so a float raises TypeError."""
         from fractions import Fraction
 
-        return cls(len(rows), tuple(tuple(Fraction(x) for x in row) for row in rows))
+        def exact(x: Scalar) -> Fraction:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"entries must be int or Fraction, got {type(x).__name__}")
+            return Fraction(x)
+
+        return cls(len(rows), tuple(tuple(map(exact, row)) for row in rows))
 
     def rank(self) -> int:
         return matrix_rank(self.rows)

@@ -15,6 +15,7 @@ import invdeg
 import invdeg.cli as cli
 import invdeg.mldegree as mldegree
 import invdeg.multidegree as multidegree
+import invdeg.psi as psi
 import invdeg.symbolic as symbolic
 from invdeg.cli import main
 from invdeg.multidegree import gamma_prefix, multidegree_table
@@ -212,6 +213,23 @@ def test_out_of_memory_exits_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "out of memory: multidegree needs more memory than this process may use\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
+def test_out_of_memory_while_rendering_exits_4_with_empty_stdout(capsys, monkeypatch, fmt):
+    table = psi.psi_table(4)
+    read = []
+
+    def rows_then_exhausted():
+        read.append(table.pairs[0])
+        yield table.pairs[0]
+        raise MemoryError
+
+    monkeypatch.setattr(psi, "psi_table", lambda n: table._replace(pairs=rows_then_exhausted()))
+    code, out, err = run_cli(capsys, ["psi", "--n", "4", "--format", fmt])
+    assert read, "the renderer stopped before reaching the failing row"
+    assert (code, out) == (4, "")
+    assert err == "out of memory: psi needs more memory than this process may use\n"
 
 
 def test_verify_symbolic(capsys):
@@ -496,6 +514,27 @@ def test_public_names_resolve_on_first_use():
         exec("from invdeg import no_such_name", {})
 
 
+class _Gen(tuple):
+    """An array that the writer under test receives as a generator."""
+
+
+def _lazily(payload):
+    """``payload`` with every ``_Gen`` array turned into a generator."""
+    if isinstance(payload, _Gen):
+        return (_lazily(v) for v in payload)
+    if isinstance(payload, (list, tuple)):
+        return type(payload)(_lazily(v) for v in payload)
+    if isinstance(payload, dict):
+        return {k: _lazily(v) for k, v in payload.items()}
+    return payload
+
+
+def _json_text(value) -> str:
+    out: list[str] = []
+    cli._to_json(value, out)
+    return "".join(out)
+
+
 def _old_jsonable(value):
     """The serializer the one-pass JSON writer replaced: map ints and
     Fractions to str, then ``json.dumps(..., indent=2)``. Kept as its oracle."""
@@ -529,8 +568,14 @@ _PAYLOADS = st.recursive(
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
+        st.lists(inner, max_size=4).map(_Gen),
         # str(key) must stay unique, or the oracle's dict would merge keys
         st.dictionaries(_KEYS, inner, max_size=4).filter(lambda d: len({str(k) for k in d}) == len(d)),
+        # all-int records and arrays are written as one piece each
+        st.dictionaries(_KEYS, st.one_of(st.integers(), st.booleans()), max_size=4).filter(
+            lambda d: len({str(k) for k in d}) == len(d)
+        ),
+        st.lists(st.integers(), min_size=1, max_size=4),
     ),
     max_leaves=30,
 )
@@ -544,9 +589,25 @@ _PAYLOADS = st.recursive(
     "big": [2**200, -(3**150)],
     "exact": [Fraction(-7, 3), Fraction(4)],
     1: {"nested": {"deeper": [0]}},
+    "lazy": [_Gen(), _Gen([_Gen([1, 2]), {"i": 1, "value": -(2**70)}]), _Gen([_Gen()])],
+    "records": [{"i": 1, "j": 2, "value": 3}, {"i": 1, "flag": True}, {"off": False}],
+    "ints": [(7,), [1, -2, 3], [1, True]],
 })
 def test_json_writer_matches_the_two_pass_oracle(payload):
-    assert cli._to_json(payload) == json.dumps(_old_jsonable(payload), indent=2)
+    assert _json_text(_lazily(payload)) == json.dumps(_old_jsonable(payload), indent=2)
+
+
+def test_json_writer_writes_an_int_record_or_int_array_as_one_piece():
+    for value, text in (
+        ({"i": 1, "value": 2**70}, '{\n  "i": "1",\n  "value": "1180591620717411303424"\n}'),
+        ([3, -4], '[\n  "3",\n  "-4"\n]'),
+    ):
+        out: list[str] = []
+        cli._to_json(value, out)
+        assert out == [text]
+    out = []
+    cli._to_json({"i": 1, "flag": True}, out)
+    assert len(out) > 1 and "".join(out) == '{\n  "i": "1",\n  "flag": true\n}'
 
 
 @pytest.mark.parametrize("bad", [None, 1.5, b"x", {"k": [None]}, [{1, 2}]])
@@ -554,7 +615,9 @@ def test_json_writer_rejects_other_types(bad):
     with pytest.raises(TypeError, match="cannot serialize"):
         _old_jsonable(bad)
     with pytest.raises(TypeError, match="cannot serialize"):
-        cli._to_json(bad)
+        _json_text(bad)
+    with pytest.raises(TypeError, match="cannot serialize"):
+        _json_text(iter([bad]))
 
 
 def test_module_is_runnable():

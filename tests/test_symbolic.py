@@ -935,6 +935,15 @@ def test_rational_sym_matrix_validation():
     assert m.rank() == 2
 
 
+@pytest.mark.parametrize("x", [0.1, 1.0, "1/10", None])
+def test_rational_sym_matrix_rejects_inexact_entries(x):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError, match="int or Fraction"):
+        RationalSymMatrix.from_rows([[x, 1], [1, 0]])
+    exact = RationalSymMatrix.from_rows([[Fraction(1, 10), 1], [1, 0]])
+    assert exact.rows == ((Fraction(1, 10), Fraction(1)), (Fraction(1), Fraction(0)))
+
+
 def test_witness_extreme_ranks():
     m, w = witness_rank_pair(3, 0, seed=5)
     assert m.rank() == 0 and w.rank() == 3
