@@ -5,21 +5,34 @@ subspace of symmetric n x n matrices; it equals the (d-1)-th multidegree
 coefficient of the inverse-pairs variety. It is computed from the weight
 slice beta(n, 0..K-1), K = min(d, m - d + 1) by palindromy, so for fixed d
 its cost is polynomial in n. For fixed d the value is a polynomial in n of
-degree d - 1, recovered exactly by ``ml_polynomial`` through rational
-Lagrange interpolation with out-of-sample validation. ``ml_table`` lists
+degree d - 1, recovered exactly by ``ml_polynomial`` from integer forward
+differences (Newton's form, expanded to the monomial basis over (d-1)!) with
+out-of-sample validation. All samples of one d, there and in
+``finite_difference_check``, come from one pass of the light-slice sampler
+(``multidegree._light_psi``): one psi expansion and one chain of nested
+inverses of the bordered pair matrix for every n. ``ml_table`` lists
 whole rows, the generating Pfaffians of ``gamma_degrees`` for every n at once
 (see ``multidegree._gamma_rows``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+import math
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .exact import InvariantViolation
-from .multidegree import _gamma_rows, gamma_prefix, sym_dimension
+from .multidegree import _gamma_prefixes, _gamma_rows, sym_dimension
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+
+def _ml_degrees(d: int, ns: Iterable[int]) -> Iterator[int]:
+    """ml_degree(n, d) for each n of ``ns``, increasing and each with
+    d <= n(n+1)/2, from one pass of the light-slice sampler."""
+    # gamma is palindromic: gamma[d - 1] = gamma[m - d], so the shorter prefix serves.
+    samples = [(n, min(d, sym_dimension(n) - d + 1)) for n in ns]
+    return (gamma[-1] for gamma in _gamma_prefixes(samples))
 
 
 def ml_degree(n: int, d: int) -> int:
@@ -27,8 +40,7 @@ def ml_degree(n: int, d: int) -> int:
     m = sym_dimension(n)
     if d < 1 or d > m:
         raise ValueError(f"dimension d out of range for n: d={d}, n={n} (need 1 <= d <= {m})")
-    # gamma is palindromic: gamma[d - 1] = gamma[m - d], so the shorter prefix serves.
-    return gamma_prefix(n, min(d, m - d + 1))[-1]
+    return next(_ml_degrees(d, [n]))
 
 
 def ml_table(n_max: int) -> list[tuple[int, ...]]:
@@ -49,27 +61,27 @@ def smallest_valid_n(d: int) -> int:
     return n
 
 
-def _lagrange_fit(points: list[tuple[int, int]]) -> tuple[Fraction, ...]:
-    """Exact interpolating polynomial through the points, lowest degree first."""
+def _newton_fit(values: list[int], x0: int) -> tuple[Fraction, ...]:
+    """Exact polynomial through (x0 + i, values[i]), lowest degree first.
+
+    Newton's forward form sum_j D^j(values)[0] * C(x - x0, j), expanded in
+    integers: (k-1)!/j! * prod_(i<j) (x - x0 - i) has integer coefficients
+    for j < k, so each monomial coefficient is an integer over (k-1)!.
+    """
     from fractions import Fraction
 
-    k = len(points)
-    coeffs = [Fraction(0)] * k
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            denom *= xi - xj
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for p, c in enumerate(basis):
-                nxt[p] -= c * xj
-                nxt[p + 1] += c
-            basis = nxt
-        scale = Fraction(yi) / denom
-        for p, c in enumerate(basis):
-            coeffs[p] += scale * c
+    k = len(values)
+    scale = math.factorial(k - 1)
+    total = [0] * k
+    term = [scale]  # (k-1)!/j! * prod_(i<j) (x - x0 - i), lowest degree first
+    diffs = list(values)
+    for j in range(k):
+        for p, c in enumerate(term):
+            total[p] += diffs[0] * c
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        if j + 1 < k:
+            term = [(shifted - (x0 + j) * c) // (j + 1) for shifted, c in zip([0, *term], [*term, 0])]
+    coeffs = [Fraction(c, scale) for c in total]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
@@ -101,11 +113,9 @@ def ml_polynomial(d: int) -> MLPolynomial:
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     n0 = smallest_valid_n(d)
-    points = [(n, ml_degree(n, d)) for n in range(n0, n0 + d)]
-    coeffs = _lagrange_fit(points)
-    poly = MLPolynomial(d, coeffs, n0, tuple(range(n0 + d, n0 + d + 3)))
-    for n in poly.validated_at:
-        expected = ml_degree(n, d)
+    values = list(_ml_degrees(d, range(n0, n0 + d + 3)))
+    poly = MLPolynomial(d, _newton_fit(values[:d], n0), n0, tuple(range(n0 + d, n0 + d + 3)))
+    for n, expected in zip(poly.validated_at, values[d:]):
         got = poly.evaluate(n)
         if got != expected:
             raise InvariantViolation(
@@ -138,7 +148,7 @@ def finite_difference_check(d: int, window: int) -> DifferenceReport:
     if window < d + 1:
         raise ValueError(f"window must be >= d + 1, got {window}")
     n0 = smallest_valid_n(d)
-    values = [ml_degree(n, d) for n in range(n0, n0 + window)]
+    values = list(_ml_degrees(d, range(n0, n0 + window)))
     for _ in range(d):
         values = [b - a for a, b in zip(values, values[1:])]
     return DifferenceReport(d, window, n0, tuple(values))

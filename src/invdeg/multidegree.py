@@ -17,17 +17,22 @@ way. Pair values do not depend on n, so the matrix of every smaller n of the
 same parity is a leading principal block of the largest one: ``_gamma_rows``
 reads every row up to n off the pivots of one elimination per parity at
 t = 1 and one at t = 2^K. ``gamma_prefix`` needs only beta(n, 0..k-1) and
-visits the subsets of weight below k (see ``_light_psi``). Neither engine
-stores a 2**n table; the public ``psi.psi_seq`` route stays independent to
-check them against.
+visits the subsets of weight below k (see ``_light_psi``); psi of each
+complement comes from the integral inverse of a leading block of the
+bordered pair matrix. One pass serves many n: the psi expansion is shared,
+and the inverses of all the nested blocks come from one bordering chain
+(``_nested_inverses``), O(s^2) integer work per step. Neither engine stores
+a 2**n table; the public ``psi.psi_seq`` route stays independent to check
+them against.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from operator import mul
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .exact import InvariantViolation, SkewMatrix, _eliminate, leading_pfaffians, pfaffian
+from .exact import InvariantViolation, SkewMatrix, leading_pfaffians, pfaffian
 from .psi import psi_table
 
 
@@ -53,16 +58,16 @@ def _pair_matrix(size: int) -> list[list[int]]:
     return w
 
 
-def _expand_pfaffians(w: list[list[int]], masks: Iterable[int], pf):
-    """Fill pf[mask] with the Pfaffian of w on the index set of each mask.
+def _expand_pfaffians(w: list[list[int]], masks: Iterable[int]) -> dict[int, int]:
+    """The Pfaffian of w on the index set of each mask, keyed by mask.
 
-    Expansion along the lowest set bit reads pf at masks with two bits fewer,
-    so ``masks`` must be increasing and pf must already hold every such
-    smaller mask (pf[0] = 1). Masks of odd popcount are skipped. pf is a list
-    indexed by mask or a dict keyed by mask; it is returned.
+    Expansion along the lowest set bit reads the masks with two bits fewer,
+    so ``masks`` must be increasing and hold every such smaller mask. Masks
+    of odd popcount are skipped; the empty mask has Pfaffian 1.
     """
+    pf = {0: 1}
     for mask in masks:
-        if mask.bit_count() & 1:
+        if mask.bit_count() & 1 or not mask:
             continue
         low = mask & -mask
         row = w[low.bit_length() - 1]
@@ -237,40 +242,94 @@ def _gamma_rows(n_max: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _light_psi(n: int, k: int) -> list[tuple[int, int, int, int]]:
-    """(subset, weight, psi(a), psi(complement of a)) for every subset a of
+def _nested_inverses(b: list[list[int]]) -> Iterator[list[list[int]]]:
+    """Inverses C_s of the leading blocks B_s of sizes s = 2, 4, .., of the
+    bordered pair matrix b, by bordering in integers.
+
+    Every leading even block has Pfaffian psi(1..s-1) = 1. Write B_(s+2) =
+    [[B_s, U], [-U^T, Z]]; its Schur complement S = Z + U^T C_s U is then
+    [[0, 1], [-1, 0]], and with cu0 = C_s u0 and cu1 = C_s u1 the next inverse
+    is [[C_s + cu1 cu0^T - cu0 cu1^T, -cu1, cu0], [cu1^T, 0, -1], [-cu0^T, 1, 0]].
+    S is antisymmetric, so it is checked by its corner Z01 + u0 . cu1, which
+    is Pf(B_(s+2)) / Pf(B_s); a block where it is not 1 raises
+    InvariantViolation. Each step is O(s^2).
+    """
+    c: list[list[int]] = []
+    for s in range(0, len(b) - 1, 2):
+        u0 = [row[s] for row in b[:s]]
+        u1 = [row[s + 1] for row in b[:s]]
+        cu0 = [sum(map(mul, row, u0)) for row in c]
+        cu1 = [sum(map(mul, row, u1)) for row in c]
+        pf = b[s][s + 1] + sum(map(mul, u0, cu1))
+        if pf != 1:
+            raise InvariantViolation(
+                f"bordered pair matrix: the leading block of size {s + 2} has Pfaffian {pf}, expected 1"
+            )
+        c = [
+            [v + p1 * q0 - p0 * q1 for v, q0, q1 in zip(row, cu0, cu1)] + [-p1, p0]
+            for row, p0, p1 in zip(c, cu0, cu1)
+        ]
+        c.append([*cu1, 0, -1])
+        c.append([*(-v for v in cu0), 1, 0])
+        yield c
+
+
+def _light_psi(samples: Sequence[tuple[int, int]]) -> Iterator[Iterator[tuple[int, int, int, int]]]:
+    """For each (n, k) of ``samples``, in increasing n, an iterator over
+    (subset, weight, psi(a), psi(complement of a)) for every subset a of
     {1..n} of weight below k; bit i of ``subset`` stands for element i + 1.
+    Each iterator must be consumed before the next is asked for.
 
     psi(a) is the Pfaffian of the bordered pair matrix B on the mask of a.
-    Let N = n for odd n and n + 1 for even n, and B the bordered matrix on
-    0..N. Its Pfaffian is psi(1..N) = 1, so C = B^-1 = adj B is integral,
+    Pair values do not depend on n, so one expansion serves every sample.
+    Let N = n for odd n and n + 1 for even n, and C the inverse of the leading
+    block of B on 0..N, whose Pfaffian is psi(1..N) = 1; C = adj B is integral,
     and Jacobi's complementary-minor identity gives psi(complement of a) =
     (-1)^(sum T) Pf(C_T) with T = a, plus N for even n, plus the border 0
-    when that set is odd. Both expansions run over masks built from light
+    when that set is odd. Every C comes from one bordering chain
+    (``_nested_inverses``). Both expansions run over masks built from light
     subsets only, a family closed under removing bits, so the cost follows
     the number of light subsets instead of 2**n.
     """
-    big = n if n & 1 else n + 1
-    b = _pair_matrix(big)
-    _, det, c = _eliminate(b)
-    if det != 1:
-        raise InvariantViolation(f"bordered pair matrix on 0..{big} has determinant {det}, expected 1")
-    subsets = [(0, 0)]
-    for e in range(1, min(n, k - 1) + 1):
-        subsets += [(s | 1 << (e - 1), w + e) for s, w in subsets if w + e < k]
+    n_top = max(n for n, _ in samples)
+    k_top = max(k for _, k in samples)
+    b = _pair_matrix(n_top | 1)
+    family = [(0, 0)]
+    for e in range(1, min(n_top, k_top - 1) + 1):
+        family += [(s | 1 << (e - 1), w + e) for s, w in family if w + e < k_top]
+    pf_b = _expand_pfaffians(b, sorted(s << 1 | (s.bit_count() & 1) for s, _ in family))
+    inverses = _nested_inverses(b)
+    c: list[list[int]] = []
+    for n, k in samples:
+        while len(c) < (n | 1) + 1:
+            c = next(inverses)
+        if len(c) != (n | 1) + 1:
+            raise ValueError(f"samples must come in increasing order of n, got n={n} too late")
+        yield _light_rows([sw for sw in family if sw[1] < k and not sw[0] >> n], n, pf_b, c)
+
+
+def _light_rows(subsets: list[tuple[int, int]], n: int, pf_b: dict, c: list[list[int]]):
+    """The rows of ``_light_psi`` for one n, from pf_b and the inverse C on 0..N."""
+    big = len(c) - 1
     masks = [s << 1 | (s.bit_count() & 1) for s, _ in subsets]
-    t_masks = masks
-    if big > n:  # T gains the index N = n + 1, which is odd
+    t_masks = expand = masks
+    if big > n:  # T gains the index N = n + 1, which is odd, so t_masks are new masks
         t_masks = [s << 1 | 1 << big | (~s.bit_count() & 1) for s, _ in subsets]
-    pf_b = _expand_pfaffians(b, sorted(masks)[1:], {0: 1})
-    pf_c = _expand_pfaffians(c, sorted(set(masks) | set(t_masks))[1:], {0: 1})
-    out = []
+        expand = masks + t_masks
+    pf_c = _expand_pfaffians(c, sorted(expand))
     for (s, w), mask, t_mask in zip(subsets, masks, t_masks):
         psi_c = pf_c[t_mask]
-        if (w + big - n) & 1:
-            psi_c = -psi_c
-        out.append((s, w, pf_b[mask], psi_c))
-    return out
+        yield s, w, pf_b[mask], -psi_c if (w + big - n) & 1 else psi_c
+
+
+def _gamma_prefixes(samples: Sequence[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
+    """gamma_degrees(n)[:k] for each (n, k) of ``samples``, in increasing n,
+    from one ``_light_psi`` pass."""
+    for (_, k), rows in zip(samples, _light_psi(samples)):
+        betas = [0] * k
+        for _, w, psi_a, psi_c in rows:
+            betas[w] += psi_a * psi_c
+        yield _gamma_from_beta(betas)
 
 
 def gamma_prefix(n: int, k: int) -> tuple[int, ...]:
@@ -283,10 +342,7 @@ def gamma_prefix(n: int, k: int) -> tuple[int, ...]:
     m = sym_dimension(n)
     if not 1 <= k <= m:
         raise ValueError(f"prefix length out of range for n: k={k}, n={n} (need 1 <= k <= {m})")
-    betas = [0] * k
-    for _, w, psi_a, psi_c in _light_psi(n, k):
-        betas[w] += psi_a * psi_c
-    return _gamma_from_beta(betas)
+    return next(_gamma_prefixes([(n, k)]))
 
 
 class IdentityCoefficient(NamedTuple):

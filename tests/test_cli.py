@@ -197,7 +197,7 @@ def test_mldeg_differences(capsys):
 
 
 def test_mldeg_invariant_violation_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(mldegree, "ml_degree", lambda n, d: 2 ** n)
+    monkeypatch.setattr(mldegree, "_ml_degrees", lambda d, ns: [2 ** n for n in ns])
     code, out, err = run_cli(capsys, ["mldeg", "--d", "3", "--poly"])
     assert code == 3
     assert out == ""

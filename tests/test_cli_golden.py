@@ -39,6 +39,8 @@ GOLDENS = [
     ("mldeg --d 3 --poly --format json", "2b2fba526dcbebd76ee83a6c897db133db2371fc51f4e3eb5cbe20de9ebb3a8f"),
     ("mldeg --d 3 --poly --format csv", "1b1afe36027bc59103c72b838f11c353e828e82d82fe1928bff87cbaccfba74b"),
     ("mldeg --d 3 --poly --format latex", "be8a26cbc807cc39def21094e9bd2e60f3fa054affa003ef4afb8ec5374e8013"),
+    # recorded from the rational Lagrange fit over per-n eliminations
+    ("mldeg --d 30 --poly", "4cee55e0f4e3684a34e9f41584ab266bd8eeda0fb9311707001ef5a467e50bd7"),
     ("mldeg --d 4 --window 7 --format json", "52cce81be4b6c3bda89ab03f37e3796592d051255f8dff42d2e11a0381af4b70"),
     ("mldeg --d 4 --window 7 --format csv", "115688d21845182457ec155080a52588c117a7ca0233449b96de734e4bb280f6"),
     ("mldeg --d 4 --window 7 --format latex", "146e2d2d134b9c910fb2564c829ad66a6209726860ea66b549126b3a19e0f3ef"),

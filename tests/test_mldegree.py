@@ -16,6 +16,7 @@ from invdeg.mldegree import (
 )
 from invdeg.multidegree import beta, gamma_degrees, gamma_prefix, sym_dimension
 from invdeg.psi import p_alpha, psi_seq
+from oracles import lagrange_fit
 
 
 def test_ml_degree_known_values():
@@ -135,7 +136,7 @@ def test_ml_polynomial_rejects_bad_d():
 
 
 def test_ml_polynomial_detects_non_polynomial_data(monkeypatch):
-    monkeypatch.setattr(mldegree, "ml_degree", lambda n, d: 2 ** n)
+    monkeypatch.setattr(mldegree, "_ml_degrees", lambda d, ns: [2 ** n for n in ns])
     with pytest.raises(InvariantViolation, match="polynomiality violated"):
         ml_polynomial(3)
 
@@ -159,7 +160,7 @@ def test_finite_difference_check_validation():
 
 
 def test_finite_difference_check_sees_broken_table(monkeypatch):
-    monkeypatch.setattr(mldegree, "ml_degree", lambda n, d: n ** d)
+    monkeypatch.setattr(mldegree, "_ml_degrees", lambda d, ns: [n ** d for n in ns])
     rep = finite_difference_check(2, 6)
     assert not rep.ok
 
@@ -201,7 +202,7 @@ def test_light_family_pfaffians_match_psi_routes(data):
     a = data.draw(st.lists(st.integers(1, n), unique=True, max_size=5).map(sorted), label="a")
     extra = data.draw(st.integers(0, 3), label="extra")
     k = min(sum(a) + 1 + extra, sym_dimension(n))
-    light = {s: (w, psi_a, psi_c) for s, w, psi_a, psi_c in multidegree._light_psi(n, k)}
+    light = {s: (w, psi_a, psi_c) for s, w, psi_a, psi_c in next(multidegree._light_psi([(n, k)]))}
     assert all(w < k for w, _, _ in light.values())
     subset = sum(1 << (e - 1) for e in a)
     if sum(a) >= k:  # only the full set {1..n} can reach weight m
@@ -214,7 +215,7 @@ def test_light_family_is_exactly_the_light_subsets():
     for n in range(1, 8):
         m = sym_dimension(n)
         for k in range(1, m + 1):
-            got = sorted(s for s, _, _, _ in multidegree._light_psi(n, k))
+            got = sorted(s for s, _, _, _ in next(multidegree._light_psi([(n, k)])))
             want = [s for s in range(1 << n) if sum(i + 1 for i in range(n) if s >> i & 1) < k]
             assert got == want
 
@@ -229,12 +230,49 @@ def test_bordered_pair_matrix_has_determinant_one():
 def test_ml_degree_rejects_bad_bordered_determinant(monkeypatch):
     pair_matrix = multidegree._pair_matrix
     monkeypatch.setattr(multidegree, "_pair_matrix", lambda size: [[2 * v for v in row] for row in pair_matrix(size)])
-    with pytest.raises(InvariantViolation, match="has determinant"):
+    with pytest.raises(InvariantViolation, match="leading block of size 2 has Pfaffian 2, expected 1"):
         ml_degree(5, 3)
 
 
+def test_nested_inverses_match_gauss_jordan():
+    inverses = list(multidegree._nested_inverses(multidegree._pair_matrix(25)))
+    assert [len(c) for c in inverses] == list(range(2, 27, 2))
+    for big in range(1, 26, 2):
+        assert inverses[big // 2] == _eliminate(multidegree._pair_matrix(big))[2], big
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (2, 5), (3, 6), (1, 10)])
+def test_nested_inverses_reject_a_perturbed_pair_entry(i, j):
+    w = multidegree._pair_matrix(11)
+    w[i][j] += 1
+    w[j][i] -= 1
+    size = (j | 1) + 1  # the first leading even block that holds index j
+    with pytest.raises(InvariantViolation, match=f"leading block of size {size} has Pfaffian"):
+        list(multidegree._nested_inverses(w))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 16), st.integers(1, 12)), min_size=1, max_size=6))
+def test_one_pass_matches_the_full_table_per_sample(raw):
+    samples = sorted((n, min(k, sym_dimension(n))) for n, k in raw)
+    assert list(multidegree._gamma_prefixes(samples)) == [_full_gamma(n)[:k] for n, k in samples]
+
+
+def test_samples_must_come_in_increasing_n():
+    assert list(multidegree._gamma_prefixes([(5, 3), (4, 3)])) == [_full_gamma(5)[:3], _full_gamma(4)[:3]]
+    with pytest.raises(ValueError, match="increasing order of n"):
+        list(multidegree._gamma_prefixes([(5, 3), (3, 3)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-20, 20), st.lists(st.integers(), min_size=1, max_size=15))
+def test_newton_fit_matches_lagrange_oracle(x0, values):
+    points = list(zip(range(x0, x0 + len(values)), values))
+    assert mldegree._newton_fit(values, x0) == lagrange_fit(points)
+
+
 def test_ml_degree_positivity_violation_raises(monkeypatch):
-    monkeypatch.setattr(multidegree, "_light_psi", lambda n, k: [(0, 0, 1, 1), (1, 1, 1, 1)])
+    monkeypatch.setattr(multidegree, "_light_psi", lambda samples: iter([[(0, 0, 1, 1), (1, 1, 1, 1)]]))
     with pytest.raises(InvariantViolation, match="multidegree positivity violated"):
         ml_degree(4, 2)
 
