@@ -428,7 +428,8 @@ def _cmd_verify(ns: argparse.Namespace) -> _Report:
         executor = ThreadPoolExecutor(max_workers=ns.threads)
     try:
         # One P serves graph vanishing and the adjugate identity: X * adj(X)
-        # symbolically, M * adj M per exact sample numerically.
+        # symbolically, read entry by entry, and M * adj M per exact sample
+        # numerically.
         if ns.mode == "symbolic":
             checked = symbolic_checks(n, prod)
             vanish, holds = "identically under Y -> adj(X)", "symbolically"

@@ -28,36 +28,38 @@ are built in integers, as M and det(A)^2 N; symmetry, rank and a zero
 product do not change under that scale, so only ``witness_rank_pair``
 divides, once, to return the rational N.
 
-Graph vanishing and the adjugate identity are read off one P per mode,
-``symbolic_checks`` and ``numeric_checks``. Symbolically, one
-``InversePair`` holds det(X), adj(X) read off the partial derivatives of
-det(X), and P = X * adj(X) from one ``mat_mul``. Substitution is a ring
-map that fixes X, so each generator of X*Y goes under Y -> adj(X) to the
-entry of P at its place, and nothing is substituted. Numerically, each
-sample is one random nonsingular integer M with det M and adj M, and
-P = M * adj M formed once; a generator's value at (M, adj M) is the entry
-of P at its place. Either way the adjugate identity compares P with
-det * Id. The caller builds X * Y once and passes it to both checks, the
-swap check and the span check.
+Graph vanishing and the adjugate identity are read off the entries of one
+P per mode, ``symbolic_checks`` and ``numeric_checks``. Symbolically, P =
+X * adj(X) is formed one entry at a time from det(X) and one column of
+adj(X), the column read off the partial derivatives of det(X); each entry
+is compared with 0 or det(X) and dropped, so neither the whole adjugate nor
+the whole P is held. Substitution is a ring map that fixes X, so each
+generator of X*Y goes under Y -> adj(X) to the entry of P at its place, and
+nothing is substituted. Numerically, each sample is one random nonsingular
+integer M with det M and adj M, and P = M * adj M formed once; a
+generator's value at (M, adj M) is the entry of P at its place. Either way
+the adjugate identity compares P with det * Id. The caller builds X * Y
+once and passes it to both checks, the swap check and the span check.
 
 Matrices of numbers get rank, determinant and adjugate from the one
 fraction-free Bareiss elimination in ``exact``, O(k^3): Gauss-Jordan on
 [B | I] where the adjugate is needed, forward elimination for a rank. The
 span comparison ranks sparse coefficient vectors by fraction-free row
-reduction in integers. Polynomial
-entries cannot be divided, so ``determinant`` runs a division-free DP over
-column subsets, O(2^k * k) ring operations, which serves only the small
-symbolic sizes. ``adjugate`` runs that DP once per minor; it is the oracle
-that the derivative adjugate is tested against.
+reduction in integers. Polynomial entries cannot be divided, so
+``determinant`` runs a division-free DP over column subsets, O(2^k * k)
+ring operations, which serves only the small symbolic sizes; it holds two
+popcount levels of minors at a time. ``adjugate`` runs that DP once per
+minor; it is the oracle that the derivative adjugate is tested against.
 """
 
 from __future__ import annotations
 
 import random
 from functools import reduce
+from itertools import combinations
 from math import gcd, isqrt, lcm
 from operator import mul, or_
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .exact import InvariantViolation, Scalar, _eliminate, _is_scalar
 
@@ -375,33 +377,38 @@ Entry = Union[SparsePoly, Scalar]
 
 
 def determinant(rows: Sequence[Sequence[Entry]]):
-    """Division-free determinant by DP over column subsets (any ring); a
-    SparsePoly if any entry is one, else a scalar."""
+    """Division-free determinant (any ring); a SparsePoly if any entry is one,
+    else a scalar.
+
+    Laplace expansion as a DP over column subsets, O(2^k * k) ring
+    operations: the minor on the first t rows and a t-set S of columns is
+    the alternating sum, over c in S, of row t's entry in column c times
+    the minor on the first t - 1 rows and S - {c}. Level t needs only level
+    t - 1, so two popcount levels of minors are held at a time, at most
+    C(k, k/2) + C(k, k/2 + 1) of them instead of all 2^k.
+    """
     k = len(rows)
     for row in rows:
         if len(row) != k:
             raise ValueError("matrix is not square")
     terms = [[_as_poly(e).terms for e in row] for row in rows]
-    full = (1 << k) - 1
-    minors: list = [None] * (full + 1)
-    minors[0] = {0: 1}
     guard = _guard((e for row in terms for e in row), k)
-    for mask in range(1, full + 1):
-        t = mask.bit_count()
-        row = terms[t - 1]
-        acc: dict[int, Scalar] = {}
-        sign = 1 if t & 1 else -1
-        rem = mask
-        while rem:
-            b = rem & -rem
-            entry = row[b.bit_length() - 1]
-            _mul_into(acc, entry if sign > 0 else {m: -c for m, c in entry.items()}, minors[mask ^ b], guard)
-            sign = -sign
-            rem ^= b
-        minors[mask] = acc
+    level: dict[int, dict] = {0: {0: 1}}
+    for t, row in enumerate(terms, 1):
+        below, level = level, {}
+        for cols in combinations(range(k), t):
+            mask = sum(1 << c for c in cols)
+            acc: dict[int, Scalar] = {}
+            sign = 1 if t & 1 else -1
+            for c in cols:
+                entry = row[c]
+                _mul_into(acc, entry if sign > 0 else {m: -x for m, x in entry.items()}, below[mask ^ 1 << c], guard)
+                sign = -sign
+            level[mask] = acc
+    (minor,) = level.values()
     if any(isinstance(e, SparsePoly) for row in rows for e in row):
-        return SparsePoly(minors[full])
-    return minors[full].get(0, 0)
+        return SparsePoly(minor)
+    return minor.get(0, 0)
 
 
 def adjugate(rows: Sequence[Sequence[Entry]]) -> list[list]:
@@ -544,43 +551,33 @@ def swap_symmetry_holds(n: int, prod: Optional[SymbolicMatrix] = None) -> bool:
     return all(swap_sides(g).sign_normalized().canonical() in originals for g in gens)
 
 
-class InversePair(NamedTuple):
-    """The generic symmetric X with det(X), an adjugate adj and P = X * adj,
-    built once and shared by the symbolic checks."""
+def _adjugate_columns(n: int, det: Mapping[int, Scalar]) -> Iterator[list[dict]]:
+    """The columns of adj(X) for the generic symmetric X, one at a time, read
+    off the partial derivatives of det (a terms dict): X[i,j] fills (i, j)
+    and (j, i) and the cofactors are symmetric, so d det/d X[i,i] =
+    adj[i][i] and d det/d X[i,j] = 2 adj[i][j] for i != j.
 
-    x: SymbolicMatrix
-    det: SparsePoly
-    adj: SymbolicMatrix
-    prod: SymbolicMatrix
-
-
-def _adjugate_from_det(n: int, det: SparsePoly) -> SymbolicMatrix:
-    """adj(X) of the generic symmetric X from the partial derivatives of det:
-    X[i,j] fills (i, j) and (j, i) and the cofactors are symmetric, so
-    d det/d X[i,i] = adj[i][i] and d det/d X[i,j] = 2 adj[i][j] for i != j.
-    An odd off-diagonal coefficient raises InvariantViolation."""
-    rows = [[SparsePoly()] * n for _ in range(n)]
+    One scan of det per variable lists the keys that hold it, so each
+    derivative then costs its own size. The scans run row by row over the
+    upper triangle and raise InvariantViolation at the first off-diagonal
+    derivative with an odd coefficient.
+    """
+    holding: dict[int, list[int]] = {}  # field shift of X[i,j] -> the keys of det that hold it
     for i in range(n):
         for j in range(i, n):
             v = xvar(i + 1, j + 1)
             shift = _FIELD_BITS * _slot(v)
-            unit, field = 1 << shift, 0xFF << shift
-            d = {key - unit: c * (key >> shift & 0xFF) for key, c in det.terms.items() if key & field}
-            if i != j:
-                if any(c % 2 for c in d.values()):
-                    raise InvariantViolation(f"d det/d {v} has an odd coefficient")
-                d = {key: c // 2 for key, c in d.items()}
-            rows[i][j] = rows[j][i] = SparsePoly(d)
-    return SymbolicMatrix(n, tuple(map(tuple, rows)))
-
-
-def inverse_pair(n: int, adj_x: Optional[SymbolicMatrix] = None) -> InversePair:
-    """X, det(X) from the subset DP, adj and P = X * adj from one ``mat_mul``;
-    adj is ``adj_x`` when given, else read off the derivatives of det(X)."""
-    x = generic_sym_matrix(n, "X")
-    det = det_sym(x)
-    adj = _adjugate_from_det(n, det) if adj_x is None else adj_x
-    return InversePair(x, det, adj, mat_mul(x, adj))
+            field = 0xFF << shift
+            keys = holding[shift] = [key for key in det if key & field]
+            if i != j and any(det[key] * (key >> shift & 0xFF) % 2 for key in keys):
+                raise InvariantViolation(f"d det/d {v} has an odd coefficient")
+    for j in range(n):
+        column = []
+        for i in range(n):
+            shift = _FIELD_BITS * _slot(xvar(i + 1, j + 1))
+            unit, halve = 1 << shift, int(i != j)
+            column.append({key - unit: det[key] * (key >> shift & 0xFF) >> halve for key in holding[shift]})
+        yield column
 
 
 # ------------------------------------------------------------- span comparison
@@ -683,35 +680,58 @@ _NONZERO = "graph generator does not vanish on inverse pairs: "
 def symbolic_checks(
     n: int, prod: Optional[SymbolicMatrix] = None, adj_x: Optional[SymbolicMatrix] = None
 ) -> PairChecks:
-    """Both symbolic checks off one ``inverse_pair``.
+    """Both symbolic checks off the entries of P = X * adj(X), one at a time.
 
     Y -> adj(X) is a ring map that fixes X, so each generator of X * Y
-    (``prod``, built when None) goes to the entry of P = X * adj(X) at its
-    place; graph vanishing demands that every such entry is the zero
-    polynomial. It needs a symmetric adjugate, Y being symmetric. The
-    adjugate identity asks for P = det(X) * Id, a symmetric adjugate and
-    coefficient 1 for X[1,1]*...*X[n,n] in det(X).
+    (``prod``, built when None) goes to the entry of P at its place; graph
+    vanishing demands that every such entry is the zero polynomial. It
+    needs a symmetric adjugate, Y being symmetric. The adjugate identity
+    asks for P = det(X) * Id, a symmetric adjugate and coefficient 1 for
+    X[1,1]*...*X[n,n] in det(X).
 
     ``adj_x`` is the adjugate under test; when None it is read off the
-    derivatives of det(X). Read off the derivatives of any f, it gives
-    X * adj = f * Id only for f a constant times det(X), and the
-    coefficient check pins the constant to 1, so a zero or scaled
+    derivatives of det(X), one column at a time. Read off the derivatives
+    of any f, it gives X * adj = f * Id only for f a constant times det(X),
+    and the coefficient check pins the constant to 1, so a zero or scaled
     determinant fails the identity.
+
+    Each entry of P is compared with 0 and det(X) as soon as it is formed
+    and then dropped, so a passing run holds det(X), one column of the
+    adjugate and one entry of P. An entry that is neither is kept, so that
+    the diagonal differences are still decided exactly.
     """
     gens = graph_ideal_generators(n, prod)
-    pair = inverse_pair(n, adj_x)
-    det, p = pair.det, pair.prod.entries
-    symmetric = _is_symmetric(pair.adj.entries)
-    if not symmetric:
-        residual = "Y -> adj(X) needs a symmetric adjugate; the one given is not"
+    if adj_x is not None:
+        if adj_x.n != n:
+            raise ValueError(f"size mismatch: {n} vs {adj_x.n}")
+        if not _is_symmetric(adj_x.entries):
+            return PairChecks(len(gens), "Y -> adj(X) needs a symmetric adjugate; the one given is not", False)
+    xm = generic_sym_matrix(n, "X")
+    x = [[e.terms for e in row] for row in xm.entries]
+    det = det_sym(xm).terms
+    if adj_x is None:
+        columns: Iterable[list] = _adjugate_columns(n, det)
+        bound = [det]  # a derivative's fields are at most det's
     else:
-        residual = next((_NONZERO + str(g) for g, v in zip(gens, _at_generator_places(p)) if v), None)
+        columns = ([row[j].terms for row in adj_x.entries] for j in range(n))
+        bound = [e.terms for row in adj_x.entries for e in row]
+    guard = _guard(bound + [e for row in x for e in row], 2)
+    # P in small: each entry becomes its place among the distinct values of
+    # P met so far, which start with 0 and det(X); two entries get the same
+    # int exactly when they are equal, and a passing run keeps no entry
+    kept: list[dict] = [{}, det]
+    shadow = [[0] * n for _ in range(n)]
+    for j, column in enumerate(columns):
+        for i in range(n):
+            entry: dict[int, Scalar] = {}
+            for x_ik, adj_kj in zip(x[i], column):
+                _mul_into(entry, x_ik, adj_kj, guard)
+            if entry not in kept:
+                kept.append(entry)
+            shadow[i][j] = kept.index(entry)
+    residual = next((_NONZERO + str(g) for g, v in zip(gens, _at_generator_places(shadow)) if v), None)
     diagonal = sum(1 << _FIELD_BITS * _slot(xvar(i, i)) for i in range(1, n + 1))
-    identity = (
-        symmetric
-        and det.terms.get(diagonal) == 1
-        and all(p[i][j] == (det if i == j else 0) for i in range(n) for j in range(n))
-    )
+    identity = det.get(diagonal) == 1 and shadow == [[int(i == j) for j in range(n)] for i in range(n)]
     return PairChecks(len(gens), residual, identity)
 
 

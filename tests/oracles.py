@@ -1,6 +1,19 @@
 """Slow, independent routes that tests check the engines against."""
 
 from fractions import Fraction
+from typing import NamedTuple, Optional
+
+from invdeg import symbolic
+from invdeg.exact import InvariantViolation
+from invdeg.symbolic import (
+    PairChecks,
+    SparsePoly,
+    SymbolicMatrix,
+    generic_sym_matrix,
+    graph_ideal_generators,
+    mat_mul,
+    xvar,
+)
 
 
 def lagrange_fit(points: list[tuple[int, int]]) -> tuple[Fraction, ...]:
@@ -26,3 +39,64 @@ def lagrange_fit(points: list[tuple[int, int]]) -> tuple[Fraction, ...]:
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
+
+
+class InversePair(NamedTuple):
+    """The generic symmetric X with det(X), an adjugate adj and P = X * adj,
+    all held at once."""
+
+    x: SymbolicMatrix
+    det: SparsePoly
+    adj: SymbolicMatrix
+    prod: SymbolicMatrix
+
+
+def adjugate_from_det(n: int, det: SparsePoly) -> SymbolicMatrix:
+    """adj(X) of the generic symmetric X from the partial derivatives of det,
+    every entry at once, by one scan of det per variable: d det/d X[i,i] =
+    adj[i][i] and d det/d X[i,j] = 2 adj[i][j] for i != j. An odd
+    off-diagonal coefficient raises InvariantViolation."""
+    rows = [[SparsePoly()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v = xvar(i + 1, j + 1)
+            shift = symbolic._FIELD_BITS * symbolic._slot(v)
+            unit, field = 1 << shift, 0xFF << shift
+            d = {key - unit: c * (key >> shift & 0xFF) for key, c in det.terms.items() if key & field}
+            if i != j:
+                if any(c % 2 for c in d.values()):
+                    raise InvariantViolation(f"d det/d {v} has an odd coefficient")
+                d = {key: c // 2 for key, c in d.items()}
+            rows[i][j] = rows[j][i] = SparsePoly(d)
+    return SymbolicMatrix(n, tuple(map(tuple, rows)))
+
+
+def inverse_pair(n: int, adj_x: Optional[SymbolicMatrix] = None) -> InversePair:
+    """X, det(X) from ``symbolic.det_sym``, adj and P = X * adj from one
+    ``mat_mul``; adj is ``adj_x`` when given, else read off the derivatives
+    of det(X)."""
+    x = generic_sym_matrix(n, "X")
+    det = symbolic.det_sym(x)
+    adj = adjugate_from_det(n, det) if adj_x is None else adj_x
+    return InversePair(x, det, adj, mat_mul(x, adj))
+
+
+def materialized_checks(n: int, adj_x: Optional[SymbolicMatrix] = None) -> PairChecks:
+    """``symbolic.symbolic_checks`` read off a whole ``inverse_pair``: the
+    route that held adj(X) and P = X * adj(X) at once."""
+    gens = graph_ideal_generators(n)
+    pair = inverse_pair(n, adj_x)
+    det, p = pair.det, pair.prod.entries
+    symmetric = all(pair.adj.entries[i][j] == pair.adj.entries[j][i] for i in range(n) for j in range(i))
+    if not symmetric:
+        residual = "Y -> adj(X) needs a symmetric adjugate; the one given is not"
+    else:
+        places = symbolic._at_generator_places(p)
+        residual = next((symbolic._NONZERO + str(g) for g, v in zip(gens, places) if v), None)
+    diagonal = sum(1 << symbolic._FIELD_BITS * symbolic._slot(xvar(i, i)) for i in range(1, n + 1))
+    identity = (
+        symmetric
+        and det.terms.get(diagonal) == 1
+        and all(p[i][j] == (det if i == j else 0) for i in range(n) for j in range(n))
+    )
+    return PairChecks(len(gens), residual, identity)

@@ -16,14 +16,12 @@ from invdeg.multidegree import (
 )
 from invdeg.psi import PsiTable, Subsequence, psi_table
 from invdeg.symbolic import (
-    InversePair,
     RationalSymMatrix,
     SparsePoly,
     SymbolicMatrix,
     VanishingReport,
     VarId,
     generic_sym_matrix,
-    inverse_pair,
     verify_graph_vanishing,
     xvar,
 )
@@ -68,7 +66,6 @@ def test_validating_records_reject_bad_fields_on_every_path(case):
 
 def _records():
     table = multidegree_table(2)
-    pair = inverse_pair(2)
     return [
         SkewMatrix(((0, 1), (-1, 0))),
         Subsequence((1, 3), 4),
@@ -79,7 +76,6 @@ def _records():
         ml_polynomial(2),
         finite_difference_check(2, 4),
         generic_sym_matrix(2, "X"),
-        pair,
         verify_graph_vanishing(2, mode="numeric", trials=1),
         RationalSymMatrix.from_rows([[1, 2], [2, 0]]),
         xvar(1, 2),
@@ -90,7 +86,7 @@ def test_every_public_record_is_immutable():
     kinds = {type(r) for r in _records()}
     assert kinds == {
         SkewMatrix, Subsequence, PsiTable, MultidegreeTable, MultidegreeIdentityReport,
-        IdentityCoefficient, MLPolynomial, DifferenceReport, SymbolicMatrix, InversePair,
+        IdentityCoefficient, MLPolynomial, DifferenceReport, SymbolicMatrix,
         VanishingReport, RationalSymMatrix, VarId,
     }
     for record in _records():
@@ -122,8 +118,4 @@ def test_record_reprs_match_the_dataclass_reprs():
     )
     assert repr(RationalSymMatrix.from_rows([[1, Fraction(1, 2)], [Fraction(1, 2), 0]])) == (
         "RationalSymMatrix(n=2, rows=((Fraction(1, 1), Fraction(1, 2)), (Fraction(1, 2), Fraction(0, 1))))"
-    )
-    assert repr(inverse_pair(1)) == (
-        "InversePair(x=SymbolicMatrix(n=1, entries=((X[1,1],),)), det=X[1,1], "
-        "adj=SymbolicMatrix(n=1, entries=((1,),)), prod=SymbolicMatrix(n=1, entries=((X[1,1],),)))"
     )

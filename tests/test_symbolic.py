@@ -11,6 +11,7 @@ import invdeg.symbolic as symbolic
 from invdeg.cli import main
 from invdeg.exact import InvariantViolation
 from invdeg.symbolic import (
+    PairChecks,
     RationalSymMatrix,
     SparsePoly,
     SymbolicMatrix,
@@ -23,7 +24,6 @@ from invdeg.symbolic import (
     determinant,
     generic_sym_matrix,
     graph_ideal_generators,
-    inverse_pair,
     mat_mul,
     matrix_rank,
     product_entries,
@@ -38,6 +38,7 @@ from invdeg.symbolic import (
     xvar,
     yvar,
 )
+from oracles import InversePair, adjugate_from_det, inverse_pair, materialized_checks
 
 
 def det_fraction(rows):
@@ -378,11 +379,14 @@ def test_determinant_small():
 
 
 def test_determinant_matches_elimination():
+    # sizes 0..7, a repeated row now and then for a zero determinant
     rng = random.Random(4)
-    for size in range(1, 7):
+    for size in range(8):
         for _ in range(8):
             rows = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
-            assert determinant(rows) == det_fraction(rows)
+            if size and rng.random() < 0.3:
+                rows[-1] = list(rows[0])
+            assert determinant(rows) == det_fraction(rows) == symbolic._eliminate(rows)[1], rows
 
 
 def test_determinant_rejects_non_square():
@@ -612,16 +616,36 @@ def test_adjugate_from_det_matches_the_minor_dp():
         pair = inverse_pair(n)
         assert pair.det == det_sym(pair.x)
         assert pair.adj == adjugate_sym(pair.x), n
+        # the streamed columns are the columns of the whole adjugate
+        columns = list(symbolic._adjugate_columns(n, pair.det.terms))
+        assert [[SparsePoly(columns[j][i]) for j in range(n)] for i in range(n)] == list(map(list, pair.adj.entries)), n
         if n in DET_ADJ_STR_SHA256:
             adj = "\n".join(str(e) for row in pair.adj.entries for e in row)
             assert hashlib.sha256(adj.encode()).hexdigest() == DET_ADJ_STR_SHA256[n][1], n
 
 
-def test_adjugate_from_det_rejects_an_odd_derivative():
+def test_adjugate_from_det_rejects_an_odd_derivative(monkeypatch, capsys):
     # d/dX[1,2] of X[1,1]*X[2,2] - X[1,2] is -1, which is not twice a cofactor
     f = var(xvar(1, 1)) * var(xvar(2, 2)) - var(xvar(1, 2))
-    with pytest.raises(InvariantViolation, match=r"odd coefficient"):
-        symbolic._adjugate_from_det(2, f)
+    with pytest.raises(InvariantViolation, match=r"d det/d X\[1,2\] has an odd coefficient"):
+        adjugate_from_det(2, f)
+    with pytest.raises(InvariantViolation, match=r"d det/d X\[1,2\] has an odd coefficient"):
+        list(symbolic._adjugate_columns(2, f.terms))
+    monkeypatch.setattr(symbolic, "det_sym", lambda a: f)
+    with pytest.raises(InvariantViolation, match=r"d det/d X\[1,2\] has an odd coefficient"):
+        symbolic.symbolic_checks(2)
+    assert main(["verify", "--n", "2", "--mode", "symbolic", "--format", "csv"]) == 3
+    assert "odd coefficient" in capsys.readouterr().err
+
+
+def test_odd_derivatives_are_named_in_row_major_order():
+    # X[2,3] and X[1,4] both have odd derivatives; X[1,4] comes first in the
+    # upper triangle row by row, X[2,3] first column by column
+    f = var(xvar(1, 1)) * var(xvar(2, 2)) * var(xvar(3, 3)) * var(xvar(4, 4)) + var(xvar(2, 3)) + var(xvar(1, 4))
+    with pytest.raises(InvariantViolation, match=r"X\[1,4\]"):
+        adjugate_from_det(4, f)
+    with pytest.raises(InvariantViolation, match=r"X\[1,4\]"):
+        list(symbolic._adjugate_columns(4, f.terms))
 
 
 def test_graph_images_from_the_product_equal_substitution(monkeypatch, pair_assignment):
@@ -651,7 +675,10 @@ def test_adjugate_identity_fails_on_a_scaled_determinant(monkeypatch, scale):
         assert not adjugate_identity_holds(n), n
 
 
-@pytest.mark.parametrize("cells", [[(0, 0)], [(0, 1)], [(1, 0)], [(0, 2), (2, 0)], [(2, 2)]])
+PERTURBED_CELLS = [[(0, 0)], [(0, 1)], [(1, 0)], [(0, 2), (2, 0)], [(2, 2)]]
+
+
+@pytest.mark.parametrize("cells", PERTURBED_CELLS)
 def test_perturbed_adjugate_fails_both_checks(cells):
     n = 3
     rows = [list(row) for row in inverse_pair(n).adj.entries]
@@ -662,6 +689,80 @@ def test_perturbed_adjugate_fails_both_checks(cells):
     symmetric = all(rows[i][j] == rows[j][i] for i in range(n) for j in range(n))
     with pytest.raises(InvariantViolation, match="does not vanish" if symmetric else "needs a symmetric adjugate"):
         verify_graph_vanishing(n, mode="symbolic", adj_x=adj)
+
+
+def _adjugates_under_test(n):
+    """Every adjugate the differential test runs: the derivative adjugate
+    (None), the minor DP, zero, X itself and the perturbed ones."""
+    x = generic_sym_matrix(n, "X")
+    zero = SymbolicMatrix(n, tuple(tuple(SparsePoly.zero() for _ in range(n)) for _ in range(n)))
+    out = {"derivative": None, "adjugate_sym": adjugate_sym(x), "zero": zero, "generic X": x}
+    for cells in PERTURBED_CELLS:
+        if all(max(cell) < n for cell in cells):
+            rows = [list(row) for row in inverse_pair(n).adj.entries]
+            for i, j in cells:
+                rows[i][j] = rows[i][j] + var(xvar(1, 1))
+            out[f"perturbed {cells}"] = SymbolicMatrix(n, tuple(map(tuple, rows)))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_streamed_checks_match_the_materialized_product(n):
+    for name, adj in _adjugates_under_test(n).items():
+        assert symbolic.symbolic_checks(n, adj_x=adj) == materialized_checks(n, adj), (n, name)
+
+
+@pytest.mark.parametrize("scale", [0, 2])
+def test_streamed_checks_match_the_materialized_product_on_a_scaled_determinant(monkeypatch, scale):
+    monkeypatch.setattr(symbolic, "det_sym", lambda a: scale * det_sym(a))
+    for n in range(1, 6):
+        for name in ("derivative", "adjugate_sym"):
+            adj = _adjugates_under_test(n)[name]
+            assert symbolic.symbolic_checks(n, adj_x=adj) == materialized_checks(n, adj), (n, name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_streamed_checks_match_the_materialized_product_on_random_changes(data):
+    # random terms added to random cells of the derivative adjugate, mirrored
+    # or not, so that off-diagonal, diagonal and symmetry failures all occur
+    n = data.draw(st.integers(1, 4))
+    rows = [list(row) for row in inverse_pair(n).adj.entries]
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for i, j in data.draw(st.lists(cell, max_size=3)):
+        v = xvar(data.draw(st.integers(1, n)), data.draw(st.integers(1, n)))
+        change = data.draw(st.sampled_from([-2, -1, 1, 3])) * var(v) ** data.draw(st.integers(0, 2))
+        rows[i][j] = rows[i][j] + change
+        if data.draw(st.booleans()):
+            rows[j][i] = rows[i][j]
+    adj = SymbolicMatrix(n, tuple(map(tuple, rows)))
+    assert symbolic.symbolic_checks(n, adj_x=adj) == materialized_checks(n, adj)
+
+
+def test_symbolic_checks_hold_no_whole_product(monkeypatch):
+    # neither mat_mul nor a whole adjugate runs: P is formed entry by entry
+    prod = product_matrix(5)
+    calls = Counter()
+    for name in ("mat_mul", "adjugate", "adjugate_sym"):
+        fn = getattr(symbolic, name)
+        monkeypatch.setattr(symbolic, name, lambda *a, fn=fn, name=name: calls.update([name]) or fn(*a))
+    assert symbolic.symbolic_checks(5, prod) == PairChecks(24, None, True)
+    assert calls == Counter()
+
+
+def test_inverse_pair_oracle_is_an_immutable_record():
+    pair = inverse_pair(2)
+    for field in pair._fields:
+        with pytest.raises(AttributeError):
+            setattr(pair, field, getattr(pair, field))
+    with pytest.raises(AttributeError):
+        pair.extra = 1
+    assert isinstance(pair, InversePair)
+    # the string printed by the frozen-dataclass version of this record
+    assert repr(inverse_pair(1)) == (
+        "InversePair(x=SymbolicMatrix(n=1, entries=((X[1,1],),)), det=X[1,1], "
+        "adj=SymbolicMatrix(n=1, entries=((1,),)), prod=SymbolicMatrix(n=1, entries=((X[1,1],),)))"
+    )
 
 
 def test_inverse_pair_size_must_match():
