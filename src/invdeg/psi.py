@@ -102,9 +102,11 @@ class PsiTable(NamedTuple):
         return self.pairs[i - 1][j - 1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def psi_table(n: int) -> PsiTable:
-    """Build (and cache) the psi lookup table for ambient bound n.
+    """Build the psi lookup table for ambient bound n. The last two tables
+    stay cached, one per parity of ``_generating_values``; a sweep over n
+    holds those two, not every table (O(n^4) bits in all).
 
     Pascal's rule gives psi(i, j+1) = 2 psi(i, j) + C(i+j-1, i-1) from
     psi(i, i+1) = C(2i-1, i), and the binomial steps along j as C(i+j, i-1)

@@ -7,16 +7,17 @@ exponent vector (Monagan & Pearce, CASC 2007): one int in which every
 variable owns an 8-bit field at a slot that does not depend on n, X and Y
 interleaved over the upper triangle column by column. So X[1,1]^2*Y[1,2] is
 2 + (1 << 24), the constant monomial is 0, and a product of monomials is the
-sum of their ints. Exponents stay below 2^7: a product checks the top bit of
-every field and raises ValueError, before any carry could reach the next
-variable. Keys are decoded to sorted VarId tuples, by walking their set bits,
-only to print, evaluate or substitute. One kernel, ``_mul_into``, adds
-products in place (out[ma + mb] += ca * cb) for ``*``, ``substitute``,
-``mat_mul`` and the determinant DP; sums go through ``_add_into``. The
-per-term check is skipped when the operands rule overflow out: in ``*`` and
-``mat_mul`` when no field of any operand key reaches 2^6, in the k x k
-determinant DP when k times the largest field stays below 2^7.
-``substitute`` always checks.
+sum of their ints. Keys are decoded to sorted VarId tuples, by walking their
+set bits, only to print, evaluate or substitute. One kernel, ``_mul_into``,
+adds products in place (out[ma + mb] += ca * cb) for ``*``, ``substitute``,
+``mat_mul`` and the determinant DP; sums go through ``_add_into``.
+Exponents stay below 2^7: each finished polynomial (a product, a partial
+product of ``substitute``, a ``mat_mul`` entry, a DP minor) passes once
+through ``_checked``, which raises ValueError at the top bit of a field.
+Fields below 2^7 sum to at most 254, so nothing carries before the check.
+A single product keeps its leading term, so it raises whenever a product of
+terms reaches 2^7; in a sum of products a term past 2^7 that cancels goes
+unseen, and the exact result is returned.
 
 The ideal of the inversion graph is generated by the off-diagonal entries of
 X*Y together with the consecutive diagonal differences; this module builds
@@ -139,32 +140,17 @@ def _add_into(out: dict, terms: Mapping, scale: Scalar = 1) -> None:
             out.pop(key, None)
 
 
-def _guard(polys: Iterable[Mapping[int, Scalar]], factors: Optional[int] = None) -> int:
-    """The top bit of every field used in ``polys``, sized once per operation:
-    a product of keys with fields below 2^7 uses no field above its factors'.
-
-    0, which lets ``_mul_into`` skip its per-term check, when every product
-    of up to ``factors`` keys of ``polys`` keeps each field below 2^7:
-    ``factors`` times the largest byte of the OR of all keys, a bound on
-    every field, is below 2^7. None always gives the mask.
-    """
-    used = 0
-    for p in polys:
-        used = reduce(or_, p, used)
-    widest = max(used.to_bytes(-(-used.bit_length() // 8), "little"), default=0)
-    if factors is not None and factors * widest < 0x80:
-        return 0
-    return _fields_mask(b"\x80", used)
+def _checked(terms: dict) -> dict:
+    """terms, unless a key has an exponent of 2^7 or more: then ValueError."""
+    used = reduce(or_, terms, 0)
+    if used & _fields_mask(b"\x80", used):
+        raise ValueError(_OVERFLOW)
+    return terms
 
 
-def _mul_into(out: dict, a: Mapping[int, Scalar], b: Mapping[int, Scalar], guard: int) -> None:
-    """out += a * b in place, out[ma + mb] += ca * cb, dropping keys that cancel.
-
-    Raises ValueError when a product exponent reaches 2^7; ``guard`` is
-    ``_guard`` of a set of polynomials covering a and b. Fields below 2^7
-    sum to at most 254, so the check sees the top bit before any carry. A
-    guard of 0 means the operands rule overflow out, and nothing is checked.
-    """
+def _mul_into(out: dict, a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> None:
+    """out += a * b in place, out[ma + mb] += ca * cb, dropping keys that
+    cancel; the caller passes the finished ``out`` through ``_checked``."""
     if not a or not b:
         return
     if len(a) > len(b):
@@ -173,25 +159,11 @@ def _mul_into(out: dict, a: Mapping[int, Scalar], b: Mapping[int, Scalar], guard
         # one term times b is a bijection on keys: nothing collides or cancels
         ((ma, ca),) = a.items()
         out.update({ma + mb: ca * cb for mb, cb in b.items()})
-        if guard and any(k & guard for k in out):
-            raise ValueError(_OVERFLOW)
         return
     get = out.get
-    if not guard:
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                k = ma + mb
-                c = get(k, 0) + ca * cb
-                if c:
-                    out[k] = c
-                else:
-                    del out[k]
-        return
     for ma, ca in a.items():
         for mb, cb in b.items():
             k = ma + mb
-            if k & guard:
-                raise ValueError(_OVERFLOW)
             c = get(k, 0) + ca * cb
             if c:
                 out[k] = c
@@ -199,8 +171,11 @@ def _mul_into(out: dict, a: Mapping[int, Scalar], b: Mapping[int, Scalar], guard
                 del out[k]
 
 
-def _by_slot(assignment: Mapping[VarId, object]) -> dict[int, object]:
-    return {_slot(v): x for v, x in assignment.items()}
+def _exact(x: Scalar) -> Scalar:
+    """x when it is an int or a Fraction; a float has no exact value: TypeError."""
+    if not _is_scalar(x):
+        raise TypeError(f"exact arithmetic takes int or Fraction, got {type(x).__name__}")
+    return x
 
 
 class SparsePoly:
@@ -211,7 +186,8 @@ class SparsePoly:
     monomials is a sum of keys. A product or power whose exponent reaches
     2^7 raises ValueError, so no field ever carries into the next one.
     Coefficients are int or Fraction and never zero; the zero polynomial
-    has an empty dict. Mixed arithmetic with plain scalars is supported.
+    has an empty dict. Mixed arithmetic with ints and Fractions is
+    supported; a float raises TypeError.
     """
 
     __slots__ = ("terms",)
@@ -225,7 +201,7 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, c: Scalar) -> "SparsePoly":
-        return cls({0: c}) if c else cls()
+        return cls({0: c}) if _exact(c) else cls()
 
     @classmethod
     def variable(cls, v: VarId) -> "SparsePoly":
@@ -257,13 +233,13 @@ class SparsePoly:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other: Union["SparsePoly", Scalar]) -> "SparsePoly":
-        if _is_scalar(other):
-            if not other:
-                return SparsePoly()
-            return SparsePoly({mono: c * other for mono, c in self.terms.items()})
-        out: dict[int, Scalar] = {}
-        _mul_into(out, self.terms, other.terms, _guard((self.terms, other.terms), 2))
-        return SparsePoly(out)
+        if isinstance(other, SparsePoly):
+            out: dict[int, Scalar] = {}
+            _mul_into(out, self.terms, other.terms)
+            return SparsePoly(_checked(out))
+        if not _exact(other):
+            return SparsePoly()
+        return SparsePoly({mono: c * other for mono, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -303,24 +279,24 @@ class SparsePoly:
 
     def substitute(self, assignment: Mapping[VarId, Union["SparsePoly", Scalar]]) -> "SparsePoly":
         """Replace every variable by its assigned polynomial or scalar."""
-        values = {s: _as_poly(x).terms for s, x in _by_slot(assignment).items()}
+        values = {_slot(v): _as_poly(x).terms for v, x in assignment.items()}
         try:
-            factored = [([values[s] for s in _decode(key)] or [{0: 1}], c) for key, c in self.terms.items()]
+            factored = [([values[s] for s in _decode(key)], c) for key, c in self.terms.items()]
         except KeyError as err:
             raise ValueError(f"missing variable in substitution: {_var(err.args[0])}") from None
         out: dict[int, Scalar] = {}
-        guard = _guard(values.values())
         for factors, coeff in factored:
             acc = {0: coeff}
-            for f in factors[:-1]:
+            for f in factors:
                 acc, prev = {}, acc
-                _mul_into(acc, prev, f, guard)
-            _mul_into(out, acc, factors[-1], guard)
+                _mul_into(acc, prev, f)
+                _checked(acc)
+            _add_into(out, acc)
         return SparsePoly(dict(out))
 
     def evaluate(self, assignment: Mapping[VarId, Scalar]) -> Scalar:
         """Exact value at a scalar point covering every variable."""
-        values = _by_slot(assignment)
+        values = {_slot(v): _exact(x) for v, x in assignment.items()}
         total: Scalar = 0
         try:
             for key, coeff in self.terms.items():
@@ -388,11 +364,9 @@ def determinant(rows: Sequence[Sequence[Entry]]):
     C(k, k/2) + C(k, k/2 + 1) of them instead of all 2^k.
     """
     k = len(rows)
-    for row in rows:
-        if len(row) != k:
-            raise ValueError("matrix is not square")
+    if any(len(row) != k for row in rows):
+        raise ValueError("matrix is not square")
     terms = [[_as_poly(e).terms for e in row] for row in rows]
-    guard = _guard((e for row in terms for e in row), k)
     level: dict[int, dict] = {0: {0: 1}}
     for t, row in enumerate(terms, 1):
         below, level = level, {}
@@ -402,9 +376,9 @@ def determinant(rows: Sequence[Sequence[Entry]]):
             sign = 1 if t & 1 else -1
             for c in cols:
                 entry = row[c]
-                _mul_into(acc, entry if sign > 0 else {m: -x for m, x in entry.items()}, below[mask ^ 1 << c], guard)
+                _mul_into(acc, entry if sign > 0 else {m: -x for m, x in entry.items()}, below[mask ^ 1 << c])
                 sign = -sign
-            level[mask] = acc
+            level[mask] = _checked(acc)
     (minor,) = level.values()
     if any(isinstance(e, SparsePoly) for row in rows for e in row):
         return SparsePoly(minor)
@@ -414,9 +388,8 @@ def determinant(rows: Sequence[Sequence[Entry]]):
 def adjugate(rows: Sequence[Sequence[Entry]]) -> list[list]:
     """Signed-minor adjugate; satisfies A * adj(A) = det(A) * Id (any ring)."""
     k = len(rows)
-    for row in rows:
-        if len(row) != k:
-            raise ValueError("matrix is not square")
+    if any(len(row) != k for row in rows):
+        raise ValueError("matrix is not square")
     out = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(k):
@@ -470,15 +443,14 @@ def mat_mul(a: SymbolicMatrix, b: SymbolicMatrix) -> SymbolicMatrix:
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
     n = a.n
-    guard = _guard((e.terms for m in (a, b) for row in m.entries for e in row), 2)
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
             out: dict[int, Scalar] = {}
             for k in range(n):
-                _mul_into(out, a.entries[i][k].terms, b.entries[k][j].terms, guard)
-            row.append(SparsePoly(dict(out)))
+                _mul_into(out, a.entries[i][k].terms, b.entries[k][j].terms)
+            row.append(SparsePoly(_checked(dict(out))))
         rows.append(tuple(row))
     return SymbolicMatrix(n, tuple(rows))
 
@@ -614,8 +586,8 @@ def _reduce_into(basis: dict, vectors: Iterable[Mapping]) -> dict:
 
 
 def sparse_rank(vectors: Iterable[Mapping]) -> int:
-    """Rank over the rationals of sparse coefficient vectors (dict keyed)."""
-    return len(_reduce_into({}, vectors))
+    """Rank over the rationals of sparse int/Fraction vectors (dict keyed)."""
+    return len(_reduce_into({}, ({k: _exact(c) for k, c in v.items()} for v in vectors)))
 
 
 def spans_product_entries(n: int, prod: Optional[SymbolicMatrix] = None) -> bool:
@@ -711,11 +683,8 @@ def symbolic_checks(
     det = det_sym(xm).terms
     if adj_x is None:
         columns: Iterable[list] = _adjugate_columns(n, det)
-        bound = [det]  # a derivative's fields are at most det's
     else:
         columns = ([row[j].terms for row in adj_x.entries] for j in range(n))
-        bound = [e.terms for row in adj_x.entries for e in row]
-    guard = _guard(bound + [e for row in x for e in row], 2)
     # P in small: each entry becomes its place among the distinct values of
     # P met so far, which start with 0 and det(X); two entries get the same
     # int exactly when they are equal, and a passing run keeps no entry
@@ -725,7 +694,7 @@ def symbolic_checks(
         for i in range(n):
             entry: dict[int, Scalar] = {}
             for x_ik, adj_kj in zip(x[i], column):
-                _mul_into(entry, x_ik, adj_kj, guard)
+                _mul_into(entry, x_ik, adj_kj)
             if entry not in kept:
                 kept.append(entry)
             shadow[i][j] = kept.index(entry)
@@ -819,6 +788,11 @@ def adjugate_identity_numeric(n: int, trials: int, seed: int, executor=None) -> 
 def matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:
     """Exact rank over the rationals of an int/Fraction matrix of any shape,
     by forward elimination alone."""
+    for row in rows:
+        if len(row) != len(rows[0]):
+            raise ValueError("matrix rows have unequal lengths")
+        for x in row:
+            _exact(x)
     return _eliminate(rows, adjugate=False)[0]
 
 
@@ -849,12 +823,7 @@ class RationalSymMatrix(_RationalSymMatrixFields):
         float's binary value, not 1/10, so a float raises TypeError."""
         from fractions import Fraction
 
-        def exact(x: Scalar) -> Fraction:
-            if not isinstance(x, (int, Fraction)):
-                raise TypeError(f"entries must be int or Fraction, got {type(x).__name__}")
-            return Fraction(x)
-
-        return cls(len(rows), tuple(tuple(map(exact, row)) for row in rows))
+        return cls(len(rows), tuple(tuple(Fraction(_exact(x)) for x in row) for row in rows))
 
     def rank(self) -> int:
         return matrix_rank(self.rows)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import invdeg.multidegree as multidegree
 import invdeg.psi as psi
 from invdeg.exact import SkewMatrix, binomial, pfaffian_reference
+from invdeg.mldegree import ml_table
 from invdeg.multidegree import _pair_matrix
 from invdeg.psi import PsiTable, Subsequence, p_alpha, psi_pair, psi_seq, psi_single, psi_table
 
@@ -56,6 +57,18 @@ def test_psi_table_contents_and_cache():
         table.pair(1, 6)
     with pytest.raises(ValueError):
         table.single(0)
+
+
+def test_psi_table_cache_holds_a_small_constant_number_of_tables():
+    psi_table.cache_clear()
+    for n in range(1, 41):
+        p_alpha((1,), n)
+    info = psi_table.cache_info()
+    assert 2 <= info.maxsize <= 4 and info.currsize <= info.maxsize
+    # both parities of one elimination each, at t = 1 and at t = 2^K: two builds
+    psi_table.cache_clear()
+    ml_table(12)
+    assert psi_table.cache_info().misses == 2
 
 
 def test_psi_table_matches_binomial_sum():

@@ -2,6 +2,7 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -153,12 +154,17 @@ def poly_specs(draw):
     return draw(st.lists(term, max_size=5))
 
 
+@lru_cache(maxsize=None)
+def var_power(v, e):
+    return var(v) ** e
+
+
 def poly_from(spec):
     out = SparsePoly.zero()
     for c, factors in spec:
         t = SparsePoly.constant(c)
-        for v in factors:
-            t = t * var(v)
+        for v, e in Counter(factors).items():
+            t = t * var_power(v, e)
         out = out + t
     return out
 
@@ -232,6 +238,14 @@ def test_poly_ring_ops_match_evaluation(a_spec, b_spec, e, values, lift):
     assert swap_sides(a).evaluate(flipped) == va
 
 
+def one_by_one(p):
+    return SymbolicMatrix(1, ((p,),))
+
+
+def diagonal(p, k):
+    return SymbolicMatrix(k, tuple(tuple(p if i == j else SparsePoly() for j in range(k)) for i in range(k)))
+
+
 def test_exponent_overflow_raises_and_spares_neighbours():
     x, y = var(xvar(1, 1)), var(yvar(1, 1))  # neighbouring fields
     top = x ** 127 * y ** 127
@@ -239,92 +253,126 @@ def test_exponent_overflow_raises_and_spares_neighbours():
     assert top.bidegree() == (127, 127)
     assert top.evaluate({xvar(1, 1): 2, yvar(1, 1): 3}) == 6 ** 127
     assert str(swap_sides(x ** 127 * y)) == "X[1,1]*Y[1,1]^127"
+    x42, x43, x63, x64 = x ** 42, x ** 43, x ** 63, x ** 64
+    x63y, x64y = x63 * y ** 5, x64 * y ** 5
+    # products up to 2^7 - 1 are exact, whether or not an operand field reaches 2^6
+    for op, want in (
+        (lambda: x63 * x63y, "X[1,1]^126*Y[1,1]^5"),
+        (lambda: mat_mul(one_by_one(x63y), one_by_one(x63)).entries[0][0], "X[1,1]^126*Y[1,1]^5"),
+        (lambda: det_sym(diagonal(x63, 2)), "X[1,1]^126"),
+        (lambda: det_sym(diagonal(x42, 3)), "X[1,1]^126"),
+        (lambda: x64y * x63, "X[1,1]^127*Y[1,1]^5"),
+        (lambda: x63 * x64y, "X[1,1]^127*Y[1,1]^5"),
+        (lambda: mat_mul(one_by_one(x64y), one_by_one(x63)).entries[0][0], "X[1,1]^127*Y[1,1]^5"),
+        (lambda: det_sym(SymbolicMatrix(2, ((x64y, x), (x, x63)))), "X[1,1]^127*Y[1,1]^5 - X[1,1]^2"),
+        (lambda: (x * x * x).substitute({xvar(1, 1): y}), "Y[1,1]^3"),
+        (lambda: (x ** 2).substitute({xvar(1, 1): x63}), "X[1,1]^126"),
+    ):
+        assert str(op()) == want
+    # at 2^7 it raises, before the carry could reach Y[1,1]
     for overflow in (
         lambda: top * x,
         lambda: x * top,
         lambda: x ** 128,
-        lambda: (x ** 64) * (x ** 64),
+        lambda: x64 * x64,
+        lambda: x64y * x64,
         lambda: (x ** 100 + y) ** 2,
         lambda: (top + 1) * (y + 1),
         lambda: (x ** 127).substitute({xvar(1, 1): x * x}),
+        # x^128 and x^192 come first: x^256 alone would carry into Y[1,1]
+        lambda: (x ** 4).substitute({xvar(1, 1): x64}),
         lambda: det_sym(SymbolicMatrix(2, ((top, x), (x, y)))),
-        lambda: mat_mul(SymbolicMatrix(1, ((top,),)), SymbolicMatrix(1, ((x,),))),
+        lambda: det_sym(diagonal(x64y, 2)),
+        lambda: det_sym(diagonal(x43, 3)),
+        # every minor is checked: x^300 alone would carry past the level-2 x^200
+        lambda: det_sym(diagonal(x ** 100, 3)),
+        lambda: mat_mul(one_by_one(top), one_by_one(x)),
+        lambda: mat_mul(one_by_one(x64y), one_by_one(x64)),
     ):
         with pytest.raises(ValueError, match=r"2\^7"):
             overflow()
     assert str(top) == "X[1,1]^127*Y[1,1]^127"
+    assert str(x64y) == "X[1,1]^64*Y[1,1]^5"
     assert x ** 126 * x == x ** 127
     assert str(x ** 127 * var(xvar(1, 2)) ** 127) == "X[1,1]^127*X[1,2]^127"
 
 
-def _recorded_guards(monkeypatch):
-    """Every guard ``_mul_into`` is called with, 0 meaning the unchecked loop."""
-    guards = []
-    real = symbolic._mul_into
-
-    def spy(out, a, b, guard):
-        guards.append(guard)
-        return real(out, a, b, guard)
-
-    monkeypatch.setattr(symbolic, "_mul_into", spy)
-    return guards
+def test_a_cancelling_term_past_2_7_leaves_the_exact_sum():
+    # (0,0) entry: x^128 - x^128; the check sees the finished entry only
+    x64 = var(xvar(1, 1)) ** 64
+    zero = SparsePoly()
+    a = SymbolicMatrix(2, ((x64, x64), (zero, zero)))
+    b = SymbolicMatrix(2, ((x64, zero), (-x64, zero)))
+    assert mat_mul(a, b) == SymbolicMatrix(2, ((zero, zero), (zero, zero)))
 
 
-def test_overflow_check_is_skipped_only_when_no_field_can_reach_2_7(monkeypatch):
-    x, y = var(xvar(1, 1)), var(yvar(1, 1))  # neighbouring fields
-    x42, x43, x63, x64 = x ** 42, x ** 43, x ** 63, x ** 64
-    x63y, x64y = x63 * y ** 5, x64 * y ** 5
-    guards = _recorded_guards(monkeypatch)
+def exponent_terms(spec):
+    """Reference model of a spec with unbounded exponents: {exponent tuple
+    over POLY_VARS: coefficient}, zeros dropped."""
+    out = {}
+    for c, factors in spec:
+        key = tuple(factors.count(v) for v in POLY_VARS)
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
 
-    def guards_of(op):
-        guards.clear()
-        result = op()
-        assert guards
-        return result, set(guards)
 
-    def one(p):
-        return SymbolicMatrix(1, ((p,),))
+def exponent_sum(pairs):
+    """The sum of the products of the reference models, pair by pair."""
+    out = {}
+    for a, b in pairs:
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                key = tuple(map(sum, zip(ka, kb)))
+                out[key] = out.get(key, 0) + ca * cb
+    return {key: c for key, c in out.items() if c}
 
-    def diagonal(p, k):
-        return SymbolicMatrix(k, tuple(tuple(p if i == j else SparsePoly() for j in range(k)) for i in range(k)))
 
-    # every field below 2^6: the product cannot reach 2^7, nothing is checked
-    for op, want in (
-        (lambda: x63 * x63y, "X[1,1]^126*Y[1,1]^5"),
-        (lambda: mat_mul(one(x63y), one(x63)).entries[0][0], "X[1,1]^126*Y[1,1]^5"),
-        (lambda: det_sym(diagonal(x63, 2)), "X[1,1]^126"),
-        (lambda: det_sym(diagonal(x42, 3)), "X[1,1]^126"),
-        (lambda: mat_mul(generic_sym_matrix(3, "X"), generic_sym_matrix(3, "Y")).entries[2][1],
-         str(product_matrix(3).entries[2][1])),
-    ):
-        result, seen = guards_of(op)
-        assert (str(result), seen) == (want, {0})
-    # a field at 2^6 (or k * 43 >= 2^7): checked, and a product below 2^7 is exact
-    for op, want in (
-        (lambda: x64y * x63, "X[1,1]^127*Y[1,1]^5"),
-        (lambda: x63 * x64y, "X[1,1]^127*Y[1,1]^5"),
-        (lambda: mat_mul(one(x64y), one(x63)).entries[0][0], "X[1,1]^127*Y[1,1]^5"),
-        (lambda: det_sym(SymbolicMatrix(2, ((x64y, x), (x, x63)))), "X[1,1]^127*Y[1,1]^5 - X[1,1]^2"),
-    ):
-        result, seen = guards_of(op)
-        assert str(result) == want and 0 not in seen
-    # at 2^7 it raises, before the carry could reach Y[1,1]
-    for overflow in (
-        lambda: x64 * x64,
-        lambda: x64y * x64,
-        lambda: mat_mul(one(x64y), one(x64)),
-        lambda: det_sym(diagonal(x64y, 2)),
-        lambda: det_sym(diagonal(x43, 3)),
-    ):
+def assert_matches_reference(compute, models):
+    """compute() lists the polynomials that the models describe: equal when
+    every exponent is below 2^7, and ValueError exactly when one reaches it."""
+    if any(e >= 128 for model in models for key in model for e in key):
         with pytest.raises(ValueError, match=r"2\^7"):
-            overflow()
-        assert 0 not in guards
-    assert str(x64y) == "X[1,1]^64*Y[1,1]^5"
-    # substitute chains products, so it always checks
-    cube, want = x * x * x, y * y * y
-    guards.clear()
-    assert cube.substitute({xvar(1, 1): y}) == want
-    assert guards and 0 not in guards
+            compute()
+    else:
+        specs = [[(c, [v for v, e in zip(POLY_VARS, key) for _ in range(e)]) for key, c in m.items()] for m in models]
+        assert compute() == [poly_from(spec) for spec in specs]
+
+
+@st.composite
+def lifted_matrices(draw, k):
+    """A k x k matrix of specs, each entry's terms lifted by one variable
+    toward 2^7, with every exponent below 2^7."""
+    entries = []
+    for _ in range(k * k):
+        lifted, h = draw(LIFTS)
+        spec = draw(poly_specs())
+        entries.append([(c, factors + [lifted] * min(h, 127 - factors.count(lifted))) for c, factors in spec])
+    return [entries[i * k:(i + 1) * k] for i in range(k)]
+
+
+def symbolic_of(specs):
+    return SymbolicMatrix(len(specs), tuple(tuple(poly_from(s) for s in row) for row in specs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lambda k: st.tuples(lifted_matrices(k), lifted_matrices(k))))
+def test_mat_mul_raises_exactly_when_an_entry_reaches_2_7(pair):
+    a_specs, b_specs = pair
+    k = len(a_specs)
+    models = [
+        exponent_sum([(exponent_terms(a_specs[i][t]), exponent_terms(b_specs[t][j])) for t in range(k)])
+        for i in range(k) for j in range(k)
+    ]
+    a, b = symbolic_of(a_specs), symbolic_of(b_specs)
+    assert_matches_reference(lambda: [e for row in mat_mul(a, b).entries for e in row], models)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lifted_matrices(2))
+def test_det_sym_raises_exactly_when_the_determinant_reaches_2_7(specs):
+    (p, q), (r, s) = [[exponent_terms(e) for e in row] for row in specs]
+    minus_r = {key: -c for key, c in r.items()}
+    assert_matches_reference(lambda: [det_sym(symbolic_of(specs))], [exponent_sum([(p, s), (q, minus_r)])])
 
 
 # sha256 of str() of every generator and then every product entry, one per
@@ -1027,6 +1075,27 @@ def test_matrix_rank_examples():
     assert matrix_rank([]) == 0
     assert matrix_rank([[1, 2, 3], [2, 4, 6]]) == 1
     assert matrix_rank([[0], [Fraction(2, 3)], [1]]) == 1
+
+
+def test_matrix_rank_rejects_rows_of_unequal_length():
+    for rows in ([[1, 2], [3]], [[1], [2, 3]], [[1, 2], [3, 4], []]):
+        with pytest.raises(ValueError, match="unequal lengths"):
+            matrix_rank(rows)
+
+
+@pytest.mark.parametrize("entry_point", [
+    lambda: var(xvar(1, 1)) + 0.5,  # _as_poly
+    lambda: determinant([[0.5, 1], [1, 3]]),  # _as_poly, entry by entry
+    lambda: SparsePoly.constant(0.5),
+    lambda: var(xvar(1, 1)) * 0.5,  # the scalar branch of *
+    lambda: 0.5 * var(xvar(1, 1)),
+    lambda: var(xvar(1, 1)).evaluate({xvar(1, 1): 0.5}),
+    lambda: matrix_rank([[0.5, 1], [1, 2]]),
+    lambda: sparse_rank([{"a": 0.5}]),
+], ids=["as_poly", "determinant", "constant", "mul", "rmul", "evaluate", "matrix_rank", "sparse_rank"])
+def test_floats_do_not_enter_exact_arithmetic(entry_point):
+    with pytest.raises(TypeError, match="got float"):
+        entry_point()
 
 
 def test_rational_sym_matrix_validation():
