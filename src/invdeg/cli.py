@@ -85,8 +85,9 @@ def build_parser() -> _Parser:
     which = p_ml.add_mutually_exclusive_group(required=True)
     which.add_argument("--n-max", type=int)
     which.add_argument("--d", type=int)
-    p_ml.add_argument("--poly", action="store_true", help="interpolate the polynomial in n for fixed d")
-    p_ml.add_argument("--window", type=int, help="sample count for the difference check (default d + 10)")
+    check = p_ml.add_mutually_exclusive_group()
+    check.add_argument("--poly", action="store_true", help="interpolate the polynomial in n for fixed d")
+    check.add_argument("--window", type=int, help="difference-check sample count, not with --poly (default d + 10)")
 
     p_ver = sub.add_parser("verify", help="run the certificate suite")
     p_ver.add_argument("--n", type=int, required=True)

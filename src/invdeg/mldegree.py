@@ -12,7 +12,7 @@ out-of-sample validation. All samples of one d, there and in
 (``multidegree._light_psi``): one psi expansion and one chain of nested
 inverses of the bordered pair matrix for every n. ``ml_table`` lists
 whole rows, the generating Pfaffians of ``gamma_degrees`` for every n at once
-(see ``multidegree._gamma_rows``).
+(see ``multidegree._generating_values``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .exact import InvariantViolation
-from .multidegree import _gamma_prefixes, _gamma_rows, sym_dimension
+from .multidegree import _expansions, _gamma_from_beta, _gamma_prefixes, sym_dimension
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -48,7 +48,7 @@ def ml_table(n_max: int) -> list[tuple[int, ...]]:
     which is gamma_degrees(n)."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    return _gamma_rows(n_max)
+    return [_gamma_from_beta(betas[:-1]) for betas in _expansions(range(1, n_max + 1))]
 
 
 def smallest_valid_n(d: int) -> int:

@@ -9,14 +9,14 @@ of products of psi values over complementary index subsets. ``sdp_degree``
 restricts that sum to subsets of fixed size and is the algebraic degree of
 semidefinite programming.
 
-The whole vector (``beta_vector`` and all built on it) is read off
-G(t) = sum_d beta(n, d) t^d, one Pfaffian of size n + 1 or n + 2 by minor
-summation, evaluated at t = 2^K and decoded digit by digit; a second
-variable for the subset size gives every ``sdp_degree`` of one n the same
-way. Pair values do not depend on n, so the matrix of every smaller n of the
-same parity is a leading principal block of the largest one: ``_gamma_rows``
-reads every row up to n off the pivots of one elimination per parity at
-t = 1 and one at t = 2^K. ``gamma_prefix`` needs only beta(n, 0..k-1) and
+Every whole coefficient list (``beta_vector`` and all built on it, the
+rows of ``mldegree.ml_table``, the rank table of ``sdp_degree``) is read
+off G(t, s) = sum over subsets a of s^|a| t^weight(a) psi(a) psi(complement),
+one Pfaffian of size n + 1 or n + 2 by minor summation. Pair values do not
+depend on n, so ``_generating_values`` reads G of every n off the pivots of
+one elimination per parity, and ``_expansions`` decodes the base-2^K digits
+of G(2^K, s), s = 1 or, for ``sdp_degree``, a power of 2^K that keeps the
+subset sizes apart. ``gamma_prefix`` needs only beta(n, 0..k-1) and
 visits the subsets of weight below k (see ``_light_psi``); psi of each
 complement comes from the integral inverse of a leading block of the
 bordered pair matrix. One pass serves many n: the psi expansion is shared,
@@ -32,7 +32,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .exact import InvariantViolation, SkewMatrix, leading_pfaffians, pfaffian
+from .exact import InvariantViolation, SkewMatrix, leading_pfaffians
 from .psi import psi_table
 
 
@@ -118,25 +118,23 @@ def _generating_matrix(n: int, t: int, s: int = 1) -> SkewMatrix:
     return SkewMatrix.from_upper(len(points), upper)
 
 
-def _generating_value(n: int, t: int, s: int = 1) -> int:
-    """G(t, s) of ``_generating_matrix``, one Pfaffian."""
-    return pfaffian(_generating_matrix(n, t, s))
-
-
-def _generating_values(n_max: int, t: int) -> list[int]:
-    """G(t) for n = 1..n_max, at index n - 1, from one elimination per parity.
+def _generating_values(ns: Sequence[int], t: int, s: int = 1) -> list[int]:
+    """G(t, s) of ``_generating_matrix`` for each n of ``ns``, from one
+    elimination per parity.
 
     The matrix of n, with its borders first, is the leading principal block
-    of size n + 1 (odd n) or n + 2 (even n) of the matrix of n_max or
-    n_max - 1 of the same parity, so G(t) is a pivot of that elimination.
+    of size n + 1 (odd n) or n + 2 (even n) of the matrix of every larger n
+    of the same parity, so G(t, s) is a pivot of the elimination of the
+    largest n of that parity in ``ns``. At t, s >= 1 every leading Pfaffian
+    is a sum of positive terms, so no pivot is zero and no swap is needed.
     """
-    out = [0] * n_max
-    for top in range(max(1, n_max - 1), n_max + 1):
-        for i, pf in enumerate(leading_pfaffians(_generating_matrix(top, t))):
-            n = 2 * i + (top & 1)  # the block of size 2i + 2
-            if n:
-                out[n - 1] = pf
-    return out
+    values = {}
+    for parity in (0, 1):
+        top = max((n for n in ns if n & 1 == parity), default=0)
+        if top:
+            for i, pf in enumerate(leading_pfaffians(_generating_matrix(top, t, s))):
+                values[2 * i + parity] = pf  # the block of size 2i + 2
+    return [values[n] for n in ns]
 
 
 def _digits(value: int, k: int, count: int, total: int) -> list[int]:
@@ -156,18 +154,21 @@ def _digits(value: int, k: int, count: int, total: int) -> list[int]:
     return out
 
 
-def _coefficients(n: int, count: int, stride: int = 0) -> list[int]:
-    """The t^0..t^(count-1) coefficients of G(t, t^stride), from one Pfaffian
-    at t = 2^K. K is two bits above G(1, 1), the sum of all coefficients,
-    which are nonnegative, so each of them fits in a digit."""
-    total = _generating_value(n, 1)
-    k = total.bit_length() + 2
-    return _digits(_generating_value(n, 1 << k, 1 << k * stride), k, count, total)
+def _expansions(ns: Sequence[int], stride: int = 0) -> list[list[int]]:
+    """For each n of ``ns``, the t^0..t^(n stride + m) coefficients of
+    G(t, t^stride), from G(1, 1) and G(2^K, 2^(K stride)). K is two bits
+    above the largest G(1, 1), the sum of all coefficients of its n, which
+    are nonnegative, so each of them fits in a digit."""
+    counts = [n * stride + sym_dimension(n) + 1 for n in ns]
+    totals = _generating_values(ns, 1)
+    k = max(totals).bit_length() + 2
+    values = _generating_values(ns, 1 << k, 1 << k * stride)
+    return [_digits(value, k, count, total) for value, count, total in zip(values, counts, totals)]
 
 
 def beta_vector(n: int) -> tuple[int, ...]:
     """beta(n, d) for d = 0..m: products of psi over complementary subsets, by weight."""
-    return tuple(_coefficients(n, sym_dimension(n) + 1))
+    return tuple(_expansions([n])[0])
 
 
 def beta(n: int, d: int) -> int:
@@ -191,7 +192,7 @@ def _rank_table(n: int) -> tuple[tuple[int, ...], ...]:
     lo = [j * (j + 1) // 2 for j in range(n + 1)]
     hi = [m - lo[n - j] for j in range(n + 1)]
     stride = 1 + max(hi[j] - lo[j + 1] for j in range(n))
-    digits = _coefficients(n, n * stride + m + 1, stride)
+    (digits,) = _expansions([n], stride)
     return tuple(
         tuple(digits[j * stride + d] if lo[j] <= d <= hi[j] else 0 for d in range(m + 1))
         for j in range(n + 1)
@@ -227,19 +228,6 @@ def _gamma_from_beta(betas) -> tuple[int, ...]:
 def gamma_degrees(n: int) -> tuple[int, ...]:
     """Multidegree coefficients of the inverse-pairs variety, d = 0..m-1."""
     return _gamma_from_beta(beta_vector(n)[:-1])
-
-
-def _gamma_rows(n_max: int) -> list[tuple[int, ...]]:
-    """gamma_degrees(n) for n = 1..n_max: G(1) of every n from one elimination
-    per parity, then G(2^K) from one more, K two bits above the largest G(1),
-    which leaves room for every coefficient of every n."""
-    totals = _generating_values(n_max, 1)
-    k = max(totals).bit_length() + 2
-    values = _generating_values(n_max, 1 << k)
-    return [
-        _gamma_from_beta(_digits(value, k, sym_dimension(n) + 1, total)[:-1])
-        for n, (value, total) in enumerate(zip(values, totals), 1)
-    ]
 
 
 def _nested_inverses(b: list[list[int]]) -> Iterator[list[list[int]]]:

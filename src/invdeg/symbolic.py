@@ -11,9 +11,10 @@ sum of their ints. Keys are decoded to sorted VarId tuples, by walking their
 set bits, only to print, evaluate or substitute. One kernel, ``_mul_into``,
 adds products in place (out[ma + mb] += ca * cb) for ``*``, ``substitute``,
 ``mat_mul`` and the determinant DP; sums go through ``_add_into``.
-Exponents stay below 2^7: each finished polynomial (a product, a partial
-product of ``substitute``, a ``mat_mul`` entry, a DP minor) passes once
-through ``_checked``, which raises ValueError at the top bit of a field.
+Exponents stay below 2^7: every ``SparsePoly`` (so every product and
+``mat_mul`` entry), every partial product of ``substitute`` and every DP
+minor passes through ``_checked``, which raises ValueError at the top bit of
+a field.
 Fields below 2^7 sum to at most 254, so nothing carries before the check.
 A single product keeps its leading term, so it raises whenever a product of
 terms reaches 2^7; in a sum of products a term past 2^7 that cancels goes
@@ -183,17 +184,24 @@ class SparsePoly:
 
     A monomial is an int holding each variable's exponent in its own 8-bit
     field (see ``_slot``); the constant monomial is 0 and a product of
-    monomials is a sum of keys. A product or power whose exponent reaches
-    2^7 raises ValueError, so no field ever carries into the next one.
-    Coefficients are int or Fraction and never zero; the zero polynomial
-    has an empty dict. Mixed arithmetic with ints and Fractions is
+    monomials is a sum of keys. Coefficients are int or Fraction and never
+    zero; the zero polynomial has an empty dict. The constructor keeps the
+    dict it is given once checked: a negative or non-int key, an exponent
+    of 2^7 or more or a zero coefficient raises ValueError, so no field ever
+    carries into the next one. Mixed arithmetic with ints and Fractions is
     supported; a float raises TypeError.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[dict[int, Scalar]] = None):
-        self.terms: dict[int, Scalar] = {} if terms is None else terms
+        terms = {} if terms is None else terms
+        for key, c in terms.items():
+            if not isinstance(key, int) or key < 0:
+                raise ValueError(f"a monomial is a nonnegative int, got {key!r}")
+            if not _exact(c):
+                raise ValueError(f"zero coefficient at monomial {key}")
+        self.terms: dict[int, Scalar] = _checked(terms)
 
     @classmethod
     def zero(cls) -> "SparsePoly":
@@ -236,7 +244,7 @@ class SparsePoly:
         if isinstance(other, SparsePoly):
             out: dict[int, Scalar] = {}
             _mul_into(out, self.terms, other.terms)
-            return SparsePoly(_checked(out))
+            return SparsePoly(out)
         if not _exact(other):
             return SparsePoly()
         return SparsePoly({mono: c * other for mono, c in self.terms.items()})
@@ -450,7 +458,7 @@ def mat_mul(a: SymbolicMatrix, b: SymbolicMatrix) -> SymbolicMatrix:
             out: dict[int, Scalar] = {}
             for k in range(n):
                 _mul_into(out, a.entries[i][k].terms, b.entries[k][j].terms)
-            row.append(SparsePoly(_checked(dict(out))))
+            row.append(SparsePoly(dict(out)))
         rows.append(tuple(row))
     return SymbolicMatrix(n, tuple(rows))
 

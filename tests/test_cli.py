@@ -81,6 +81,8 @@ def test_usage_errors_exit_1(capsys):
         (["mldeg", "--n-max", "3", "--window", "5"], "--poly/--window require --d"),
         (["mldeg", "--d", "0"], "--d must be >= 1, got 0"),
         (["mldeg", "--d", "3", "--window", "2"], "--window must be >= d + 1, got 2"),
+        (["mldeg", "--d", "3", "--poly", "--window", "100"], None),  # one or the other
+        (["mldeg", "--d", "3", "--window", "2", "--poly"], None),
         (["verify", "--n", "3", "--trials", "0"], "--trials must be >= 1, got 0"),
         (["verify", "--n", "3", "--symbolic-cap", "0"], "--symbolic-cap must be >= 1, got 0"),
         (

@@ -4,11 +4,13 @@ from itertools import combinations
 import pytest
 
 import invdeg.multidegree as multidegree_mod
-from invdeg.exact import InvariantViolation, SkewMatrix, binomial, pfaffian_reference
+from invdeg.exact import InvariantViolation, SkewMatrix, binomial, pfaffian, pfaffian_reference
 from invdeg.multidegree import (
     _digits,
     _gamma_from_beta,
-    _generating_value,
+    _generating_matrix,
+    _generating_values,
+    _rank_table,
     beta,
     beta_vector,
     gamma_degrees,
@@ -45,6 +47,25 @@ BETA_VECTOR_SHA256 = {
     19: "2fa1c496b925e4a130e76c54e232b17b1331c84128228d53c27b50dfc0d7c3da",
     20: "7404668c0d36fa08b9d4795bd8427d6b77b3aec1665b3ff9ca47cf3b6b72e56c",
     21: "f91538d7ec97e0104d2d39d215c3fc0d4fddfe9093bf3097d52793dd514d0772",
+}
+
+# sha256 of repr(_rank_table(n)), recorded from the engine that evaluated one
+# Pfaffian per n before every n was read off one elimination per parity.
+RANK_TABLE_SHA256 = {
+    1: "6080bf66f855b0f98ada9ba7c2e164e3e461d63997ddb9f347a7af461102cb96",
+    2: "1d7b36a6332af358eb6716bfad0151bbc184c39abfc1c33eed536a18dfe66404",
+    3: "b6c1281f427a9447940aba038be5068554138e98e6cfdc069483d560be84c114",
+    4: "7eb9619933a98278ff6aabbf991ee202fa0c81274c92aacd4e4458303ea39de9",
+    5: "c73e0b894ecb59f8e4936a00f43f7eb59fcb04c431c22469fe72b2580a042804",
+    6: "9c0ae1c6b3e105706ad86e91a4abd2901b48176c4fb9be2938a61df5c4fa1e4e",
+    7: "ebcb0a3cabd5898a776985523b111021e401a7e46812d87953a776273fa813bd",
+    8: "3ff945744ae97deb686f146f6d658a2f85f8f0f8a1211297f718faf233872bfe",
+    9: "395d10584ec7dc04f7ce814b1b8cdc99801dc262f064df6c6e7db87f7c07b3d6",
+    10: "a5b28f13b2570fc973c45fee3441c1a65e9a87a6110d8c6e2e6b2da85523e1e8",
+    11: "73c7d6cd7efdb5f81137f18a214889e2cad12e834c3ab5760112a71ba159338b",
+    12: "a984fa18c764ba905220ab8284027f1f61b4eec0ba5031cbc118d347d3ccc0d5",
+    13: "7fa41e07c359fa0dbed79b31dd35706b3f64889a922ef85fe0e9056d8f116220",
+    14: "6a381a00d149eebc78a0e9ac0f75b29fc79b51f6fd64e56c3ca0dec5c8485cc5",
 }
 
 
@@ -170,12 +191,12 @@ def test_digit_decoder_rejects_undersized_k():
     # every K too small for the largest coefficient is caught, the next one decodes
     for n in range(2, 13):
         m = sym_dimension(n)
-        total = _generating_value(n, 1)
+        (total,) = _generating_values([n], 1)
         fits = max(beta_vector(n)).bit_length() + 1
         for k in range(1, fits):
             with pytest.raises(InvariantViolation, match="digits"):
-                _digits(_generating_value(n, 1 << k), k, m + 1, total)
-        value = _generating_value(n, 1 << fits)
+                _digits(_generating_values([n], 1 << k)[0], k, m + 1, total)
+        (value,) = _generating_values([n], 1 << fits)
         assert tuple(_digits(value, fits, m + 1, total)) == beta_vector(n)
         # right digits, but something left above the last one
         with pytest.raises(InvariantViolation, match="digits"):
@@ -198,38 +219,52 @@ def test_generating_value_matches_subset_sum():
         terms = _subset_terms(n)
         for t, s in points:
             want = sum(s ** size * t ** w * prod for size, w, prod in terms)
-            assert _generating_value(n, t, s) == want, (n, t, s)
+            assert pfaffian(_generating_matrix(n, t, s)) == want, (n, t, s)
+            if t > 0 and s > 0:  # where every leading Pfaffian is positive
+                assert _generating_values([n], t, s) == [want], (n, t, s)
+
+
+def test_generating_values_of_mixed_parities_match_one_pfaffian_each():
+    ns = [3, 8, 1, 6, 6, 5, 2, 11]
+    for t, s in ((1, 1), (3, 2), (1 << 20, 1 << 7)):
+        assert _generating_values(ns, t, s) == [pfaffian(_generating_matrix(n, t, s)) for n in ns], (t, s)
 
 
 def test_generating_value_is_one_pfaffian(monkeypatch):
     sizes = []
-    real = multidegree_mod.pfaffian
+    real = multidegree_mod.leading_pfaffians
 
     def counting(matrix):
         sizes.append(matrix.size)
         return real(matrix)
 
-    monkeypatch.setattr(multidegree_mod, "pfaffian", counting)
-    for n, layout in ((9, 10), (10, 12)):  # (border, 1..n) and (A0, B0, 1..n)
+    monkeypatch.setattr(multidegree_mod, "leading_pfaffians", counting)
+    # (border, 1..n) for odd n and (A0, B0, 1..n) for even n, one elimination per parity
+    for ns, layouts in (([9], [10]), ([10], [12]), ([9, 10], [10, 12])):
         sizes.clear()
-        _generating_value(n, 1 << 40, 3)
-        assert sizes == [layout], (n, sizes)
+        _generating_values(ns, 1 << 40, 3)
+        assert sorted(sizes) == layouts, (ns, sizes)
 
 
 def test_multidegree_table_evaluates_the_packed_pfaffian_once(monkeypatch):
     calls = []
-    real = multidegree_mod._generating_value
+    real = multidegree_mod._generating_values
 
-    def counting(n, t, s=1):
+    def counting(ns, t, s=1):
         calls.append(t)
-        return real(n, t, s)
+        return real(ns, t, s)
 
-    monkeypatch.setattr(multidegree_mod, "_generating_value", counting)
+    monkeypatch.setattr(multidegree_mod, "_generating_values", counting)
     for n in (9, 10):
         calls.clear()
         multidegree_table(n)
-        # one Pfaffian at the Kronecker point t = 2^K, one at t = 1 for the digit-sum check
+        # one elimination at t = 1 for the digit-sum check, one at the Kronecker point t = 2^K
         assert len(calls) == 2 and calls[0] == 1 < calls[1], calls
+
+
+def test_rank_table_matches_recorded_digests():
+    for n, want in RANK_TABLE_SHA256.items():
+        assert hashlib.sha256(repr(_rank_table(n)).encode()).hexdigest() == want, n
 
 
 def test_beta_decomposes_into_sdp_degrees():

@@ -297,6 +297,26 @@ def test_exponent_overflow_raises_and_spares_neighbours():
     assert str(x ** 127 * var(xvar(1, 2)) ** 127) == "X[1,1]^127*X[1,2]^127"
 
 
+def test_sparse_poly_rejects_a_key_that_is_not_a_nonnegative_int():
+    # _decode never ends on a negative key, so str() and variables() would hang
+    for key in (-1, "a", 1.0):
+        with pytest.raises(ValueError, match="nonnegative int"):
+            SparsePoly({key: 1})
+
+
+def test_sparse_poly_rejects_a_monomial_past_2_7():
+    # X[1,1]^128 would print, and its square would carry into Y[1,1]
+    with pytest.raises(ValueError, match=r"2\^7"):
+        SparsePoly({0x80: 1})
+    assert str(SparsePoly({0x7F: 1})) == "X[1,1]^127"
+
+
+def test_sparse_poly_rejects_a_zero_coefficient():
+    # the class keeps no zero coefficients, so equality with the zero polynomial holds
+    with pytest.raises(ValueError, match="zero coefficient"):
+        SparsePoly({5: 0})
+
+
 def test_a_cancelling_term_past_2_7_leaves_the_exact_sum():
     # (0,0) entry: x^128 - x^128; the check sees the finished entry only
     x64 = var(xvar(1, 1)) ** 64
@@ -1092,7 +1112,8 @@ def test_matrix_rank_rejects_rows_of_unequal_length():
     lambda: var(xvar(1, 1)).evaluate({xvar(1, 1): 0.5}),
     lambda: matrix_rank([[0.5, 1], [1, 2]]),
     lambda: sparse_rank([{"a": 0.5}]),
-], ids=["as_poly", "determinant", "constant", "mul", "rmul", "evaluate", "matrix_rank", "sparse_rank"])
+    lambda: SparsePoly({0: 0.5}) * 2,  # the coefficient, as the constructor gets it
+], ids=["as_poly", "determinant", "constant", "mul", "rmul", "evaluate", "matrix_rank", "sparse_rank", "terms"])
 def test_floats_do_not_enter_exact_arithmetic(entry_point):
     with pytest.raises(TypeError, match="got float"):
         entry_point()
