@@ -19,7 +19,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _PUBLIC = {
-    "exact": ("InvariantViolation", "SkewMatrix", "binomial", "pfaffian", "pfaffian_reference"),
+    "exact": ("InvariantViolation", "SkewMatrix", "binomial", "matrix_rank", "pfaffian", "pfaffian_reference"),
     "psi": ("PsiTable", "Subsequence", "p_alpha", "psi_pair", "psi_seq", "psi_single", "psi_table"),
     "multidegree": (
         "MultidegreeIdentityReport",
@@ -42,32 +42,33 @@ _PUBLIC = {
         "ml_table",
         "smallest_valid_n",
     ),
-    "symbolic": (
-        "RationalSymMatrix",
+    "poly": (
         "SparsePoly",
         "SymbolicMatrix",
-        "VanishingReport",
         "VarId",
-        "adjugate",
-        "adjugate_identity_holds",
-        "adjugate_sym",
         "det_sym",
         "determinant",
         "generic_sym_matrix",
-        "graph_ideal_generators",
         "mat_mul",
-        "matrix_rank",
+        "swap_sides",
+        "xvar",
+        "yvar",
+    ),
+    "symbolic": (
+        "RationalSymMatrix",
+        "VanishingReport",
+        "adjugate",
+        "adjugate_identity_holds",
+        "adjugate_sym",
+        "graph_ideal_generators",
         "product_entries",
         "product_matrix",
         "spans_product_entries",
         "sparse_rank",
-        "swap_sides",
         "swap_symmetry_holds",
         "verify_graph_vanishing",
         "witness_pair_valid",
         "witness_rank_pair",
-        "xvar",
-        "yvar",
     ),
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -413,7 +413,6 @@ def _cmd_mldeg(ns: argparse.Namespace) -> _Report:
 def _cmd_verify(ns: argparse.Namespace) -> _Report:
     from .symbolic import (
         numeric_checks,
-        product_matrix,
         spans_product_entries,
         swap_symmetry_holds,
         symbolic_checks,
@@ -421,8 +420,6 @@ def _cmd_verify(ns: argparse.Namespace) -> _Report:
     )
 
     n = ns.n
-    # One X * Y serves graph vanishing, the swap check and the span check.
-    prod = product_matrix(n)
     executor = None
     if ns.threads > 1:  # imported here, so that no other run loads the pool
         from concurrent.futures import ThreadPoolExecutor
@@ -432,10 +429,10 @@ def _cmd_verify(ns: argparse.Namespace) -> _Report:
         # symbolically, read entry by entry, and M * adj M per exact sample
         # numerically.
         if ns.mode == "symbolic":
-            checked = symbolic_checks(n, prod)
+            checked = symbolic_checks(n)
             vanish, holds = "identically under Y -> adj(X)", "symbolically"
         else:
-            checked = numeric_checks(n, ns.trials, ns.seed, executor, prod)
+            checked = numeric_checks(n, ns.trials, ns.seed, executor)
             vanish = holds = f"on {ns.trials} exact samples"
         checks = [
             {
@@ -447,12 +444,12 @@ def _cmd_verify(ns: argparse.Namespace) -> _Report:
         ]
         checks.append({
             "name": "swap_symmetry",
-            "pass": swap_symmetry_holds(n, prod),
+            "pass": swap_symmetry_holds(n),
             "detail": "generator set stable under exchanging X and Y",
         })
         checks.append({
             "name": "product_span",
-            "pass": spans_product_entries(n, prod),
+            "pass": spans_product_entries(n),
             "detail": "generators plus the (1,1) entry span all product entries in bidegree (1,1)",
         })
         seeds_per_rank = 3

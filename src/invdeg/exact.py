@@ -3,14 +3,14 @@ fraction-free elimination for the rank, determinant and adjugate of a matrix
 of numbers.
 
 Everything here returns arbitrary-precision ``int`` (``Fraction`` for
-rational input); there is no fixed-width fast path. Both eliminations are
-fraction-free: the Pfaffian's 2x2-block steps and the Bareiss steps for the
-determinant divide only exactly, by the previous pivot. The Pfaffian's
-pivots are the leading principal Pfaffians. The Bareiss loop runs
-Gauss-Jordan on [B | I] only for a caller that needs the adjugate; a rank
-comes from forward elimination, which updates only the rows below each
-pivot (Bareiss, Math. Comp. 22, 1968). ``fractions`` is imported only to
-build a ``Fraction``.
+rational input, and ``_exact`` refuses a float); there is no fixed-width
+fast path. Both eliminations are fraction-free: the Pfaffian's 2x2-block
+steps and the Bareiss steps divide only exactly, by the previous pivot. The
+Pfaffian's pivots are the leading principal Pfaffians. The Bareiss loop
+runs Gauss-Jordan on [B | I] only for a caller that needs the adjugate; a
+rank (``matrix_rank``) comes from forward elimination, which updates only
+the rows below each pivot (Bareiss, Math. Comp. 22, 1968). ``fractions`` is
+imported only to build a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -98,6 +98,13 @@ def _is_scalar(x: object) -> bool:
         return True
     fractions = sys.modules.get("fractions")
     return fractions is not None and isinstance(x, fractions.Fraction)
+
+
+def _exact(x: Scalar) -> Scalar:
+    """x when it is an int or a Fraction; a float has no exact value: TypeError."""
+    if not _is_scalar(x):
+        raise TypeError(f"exact arithmetic takes int or Fraction, got {type(x).__name__}")
+    return x
 
 
 def _coerce(matrix: MatrixLike) -> SkewMatrix:
@@ -237,3 +244,14 @@ def _eliminate(
         if adj is not None:
             adj = [[Fraction(v, scale ** (nrows - 1)) for v in row] for row in adj]
     return rank, det, adj
+
+
+def matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:
+    """Exact rank over the rationals of an int/Fraction matrix of any shape,
+    by forward elimination alone."""
+    for row in rows:
+        if len(row) != len(rows[0]):
+            raise ValueError("matrix rows have unequal lengths")
+        for x in row:
+            _exact(x)
+    return _eliminate(rows, adjugate=False)[0]

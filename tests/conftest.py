@@ -1,6 +1,6 @@
 import pytest
 
-from invdeg.symbolic import xvar, yvar
+from invdeg.poly import xvar, yvar
 
 
 @pytest.fixture

@@ -5,15 +5,8 @@ from typing import NamedTuple, Optional
 
 from invdeg import symbolic
 from invdeg.exact import InvariantViolation
-from invdeg.symbolic import (
-    PairChecks,
-    SparsePoly,
-    SymbolicMatrix,
-    generic_sym_matrix,
-    graph_ideal_generators,
-    mat_mul,
-    xvar,
-)
+from invdeg.poly import _FIELD_BITS, SparsePoly, SymbolicMatrix, _slot, generic_sym_matrix, mat_mul, xvar
+from invdeg.symbolic import PairChecks, graph_ideal_generators
 
 
 def lagrange_fit(points: list[tuple[int, int]]) -> tuple[Fraction, ...]:
@@ -60,7 +53,7 @@ def adjugate_from_det(n: int, det: SparsePoly) -> SymbolicMatrix:
     for i in range(n):
         for j in range(i, n):
             v = xvar(i + 1, j + 1)
-            shift = symbolic._FIELD_BITS * symbolic._slot(v)
+            shift = _FIELD_BITS * _slot(v)
             unit, field = 1 << shift, 0xFF << shift
             d = {key - unit: c * (key >> shift & 0xFF) for key, c in det.terms.items() if key & field}
             if i != j:
@@ -93,7 +86,7 @@ def materialized_checks(n: int, adj_x: Optional[SymbolicMatrix] = None) -> PairC
     else:
         places = symbolic._at_generator_places(p)
         residual = next((symbolic._NONZERO + str(g) for g, v in zip(gens, places) if v), None)
-    diagonal = sum(1 << symbolic._FIELD_BITS * symbolic._slot(xvar(i, i)) for i in range(1, n + 1))
+    diagonal = sum(1 << _FIELD_BITS * _slot(xvar(i, i)) for i in range(1, n + 1))
     identity = (
         symmetric
         and det.terms.get(diagonal) == 1

@@ -1,4 +1,5 @@
 import importlib.metadata as md
+import inspect
 import json
 import os
 import random
@@ -260,7 +261,7 @@ def test_verify_numeric(capsys):
 
 
 def test_verify_failure_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(symbolic, "swap_symmetry_holds", lambda n, prod=None: False)
+    monkeypatch.setattr(symbolic, "swap_symmetry_holds", lambda n: False)
     code, out, _ = run_cli(capsys, ["verify", "--n", "2"])
     assert code == 2
     payload = json.loads(out)
@@ -465,7 +466,7 @@ def _modules_loaded_by(*args):
 def test_psi_run_loads_only_the_psi_engine():
     code, loaded = _modules_loaded_by("psi", "--n", "1")
     assert code == 0 and "invdeg.psi" in loaded
-    unwanted = {"dataclasses", "inspect", "invdeg.symbolic", "invdeg.mldegree", "invdeg.multidegree"}
+    unwanted = {"dataclasses", "inspect", "invdeg.poly", "invdeg.symbolic", "invdeg.mldegree", "invdeg.multidegree"}
     assert loaded & unwanted == set()
 
 
@@ -509,6 +510,10 @@ def test_public_names_resolve_on_first_use():
         for name in names:
             value = getattr(import_module(f"invdeg.{module}"), name)
             assert getattr(invdeg, name) is value and star[name] is value and name in listing
+            # the table names the module that defines each name, so a stale entry or a re-export fails
+            assert value.__module__ == f"invdeg.{module}", name
+            if not isinstance(value, type):  # X * Y depends on n alone: no check takes it as an argument
+                assert "prod" not in inspect.signature(value).parameters, name
     assert star["__version__"] == invdeg.__version__ and "__version__" in listing
     with pytest.raises(AttributeError, match="no_such_name"):
         invdeg.no_such_name

@@ -78,7 +78,7 @@ def _nonzero_difference(d, window):
 # each engine function when its command runs, so the fake replaces it in the
 # engine module.
 FAILURE_FAKES = {
-    "verify --n 2": (symbolic, "swap_symmetry_holds", lambda n, prod=None: False),
+    "verify --n 2": (symbolic, "swap_symmetry_holds", lambda n: False),
     "mldeg --d 2": (mldegree, "finite_difference_check", _nonzero_difference),
     "multidegree --n 3": (multidegree, "multidegree_table", _wrong_identity_coefficient),
 }

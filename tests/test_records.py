@@ -15,16 +15,8 @@ from invdeg.multidegree import (
     multidegree_table,
 )
 from invdeg.psi import PsiTable, Subsequence, psi_table
-from invdeg.symbolic import (
-    RationalSymMatrix,
-    SparsePoly,
-    SymbolicMatrix,
-    VanishingReport,
-    VarId,
-    generic_sym_matrix,
-    verify_graph_vanishing,
-    xvar,
-)
+from invdeg.poly import SparsePoly, SymbolicMatrix, VarId, generic_sym_matrix, xvar
+from invdeg.symbolic import RationalSymMatrix, VanishingReport, verify_graph_vanishing
 
 
 def _x11():

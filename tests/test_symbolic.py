@@ -8,36 +8,38 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import invdeg.poly as poly
 import invdeg.symbolic as symbolic
 from invdeg.cli import main
-from invdeg.exact import InvariantViolation
-from invdeg.symbolic import (
-    PairChecks,
-    RationalSymMatrix,
+from invdeg.exact import InvariantViolation, _eliminate, matrix_rank
+from invdeg.poly import (
     SparsePoly,
     SymbolicMatrix,
     VarId,
+    det_sym,
+    determinant,
+    generic_sym_matrix,
+    mat_mul,
+    swap_sides,
+    xvar,
+    yvar,
+)
+from invdeg.symbolic import (
+    PairChecks,
+    RationalSymMatrix,
     adjugate,
     adjugate_identity_holds,
     adjugate_identity_numeric,
     adjugate_sym,
-    det_sym,
-    determinant,
-    generic_sym_matrix,
     graph_ideal_generators,
-    mat_mul,
-    matrix_rank,
     product_entries,
     product_matrix,
     spans_product_entries,
     sparse_rank,
-    swap_sides,
     swap_symmetry_holds,
     verify_graph_vanishing,
     witness_pair_valid,
     witness_rank_pair,
-    xvar,
-    yvar,
 )
 from oracles import InversePair, adjugate_from_det, inverse_pair, materialized_checks
 
@@ -317,6 +319,27 @@ def test_sparse_poly_rejects_a_zero_coefficient():
         SparsePoly({5: 0})
 
 
+def test_sparse_poly_keeps_a_copy_of_the_callers_dict():
+    # a later change to the dict, even one that would fail the checks, does not reach the polynomial
+    d = {1: 1}
+    p = SparsePoly(d)
+    d[0x80] = 1
+    d[2] = 0
+    assert str(p) == "X[1,1]" and p.terms == {1: 1}
+
+
+def test_polynomials_are_read_only_so_the_kept_product_cannot_change():
+    # product_matrix is cached: a write through a handed-out entry would reach every later check
+    assert swap_symmetry_holds(3)
+    with pytest.raises(TypeError):
+        product_entries(3)[1].terms[5] = 1
+    first = graph_ideal_generators(3)[0].terms
+    with pytest.raises(TypeError):
+        del first[next(iter(first))]
+    assert swap_symmetry_holds(3) and spans_product_entries(3)
+    assert symbolic.symbolic_checks(3) == PairChecks(8, None, True)
+
+
 def test_a_cancelling_term_past_2_7_leaves_the_exact_sum():
     # (0,0) entry: x^128 - x^128; the check sees the finished entry only
     x64 = var(xvar(1, 1)) ** 64
@@ -454,7 +477,7 @@ def test_determinant_matches_elimination():
             rows = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
             if size and rng.random() < 0.3:
                 rows[-1] = list(rows[0])
-            assert determinant(rows) == det_fraction(rows) == symbolic._eliminate(rows)[1], rows
+            assert determinant(rows) == det_fraction(rows) == _eliminate(rows)[1], rows
 
 
 def test_determinant_rejects_non_square():
@@ -481,7 +504,7 @@ def test_adjugate_rank_deficient():
     assert adj == [[-3, 6, -3], [6, -12, 6], [-3, 6, -3]]
     assert matrix_rank(adj) == 1
     assert all(sum(rows[i][k] * adj[k][j] for k in range(3)) == 0 for i in range(3) for j in range(3))
-    assert symbolic._eliminate(rows) == (2, 0, None)
+    assert _eliminate(rows) == (2, 0, None)
 
 
 def test_adjugate_identity_numeric_random():
@@ -553,8 +576,8 @@ def low_rank_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(square_matrices(), rational_matrices(), low_rank_matrices()))
 def test_forward_rank_matches_gauss_jordan_and_fractions(rows):
-    forward = symbolic._eliminate(rows, adjugate=False)
-    full = symbolic._eliminate(rows)
+    forward = _eliminate(rows, adjugate=False)
+    full = _eliminate(rows)
     assert forward[0] == full[0] == matrix_rank(rows) == fraction_sparse_rank(sparse_rows(rows))
     assert forward[1] == full[1] and forward[2] is None
 
@@ -586,7 +609,7 @@ def test_integer_sparse_rank_matches_fraction_elimination(vectors):
 @settings(max_examples=150, deadline=None)
 @given(square_matrices())
 def test_eliminate_matches_subset_dp(rows):
-    rank, det, adj = symbolic._eliminate(rows)
+    rank, det, adj = _eliminate(rows)
     assert rank == sparse_rank(sparse_rows(rows))
     assert det == determinant(rows) == det_fraction(rows)
     assert adj == (adjugate(rows) if det else None)
@@ -596,7 +619,7 @@ def test_eliminate_matches_subset_dp(rows):
 @settings(max_examples=150, deadline=None)
 @given(rational_matrices())
 def test_eliminate_rational_and_rectangular(rows):
-    rank, det, adj = symbolic._eliminate(rows)
+    rank, det, adj = _eliminate(rows)
     assert rank == matrix_rank(rows) == sparse_rank(sparse_rows(rows))
     if len(rows) != len(rows[0] if rows else []) or rank < len(rows):
         assert (det, adj) == (0, None)
@@ -613,7 +636,8 @@ def test_numeric_checks_never_reach_subset_dp(monkeypatch, capsys):
             return fn(rows)
         return guarded
 
-    monkeypatch.setattr(symbolic, "determinant", numeric_guard(determinant))
+    monkeypatch.setattr(poly, "determinant", numeric_guard(determinant))  # the DP behind det_sym
+    monkeypatch.setattr(symbolic, "determinant", numeric_guard(determinant))  # the one behind adjugate
     monkeypatch.setattr(symbolic, "adjugate", numeric_guard(adjugate))
     assert verify_graph_vanishing(5, mode="numeric", trials=5, seed=3).trials == 5
     assert adjugate_identity_numeric(5, trials=5, seed=3)
@@ -667,13 +691,10 @@ def test_numeric_verify_draws_one_sample_per_trial(capsys, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["symbolic", "numeric"])
 def test_verify_builds_one_product_matrix(capsys, monkeypatch, mode):
+    # every check asks product_matrix for X * Y, and it is multiplied out once
     calls = []
-
-    def counted(n):
-        calls.append(n)
-        return product_matrix(n)
-
-    monkeypatch.setattr(symbolic, "product_matrix", counted)
+    monkeypatch.setattr(symbolic, "mat_mul", lambda a, b: calls.append(a.n) or mat_mul(a, b))
+    product_matrix.cache_clear()
     assert main(["verify", "--n", "4", "--mode", mode, "--trials", "3", "--format", "csv"]) == 0
     assert "fail" not in capsys.readouterr().out
     assert calls == [4]
@@ -685,7 +706,7 @@ def test_adjugate_from_det_matches_the_minor_dp():
         assert pair.det == det_sym(pair.x)
         assert pair.adj == adjugate_sym(pair.x), n
         # the streamed columns are the columns of the whole adjugate
-        columns = list(symbolic._adjugate_columns(n, pair.det.terms))
+        columns = list(poly._adjugate_columns(n, pair.det.terms))
         assert [[SparsePoly(columns[j][i]) for j in range(n)] for i in range(n)] == list(map(list, pair.adj.entries)), n
         if n in DET_ADJ_STR_SHA256:
             adj = "\n".join(str(e) for row in pair.adj.entries for e in row)
@@ -698,7 +719,7 @@ def test_adjugate_from_det_rejects_an_odd_derivative(monkeypatch, capsys):
     with pytest.raises(InvariantViolation, match=r"d det/d X\[1,2\] has an odd coefficient"):
         adjugate_from_det(2, f)
     with pytest.raises(InvariantViolation, match=r"d det/d X\[1,2\] has an odd coefficient"):
-        list(symbolic._adjugate_columns(2, f.terms))
+        list(poly._adjugate_columns(2, f.terms))
     monkeypatch.setattr(symbolic, "det_sym", lambda a: f)
     with pytest.raises(InvariantViolation, match=r"d det/d X\[1,2\] has an odd coefficient"):
         symbolic.symbolic_checks(2)
@@ -713,7 +734,7 @@ def test_odd_derivatives_are_named_in_row_major_order():
     with pytest.raises(InvariantViolation, match=r"X\[1,4\]"):
         adjugate_from_det(4, f)
     with pytest.raises(InvariantViolation, match=r"X\[1,4\]"):
-        list(symbolic._adjugate_columns(4, f.terms))
+        list(poly._adjugate_columns(4, f.terms))
 
 
 def test_graph_images_from_the_product_equal_substitution(monkeypatch, pair_assignment):
@@ -808,14 +829,21 @@ def test_streamed_checks_match_the_materialized_product_on_random_changes(data):
 
 
 def test_symbolic_checks_hold_no_whole_product(monkeypatch):
-    # neither mat_mul nor a whole adjugate runs: P is formed entry by entry
-    prod = product_matrix(5)
+    # neither mat_mul nor a whole adjugate runs: P is formed entry by entry,
+    # and X * Y is built before counting starts
+    product_matrix(5)
     calls = Counter()
     for name in ("mat_mul", "adjugate", "adjugate_sym"):
         fn = getattr(symbolic, name)
         monkeypatch.setattr(symbolic, name, lambda *a, fn=fn, name=name: calls.update([name]) or fn(*a))
-    assert symbolic.symbolic_checks(5, prod) == PairChecks(24, None, True)
+    assert symbolic.symbolic_checks(5) == PairChecks(24, None, True)
     assert calls == Counter()
+
+
+def test_symbolic_checks_take_the_adjugate_by_keyword_only():
+    # a stale call that still passes X * Y in the old ``prod`` place must not run as adj_x
+    with pytest.raises(TypeError):
+        symbolic.symbolic_checks(3, product_matrix(3))
 
 
 def test_inverse_pair_oracle_is_an_immutable_record():
@@ -930,7 +958,7 @@ def test_swap_symmetry_verdict(monkeypatch, gens, stable):
     g = var(xvar(1, 1)) * var(yvar(1, 2)) - 2 * var(xvar(2, 2)) * var(yvar(1, 1))
     h = var(xvar(1, 2)) * var(yvar(1, 2)) + var(xvar(1, 1))  # swap(h) is neither h nor -h
     polys = {"g": g, "-swap(g)": -swap_sides(g), "swap(g)": swap_sides(g), "h": h}
-    monkeypatch.setattr(symbolic, "graph_ideal_generators", lambda n, prod=None: [polys[name] for name in gens])
+    monkeypatch.setattr(symbolic, "graph_ideal_generators", lambda n: [polys[name] for name in gens])
     assert swap_symmetry_holds(2) is stable
 
 
@@ -957,12 +985,8 @@ def test_span_check_fails_on_a_smaller_or_different_span(monkeypatch):
 
 def test_span_check_builds_one_product(monkeypatch):
     calls = []
-
-    def counted(n):
-        calls.append(n)
-        return product_matrix(n)
-
-    monkeypatch.setattr(symbolic, "product_matrix", counted)
+    monkeypatch.setattr(symbolic, "mat_mul", lambda a, b: calls.append(a.n) or mat_mul(a, b))
+    product_matrix.cache_clear()
     assert spans_product_entries(4)
     assert calls == [4]
 
@@ -998,8 +1022,8 @@ def test_numeric_verify_decodes_outside_the_trial_loop(monkeypatch):
         calls.append(key)
         return decode(key)
 
-    decode = symbolic._decode
-    monkeypatch.setattr(symbolic, "_decode", counted)
+    decode = poly._decode
+    monkeypatch.setattr(poly, "_decode", counted)
     for trials in (1, 5):
         calls.clear()
         assert verify_graph_vanishing(4, mode="numeric", trials=trials, seed=2).trials == trials
@@ -1020,17 +1044,17 @@ def test_fast_paths_run_only_on_the_standard_list(monkeypatch, change):
     gens = change(graph_ideal_generators(n))
     assert gens != graph_ideal_generators(n)
     calls = Counter()
-    canonical, substitute, decode = SparsePoly.canonical, SparsePoly.substitute, symbolic._decode
+    canonical, substitute, decode = SparsePoly.canonical, SparsePoly.substitute, poly._decode
     monkeypatch.setattr(SparsePoly, "canonical", lambda self: calls.update(["canonical"]) or canonical(self))
     monkeypatch.setattr(SparsePoly, "substitute", lambda self, a: calls.update(["substitute"]) or substitute(self, a))
-    monkeypatch.setattr(symbolic, "_decode", lambda key: calls.update(["decode"]) or decode(key))
+    monkeypatch.setattr(poly, "_decode", lambda key: calls.update(["decode"]) or decode(key))
     # the generators take their images from P by position: nothing is decoded, looked up or substituted
     assert verify_graph_vanishing(n, mode="symbolic").generators == len(gens)
     assert verify_graph_vanishing(n, mode="numeric", trials=3, seed=1).trials == 3
     assert calls == Counter()
     # there is no second path: any other list only names the places of P, and still nothing is decoded,
     # looked up or substituted
-    monkeypatch.setattr(symbolic, "graph_ideal_generators", lambda n, prod=None: gens)
+    monkeypatch.setattr(symbolic, "graph_ideal_generators", lambda n: gens)
     assert verify_graph_vanishing(n, mode="symbolic").generators == len(gens)
     assert verify_graph_vanishing(n, mode="numeric", trials=3, seed=1).trials == 3
     assert calls == Counter()
@@ -1052,7 +1076,7 @@ def _witness_rows_by_comprehension(n, r, seed):
     rng = random.Random(seed)
     while True:
         a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        _, det, adj = symbolic._eliminate(a)
+        _, det, adj = _eliminate(a)
         if adj is not None:
             break
     d = [rng.randint(1, 9) * rng.choice((1, -1)) for _ in range(r)]
