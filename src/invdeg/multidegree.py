@@ -158,12 +158,21 @@ def _expansions(ns: Sequence[int], stride: int = 0) -> list[list[int]]:
     """For each n of ``ns``, the t^0..t^(n stride + m) coefficients of
     G(t, t^stride), from G(1, 1) and G(2^K, 2^(K stride)). K is two bits
     above the largest G(1, 1), the sum of all coefficients of its n, which
-    are nonnegative, so each of them fits in a digit."""
+    are nonnegative, so each of them fits in a digit.
+
+    A subset of size j and weight d has a complement of size n - j and
+    weight m - d, so digit j stride + d equals digit (n - j) stride + m - d:
+    each list reads the same reversed, and one that does not raises
+    InvariantViolation."""
     counts = [n * stride + sym_dimension(n) + 1 for n in ns]
     totals = _generating_values(ns, 1)
     k = max(totals).bit_length() + 2
     values = _generating_values(ns, 1 << k, 1 << k * stride)
-    return [_digits(value, k, count, total) for value, count, total in zip(values, counts, totals)]
+    out = [_digits(value, k, count, total) for value, count, total in zip(values, counts, totals)]
+    for n, digits in zip(ns, out):
+        if digits != digits[::-1]:
+            raise InvariantViolation(f"the coefficients of the generating Pfaffian of n = {n} are not palindromic")
+    return out
 
 
 def beta_vector(n: int) -> tuple[int, ...]:

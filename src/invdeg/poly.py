@@ -24,13 +24,15 @@ Polynomial entries cannot be divided, so ``determinant`` runs a
 division-free DP over column subsets, O(2^k * k) ring operations, which
 serves only the small symbolic sizes; it holds two popcount levels of minors
 at a time. The adjugate of the generic symmetric X is read off the partial
-derivatives of det(X), one column at a time (``_adjugate_columns``).
+derivatives of det(X), one entry at a time, of all columns or of those
+asked for (``_adjugate_columns``). ``_fixed_by`` tells whether relabelling
+the variables of X by a permutation of the indices fixes a polynomial.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, repeat
 from math import isqrt
 from operator import or_
 from types import MappingProxyType
@@ -372,33 +374,73 @@ def determinant(rows: Sequence[Sequence[Entry]]):
     return minor.get(0, 0)
 
 
-def _adjugate_columns(n: int, det: Mapping[int, Scalar]) -> Iterator[list[dict]]:
+def _fixed_by(det: Mapping[int, Scalar], n: int, sigma: Sequence[int]) -> bool:
+    """Whether the relabelling X[i,j] -> X[sigma i, sigma j] of the generic
+    symmetric n x n X (sigma a permutation of 0..n-1) fixes det, a terms dict.
+
+    The relabelling moves whole fields and fixes every other bit. The fields
+    that move by the same distance share one mask, so a key is relabelled by
+    a few mask-and-shift operations. It is injective on keys, so det is fixed
+    exactly when every relabelled key is in det with the same coefficient,
+    and no relabelled copy of det is built.
+    """
+    moves: dict[int, int] = {}  # shift distance -> mask of the fields it moves
+    for i in range(n):
+        for j in range(i, n):
+            source = _FIELD_BITS * _slot(xvar(i + 1, j + 1))
+            distance = _FIELD_BITS * _slot(xvar(sigma[i] + 1, sigma[j] + 1)) - source
+            if distance:
+                moves[distance] = moves.get(distance, 0) | 0xFF << source
+    keep = ~reduce(or_, moves.values(), 0)
+    up = [(mask, d) for d, mask in moves.items() if d > 0]
+    down = [(mask, -d) for d, mask in moves.items() if d < 0]
+    get = det.get
+    for key, c in det.items():
+        image = key & keep
+        for mask, d in up:
+            image |= (key & mask) << d
+        for mask, d in down:
+            image |= (key & mask) >> d
+        if get(image) != c:
+            return False
+    return True
+
+
+def _adjugate_columns(
+    n: int, det: Mapping[int, Scalar], columns: Optional[Sequence[int]] = None
+) -> Iterator[Iterator[dict]]:
     """The columns of adj(X) for the generic symmetric X, one at a time, read
     off the partial derivatives of det (a terms dict): X[i,j] fills (i, j)
     and (j, i) and the cofactors are symmetric, so d det/d X[i,i] =
-    adj[i][i] and d det/d X[i,j] = 2 adj[i][j] for i != j.
+    adj[i][i] and d det/d X[i,j] = 2 adj[i][j] for i != j. ``columns``
+    picks the columns (0-based, all when None); each is an iterator that
+    derives its entries one at a time, row by row.
 
-    One scan of det per variable lists the keys that hold it, so each
-    derivative then costs its own size. The scans run row by row over the
-    upper triangle and raise InvariantViolation at the first off-diagonal
-    derivative with an odd coefficient.
+    One scan of det per variable of the picked columns lists the keys that
+    hold it, so each derivative then costs its own size. The scans run row
+    by row over the upper triangle and raise InvariantViolation at the first
+    off-diagonal derivative with an odd coefficient.
     """
+    picked = range(n) if columns is None else columns
     holding: dict[int, list[int]] = {}  # field shift of X[i,j] -> the keys of det that hold it
     for i in range(n):
         for j in range(i, n):
+            if i not in picked and j not in picked:
+                continue
             v = xvar(i + 1, j + 1)
             shift = _FIELD_BITS * _slot(v)
             field = 0xFF << shift
             keys = holding[shift] = [key for key in det if key & field]
             if i != j and any(det[key] * (key >> shift & 0xFF) % 2 for key in keys):
                 raise InvariantViolation(f"d det/d {v} has an odd coefficient")
-    for j in range(n):
-        column = []
-        for i in range(n):
-            shift = _FIELD_BITS * _slot(xvar(i + 1, j + 1))
-            unit, halve = 1 << shift, int(i != j)
-            column.append({key - unit: det[key] * (key >> shift & 0xFF) >> halve for key in holding[shift]})
-        yield column
+
+    def entry(i: int, j: int) -> dict:
+        shift = _FIELD_BITS * _slot(xvar(i + 1, j + 1))
+        unit, halve = 1 << shift, int(i != j)
+        return {key - unit: det[key] * (key >> shift & 0xFF) >> halve for key in holding[shift]}
+
+    for j in picked:
+        yield map(entry, range(n), repeat(j))
 
 
 # ------------------------------------------------------------ symbolic matrices

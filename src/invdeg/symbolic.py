@@ -12,10 +12,14 @@ divides, once, to return the rational N. The polynomials, their packed
 monomials and the determinant live in ``poly``.
 
 Graph vanishing and the adjugate identity are read off the entries of one
-P per mode, ``symbolic_checks`` and ``numeric_checks``. Symbolically, P =
-X * adj(X) is formed one entry at a time from det(X) and one column of
-adj(X), the column read off the partial derivatives of det(X); each entry
-is compared with 0 or det(X) and dropped, so neither the whole adjugate nor
+P per mode, ``symbolic_checks`` and ``numeric_checks``. Symbolically,
+adj(X) is read off the partial derivatives of det(X). S_n acts by
+X[i,j] -> X[sigma i, sigma j]; when det(X) is fixed by the generators
+(1 2) and (1 2 ... n), P = X * adj(X) commutes with the action, and S_n is
+2-transitive, so P = det(X) * Id follows from P[1,1] = det(X) and
+P[1,2] = 0, the only entries formed. Otherwise, and for a given adjugate,
+P is formed one entry at a time from one column of adj(X); each entry is
+compared with 0 or det(X) and dropped, so neither the whole adjugate nor
 the whole P is held. Substitution is a ring map that fixes X, so each
 generator of X*Y goes under Y -> adj(X) to the entry of P at its place, and
 nothing is substituted. Numerically, each sample is one random nonsingular
@@ -41,8 +45,8 @@ from operator import mul
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .exact import InvariantViolation, Scalar, _eliminate, _exact, matrix_rank
-from .poly import Entry, SparsePoly, SymbolicMatrix, _add_into, _adjugate_columns, _as_poly, _monomial, _mul_into
-from .poly import det_sym, determinant, generic_sym_matrix, mat_mul, swap_sides, xvar
+from .poly import Entry, SparsePoly, SymbolicMatrix, _add_into, _adjugate_columns, _as_poly, _fixed_by, _monomial
+from .poly import _mul_into, det_sym, determinant, generic_sym_matrix, mat_mul, swap_sides, xvar
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -207,6 +211,35 @@ class PairChecks(NamedTuple):
 _NONZERO = "graph generator does not vanish on inverse pairs: "
 
 
+def _two_entries_suffice(n: int, x_row: Sequence[Mapping], det: Mapping[int, Scalar]) -> bool:
+    """Whether P = X * adj(X), adj read off the derivatives of det (a terms
+    dict), equals det * Id by the action of S_n; False leaves it undecided.
+
+    S_n acts on the variables by X[i,j] -> X[sigma i, sigma j]. If det is
+    fixed by the transposition (1 2) and the cycle (1 2 ... n), which
+    generate S_n, it is fixed by all of S_n. Relabelling commutes with
+    taking derivatives, so the adjugate read off det satisfies
+    adj[sigma k][sigma j] = sigma(adj[k][j]), and P[sigma i][sigma j] =
+    sigma(P[i][j]). S_n is 2-transitive, so every diagonal entry of P is an
+    image of P[1,1] and every off-diagonal one an image of P[1,2]: P = det *
+    Id exactly when P[1,1] = det and P[1,2] = 0. The off-diagonal variables
+    form one orbit, so an odd derivative, if any, is one at X[1,2], the
+    first that the full scan of ``_adjugate_columns`` reaches; reading
+    columns 1 and 2 raises the same InvariantViolation. ``x_row`` is row 1
+    of X; one adjugate entry is held at a time.
+    """
+    generators = ([1, 0, *range(2, n)], [*range(1, n), 0]) if n > 1 else ()
+    if not all(_fixed_by(det, n, sigma) for sigma in generators):
+        return False
+    for column, want in zip(_adjugate_columns(n, det, (0, 1)[:n]), (det, {})):
+        entry: dict[int, Scalar] = {}
+        for x_1k, adj_kj in zip(x_row, column):
+            _mul_into(entry, x_1k, adj_kj)
+        if entry != want:
+            return False
+    return True
+
+
 def symbolic_checks(n: int, *, adj_x: Optional[SymbolicMatrix] = None) -> PairChecks:
     """Both symbolic checks off the entries of P = X * adj(X), one at a time.
 
@@ -217,16 +250,22 @@ def symbolic_checks(n: int, *, adj_x: Optional[SymbolicMatrix] = None) -> PairCh
     symmetric adjugate and coefficient 1 for X[1,1]*...*X[n,n] in det(X).
 
     ``adj_x`` is the adjugate under test; when None it is read off the
-    derivatives of det(X), one column at a time. Read off the derivatives
-    of any f, it gives X * adj = f * Id only for f a constant times det(X),
-    and the coefficient check pins the constant to 1, so a zero or scaled
-    determinant fails the identity.
+    derivatives of det(X). Read off the derivatives of any f, it gives
+    X * adj = f * Id only for f a constant times det(X), and the
+    coefficient check pins the constant to 1, so a zero or scaled
+    determinant fails the identity. The derivative adjugate is first tried
+    by the S_n action (``_two_entries_suffice``): when det(X) is invariant
+    and P[1,1] = det(X), P[1,2] = 0, then P = det(X) * Id without forming
+    the other n^2 - 2 entries, and a passing run holds det(X) and at most
+    one derived adjugate entry at a time.
 
-    Each entry of P is compared with 0 and det(X) as soon as it is formed
-    and then dropped, so a passing run holds det(X), one column of the
-    adjugate and one entry of P. An entry that is neither is kept, so that
-    the diagonal differences are still decided exactly. The generators are
-    asked for last, so X * Y is not held while det(X) is formed.
+    Otherwise, and for a given ``adj_x``, every entry of P is formed, one
+    column of the adjugate at a time, and compared with 0 and det(X) as
+    soon as it is formed and then dropped, so the run holds det(X), one
+    column of the adjugate and one entry of P. An entry that is neither is
+    kept, so that the diagonal differences are still decided exactly and a
+    failing run names the same first generator either way. The generators
+    are asked for last, so X * Y is not held while det(X) is formed.
     """
     if adj_x is not None:
         if adj_x.n != n:
@@ -237,27 +276,31 @@ def symbolic_checks(n: int, *, adj_x: Optional[SymbolicMatrix] = None) -> PairCh
     xm = generic_sym_matrix(n, "X")
     x = [[e.terms for e in row] for row in xm.entries]
     det = det_sym(xm).terms
-    if adj_x is None:
-        columns: Iterable[list] = _adjugate_columns(n, det)
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]  # P = det(X) * Id, in small
+    if adj_x is None and _two_entries_suffice(n, x[0], det):
+        shadow = unit
     else:
-        columns = ([row[j].terms for row in adj_x.entries] for j in range(n))
-    # P in small: each entry becomes its place among the distinct values of
-    # P met so far, which start with 0 and det(X); two entries get the same
-    # int exactly when they are equal, and a passing run keeps no entry
-    kept: list[dict] = [{}, det]
-    shadow = [[0] * n for _ in range(n)]
-    for j, column in enumerate(columns):
-        for i in range(n):
-            entry: dict[int, Scalar] = {}
-            for x_ik, adj_kj in zip(x[i], column):
-                _mul_into(entry, x_ik, adj_kj)
-            if entry not in kept:
-                kept.append(entry)
-            shadow[i][j] = kept.index(entry)
+        if adj_x is None:
+            columns: Iterable[Iterable] = _adjugate_columns(n, det)
+        else:
+            columns = ([row[j].terms for row in adj_x.entries] for j in range(n))
+        # each entry becomes its place among the distinct values of P met so
+        # far, which start with 0 and det(X); two entries get the same int
+        # exactly when they are equal, and a passing run keeps no entry
+        kept: list[dict] = [{}, det]
+        shadow = [[0] * n for _ in range(n)]
+        for j, column in enumerate(map(list, columns)):
+            for i in range(n):
+                entry: dict[int, Scalar] = {}
+                for x_ik, adj_kj in zip(x[i], column):
+                    _mul_into(entry, x_ik, adj_kj)
+                if entry not in kept:
+                    kept.append(entry)
+                shadow[i][j] = kept.index(entry)
     gens = graph_ideal_generators(n)
     residual = next((_NONZERO + str(g) for g, v in zip(gens, _at_generator_places(shadow)) if v), None)
     diagonal = _monomial(xvar(i, i) for i in range(1, n + 1))
-    identity = det.get(diagonal) == 1 and shadow == [[int(i == j) for j in range(n)] for i in range(n)]
+    identity = det.get(diagonal) == 1 and shadow == unit
     return PairChecks(len(gens), residual, identity)
 
 

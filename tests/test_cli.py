@@ -207,6 +207,22 @@ def test_mldeg_invariant_violation_exits_3(capsys, monkeypatch):
     assert "invariant violation" in err and "polynomiality violated" in err
 
 
+def test_multidegree_digit_read_one_place_off_exits_3(capsys, monkeypatch):
+    # the swap keeps the digit sum, so only palindromy tells it apart
+    digits = multidegree._digits
+
+    def one_place_off(*args):
+        out = digits(*args)
+        out[1], out[2] = out[2], out[1]
+        return out
+
+    monkeypatch.setattr(multidegree, "_digits", one_place_off)
+    code, out, err = run_cli(capsys, ["multidegree", "--n", "6"])
+    assert code == 3
+    assert out == ""
+    assert "invariant violation" in err and "n = 6 are not palindromic" in err
+
+
 def test_out_of_memory_exits_4(capsys, monkeypatch):
     def exhausted(n):
         raise MemoryError

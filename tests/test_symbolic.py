@@ -706,8 +706,12 @@ def test_adjugate_from_det_matches_the_minor_dp():
         assert pair.det == det_sym(pair.x)
         assert pair.adj == adjugate_sym(pair.x), n
         # the streamed columns are the columns of the whole adjugate
-        columns = list(poly._adjugate_columns(n, pair.det.terms))
+        columns = [list(column) for column in poly._adjugate_columns(n, pair.det.terms)]
         assert [[SparsePoly(columns[j][i]) for j in range(n)] for i in range(n)] == list(map(list, pair.adj.entries)), n
+        # picked columns come out in the order asked, equal to the whole scan's
+        picked = [n - 1, 0]
+        picked_columns = poly._adjugate_columns(n, pair.det.terms, picked)
+        assert [list(column) for column in picked_columns] == [columns[j] for j in picked]
         if n in DET_ADJ_STR_SHA256:
             adj = "\n".join(str(e) for row in pair.adj.entries for e in row)
             assert hashlib.sha256(adj.encode()).hexdigest() == DET_ADJ_STR_SHA256[n][1], n
@@ -838,6 +842,68 @@ def test_symbolic_checks_hold_no_whole_product(monkeypatch):
         monkeypatch.setattr(symbolic, name, lambda *a, fn=fn, name=name: calls.update([name]) or fn(*a))
     assert symbolic.symbolic_checks(5) == PairChecks(24, None, True)
     assert calls == Counter()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_passing_run_forms_only_p11_and_p12(monkeypatch, n):
+    # n = 1 has no P[1,2] and no generator of S_n; at n = 2 the cycle is the transposition
+    product_matrix(n)
+    products, picks = [], []
+    mul_into, columns = symbolic._mul_into, symbolic._adjugate_columns
+    monkeypatch.setattr(symbolic, "_mul_into", lambda *a: products.append(1) or mul_into(*a))
+    monkeypatch.setattr(symbolic, "_adjugate_columns", lambda *a: picks.append(a[2:]) or columns(*a))
+    assert symbolic.symbolic_checks(n) == materialized_checks(n) == PairChecks(n * (n - 1) + n - 1, None, True)
+    assert len(products) <= 2 * n
+    assert picks == [((0, 1)[:n],)]  # the full column scan never runs
+
+
+def _invariant_but_wrong(n, det):
+    """det + 2 * sum over i < j of X[i,j]^2 times the other diagonal entries:
+    fixed by S_n, but X * adj = f * Id fails for it."""
+    diagonal = [var(xvar(k, k)) for k in range(1, n + 1)]
+    extra = SparsePoly()
+    for i, j in combinations(range(1, n + 1), 2):
+        others = SparsePoly.constant(2)
+        for k in range(1, n + 1):
+            if k not in (i, j):
+                others = others * diagonal[k - 1]
+        extra = extra + var(xvar(i, j)) ** 2 * others
+    return det + extra
+
+
+def _fixed_by_the_transposition_only(n, det):
+    """det + (X[1,1] X[2,2] - X[1,2]^2) X[3,3]^(n-2): P[1,1] = f, P[1,2] = 0
+    and coefficient 1 on X[1,1]*...*X[n,n] for n >= 4, but the n-cycle moves it."""
+    block = var(xvar(1, 1)) * var(xvar(2, 2)) - var(xvar(1, 2)) ** 2
+    return det + block * var(xvar(3, 3)) ** (n - 2)
+
+
+CHANGED_DETERMINANTS = {
+    "det + 1": (lambda n, det: det + 1, range(1, 6)),
+    "S_n-invariant": (_invariant_but_wrong, range(2, 6)),
+    "(1 2)-invariant": (_fixed_by_the_transposition_only, range(4, 6)),
+}
+
+
+@pytest.mark.parametrize("name", CHANGED_DETERMINANTS)
+def test_fast_path_falls_back_to_the_materialized_verdict(monkeypatch, name):
+    change, sizes = CHANGED_DETERMINANTS[name]
+    monkeypatch.setattr(symbolic, "det_sym", lambda a: change(a.n, det_sym(a)))
+    for n in sizes:
+        got = symbolic.symbolic_checks(n)
+        assert got == materialized_checks(n), (n, name)
+        assert not got.identity, (n, name)
+
+
+def test_fast_path_itself_rejects_an_invariant_wrong_determinant():
+    for n in range(2, 6):
+        x = [e.terms for e in generic_sym_matrix(n, "X").entries[0]]
+        f = _invariant_but_wrong(n, det_sym(generic_sym_matrix(n, "X"))).terms
+        assert poly._fixed_by(f, n, [1, 0, *range(2, n)]) and poly._fixed_by(f, n, [*range(1, n), 0]), n
+        assert not symbolic._two_entries_suffice(n, x, f), n
+        if n >= 4:
+            g = _fixed_by_the_transposition_only(n, det_sym(generic_sym_matrix(n, "X"))).terms
+            assert poly._fixed_by(g, n, [1, 0, *range(2, n)]) and not poly._fixed_by(g, n, [*range(1, n), 0]), n
 
 
 def test_symbolic_checks_take_the_adjugate_by_keyword_only():
