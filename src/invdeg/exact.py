@@ -7,10 +7,13 @@ rational input, and ``_exact`` refuses a float); there is no fixed-width
 fast path. Both eliminations are fraction-free: the Pfaffian's 2x2-block
 steps and the Bareiss steps divide only exactly, by the previous pivot. The
 Pfaffian's pivots are the leading principal Pfaffians. The Bareiss loop
-runs Gauss-Jordan on [B | I] only for a caller that needs the adjugate; a
-rank (``matrix_rank``) comes from forward elimination, which updates only
-the rows below each pivot (Bareiss, Math. Comp. 22, 1968). ``fractions`` is
-imported only to build a ``Fraction``.
+runs Gauss-Jordan on B beside the unit columns of I whose adjugate columns
+a caller needs; a rank (``matrix_rank``) comes from forward elimination,
+which updates only the rows below each pivot (Bareiss, Math. Comp. 22,
+1968). Either way a step updates only the columns that are not yet known.
+``_rank_mod`` alone works over F_p, not over the rationals; its rank is a
+lower bound of the rational one. ``fractions`` is imported only to build a
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -198,25 +201,31 @@ def pfaffian_reference(matrix: MatrixLike) -> int:
 
 
 def _eliminate(
-    rows: Sequence[Sequence[Scalar]], adjugate: bool = True
+    rows: Sequence[Sequence[Scalar]], adj_from: Optional[int] = 0
 ) -> tuple[int, Scalar, Optional[list[list[Scalar]]]]:
     """(rank, det, adj) of an int/Fraction matrix; det is 0 unless the matrix
-    is square of full rank, and adj is None then or without ``adjugate``.
+    is square of full rank, and adj is None then or when ``adj_from`` is None.
 
     Bareiss's fraction-free elimination on B, the matrix scaled to integers:
-    every entry stays a minor, so each division is exact. With ``adjugate``
-    it is Gauss-Jordan on [B | I], and at full rank the blocks end as
-    (+-det B) * I and +-adj B. Without, it appends no identity block and
-    updates only the rows below each pivot; the rank and the last pivot,
-    +-det B at full rank, are the same.
+    every entry stays a minor, so each division is exact. With ``adj_from``
+    = s it is Gauss-Jordan on B beside the unit columns s.. of I, and at full
+    rank the blocks end as (+-det B) * I and columns s.. of +-adj B, so each
+    row of adj holds n - s entries; s = 0 gives the whole adjugate. With None
+    it appends no unit columns and updates only the rows below each pivot;
+    the rank and the last pivot, +-det B at full rank, are the same.
+
+    A step updates only live columns. Left of its pivot a row holds 0, or
+    its own earlier pivot, and neither is read again. Column j of I stays
+    prev * e_j, prev the last pivot, in the row that started as row j, until
+    that row is a pivot row; only then is it appended, and the adjugate's
+    columns are put back in order at the end.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     scale = math.lcm(*(x.denominator for row in rows for x in row))
-    work = [
-        [int(x * scale) for x in row] + ([int(i == j) for j in range(nrows)] if adjugate else [])
-        for i, row in enumerate(rows)
-    ]
+    work = [[int(x * scale) for x in row] for row in rows]
+    origin = list(range(nrows))  # the row of I that each row started beside
+    units: list[int] = []  # the columns of I appended so far
     rank, prev, sign = 0, 1, 1
     for col in range(ncols):
         pivot = next((r for r in range(rank, nrows) if work[r][col]), None)
@@ -224,19 +233,28 @@ def _eliminate(
             continue
         if pivot != rank:
             work[rank], work[pivot] = work[pivot], work[rank]
+            origin[rank], origin[pivot] = origin[pivot], origin[rank]
             sign = -sign
+        if adj_from is not None and origin[rank] >= adj_from:
+            units.append(origin[rank])
+            for r, row in enumerate(work):
+                row.append(prev if r == rank else 0)
         prow = work[rank]
-        lead = prow[col]
-        for r in range(0 if adjugate else rank + 1, nrows):
+        lead, live = prow[col], prow[col + 1:]
+        for r in range(rank + 1 if adj_from is None else 0, nrows):
             if r != rank:
-                f = work[r][col]
-                work[r] = [(lead * a - f * b) // prev for a, b in zip(work[r], prow)]
+                row = work[r]
+                f = row[col]
+                row[col + 1:] = [(lead * a - f * b) // prev for a, b in zip(row[col + 1:], live)]
         prev = lead
         rank += 1
     if rank != nrows or nrows != ncols:
         return rank, 0, None
     det = sign * prev
-    adj = [[sign * v for v in row[ncols:]] for row in work] if adjugate else None
+    adj = None
+    if adj_from is not None:
+        place = sorted(range(len(units)), key=units.__getitem__)
+        adj = [[sign * row[ncols + k] for k in place] for row in work]
     if scale > 1:
         from fractions import Fraction
 
@@ -244,6 +262,29 @@ def _eliminate(
         if adj is not None:
             adj = [[Fraction(v, scale ** (nrows - 1)) for v in row] for row in adj]
     return rank, det, adj
+
+
+def _rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank over F_p, p prime, of an integer matrix: at most its rank over
+    the rationals, since a minor that is nonzero mod p is nonzero. Gaussian
+    elimination on the residues, which stay below p; each step updates only
+    the rows below its pivot and the columns right of it."""
+    work = [[x % p for x in row] for row in rows]
+    nrows = len(work)
+    rank = 0
+    for col in range(len(work[0]) if nrows else 0):
+        pivot = next((r for r in range(rank, nrows) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        prow = work[rank]
+        inv, live = pow(prow[col], -1, p), prow[col + 1:]
+        for row in work[rank + 1:]:
+            f = row[col] * inv % p
+            if f:
+                row[col + 1:] = [(a - f * b) % p for a, b in zip(row[col + 1:], live)]
+        rank += 1
+    return rank
 
 
 def matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:
@@ -254,4 +295,4 @@ def matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:
             raise ValueError("matrix rows have unequal lengths")
         for x in row:
             _exact(x)
-    return _eliminate(rows, adjugate=False)[0]
+    return _eliminate(rows, None)[0]

@@ -8,8 +8,11 @@ plus the (1,1) product entry span every entry of X*Y in bidegree (1,1), and
 produces witness pairs (M, N) of complementary rank with M N = 0. Witnesses
 are built in integers, as M and det(A)^2 N; symmetry, rank and a zero
 product do not change under that scale, so only ``witness_rank_pair``
-divides, once, to return the rational N. The polynomials, their packed
-monomials and the determinant live in ``poly``.
+divides, once, to return the rational N. N needs only the last n - r rows
+of adj(A), which one elimination of A^T yields. A witness's ranks are
+certified by lower bounds mod a prime: by Sylvester's inequality the exact
+zero product caps rank M + rank N at n, so the bounds are the ranks. The
+polynomials, their packed monomials and the determinant live in ``poly``.
 
 Graph vanishing and the adjugate identity are read off the entries of one
 P per mode, ``symbolic_checks`` and ``numeric_checks``. Symbolically,
@@ -29,8 +32,9 @@ the adjugate identity compares P with det * Id. X * Y depends on n alone,
 so ``product_matrix`` keeps the last one it built for every check of a run.
 
 Matrices of numbers get rank, determinant and adjugate from the one
-fraction-free Bareiss elimination in ``exact``, O(k^3): Gauss-Jordan on
-[B | I] where the adjugate is needed, forward elimination for a rank. The
+fraction-free Bareiss elimination in ``exact``, O(k^3): Gauss-Jordan on B
+beside the unit columns whose adjugate columns are needed, forward
+elimination for an exact rank. The
 span comparison ranks sparse coefficient vectors by fraction-free row
 reduction in integers. ``adjugate`` runs the determinant DP of ``poly`` once
 per minor; it is the oracle that the derivative adjugate is tested against.
@@ -44,7 +48,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .exact import InvariantViolation, Scalar, _eliminate, _exact, matrix_rank
+from .exact import InvariantViolation, Scalar, _eliminate, _exact, _rank_mod, matrix_rank
 from .poly import Entry, SparsePoly, SymbolicMatrix, _add_into, _adjugate_columns, _as_poly, _fixed_by, _monomial
 from .poly import _mul_into, det_sym, determinant, generic_sym_matrix, mat_mul, swap_sides, xvar
 
@@ -424,15 +428,15 @@ def _witness_rows(n: int, r: int, seed: int) -> tuple[list[list[int]], list[list
     rng = random.Random(seed)
     while True:
         a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        _, det, adj = _eliminate(a)
-        if adj is not None:
+        # columns r.. of adj(A^T) = adj(A)^T: the last n - r rows of adj(A), transposed
+        _, det, cols = _eliminate(list(zip(*a)), r)
+        if cols is not None:
             break
     d = [rng.randint(1, 9) * rng.choice((1, -1)) for _ in range(r)]
     e = [rng.randint(1, 9) * rng.choice((1, -1)) for _ in range(n - r)]
     # both triangles are computed, so that a symmetry check still means something
     ad = [list(map(mul, row, d)) for row in a]  # map stops at the first r columns
     m = [[sum(map(mul, x, y)) for y in a] for x in ad]
-    cols = [col[r:] for col in zip(*adj)]  # the last n - r rows of adj(A), transposed
     ce = [list(map(mul, col, e)) for col in cols]
     w = [[sum(map(mul, x, y)) for y in cols] for x in ce]
     return m, w, det
@@ -455,14 +459,31 @@ def witness_rank_pair(n: int, r: int, seed: int = 0) -> tuple[RationalSymMatrix,
     )
 
 
+# the largest prime below 2^30: a residue is one digit of a CPython int
+_PRIME = 1_073_741_789
+
+
+def _rank_at_least(rows: Sequence[Sequence[int]], k: int) -> bool:
+    """rank(rows) >= k over the rationals: from the rank mod ``_PRIME``,
+    which is at most the rank over Q, and from the exact rank only when
+    that falls short."""
+    return _rank_mod(rows, _PRIME) >= k or matrix_rank(rows) >= k
+
+
 def witness_pair_valid(n: int, r: int, seed: int = 0) -> bool:
     """M and N are symmetric, their ranks are exactly (r, n - r) and every
-    entry of M * N vanishes; checked on the integer M and det(A)^2 N."""
+    entry of M * N vanishes; checked on the integer M and det(A)^2 N.
+
+    By Sylvester's inequality M * N = 0, checked exactly, gives rank M +
+    rank N <= n, so the lower bounds rank M >= r and rank N >= n - r are
+    the exact ranks. The bounds come mod a prime (``_rank_at_least``), so
+    the verdict is the one exact ranks give, with no probability involved.
+    """
     m, w, _ = _witness_rows(n, r, seed)
     return (
         _is_symmetric(m)
         and _is_symmetric(w)
-        and matrix_rank(m) == r
-        and matrix_rank(w) == n - r
+        and _rank_at_least(m, r)
+        and _rank_at_least(w, n - r)
         and not any(v for row in _product(m, w) for v in row)
     )

@@ -4,7 +4,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from invdeg import symbolic
-from invdeg.exact import InvariantViolation
+from invdeg.exact import InvariantViolation, matrix_rank
 from invdeg.poly import _FIELD_BITS, SparsePoly, SymbolicMatrix, _slot, generic_sym_matrix, mat_mul, xvar
 from invdeg.symbolic import PairChecks, graph_ideal_generators
 
@@ -93,3 +93,18 @@ def materialized_checks(n: int, adj_x: Optional[SymbolicMatrix] = None) -> PairC
         and all(p[i][j] == (det if i == j else 0) for i in range(n) for j in range(n))
     )
     return PairChecks(len(gens), residual, identity)
+
+
+def exact_witness_verdict(n: int, r: int, m: list[list[int]], w: list[list[int]]) -> bool:
+    """``symbolic.witness_pair_valid``'s verdict on the pair (M, W) from two
+    exact ranks, as it was computed before the ranks were bounded mod a
+    prime: both symmetric, rank M = r, rank W = n - r, and every entry of
+    M * W, a triple sum here, is zero."""
+    symmetric = all(x[i][j] == x[j][i] for x in (m, w) for i in range(n) for j in range(i))
+    product = [[sum(m[i][k] * w[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return (
+        symmetric
+        and matrix_rank(m) == r
+        and matrix_rank(w) == n - r
+        and not any(v for row in product for v in row)
+    )

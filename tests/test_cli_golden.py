@@ -50,6 +50,10 @@ GOLDENS = [
     ("verify --n 4 --mode numeric --trials 3 --seed 5 --format json", "40d15cec1d0777247a9bc26224b7250f690926f3afd253c530a2ad24ca366332"),
     ("verify --n 4 --mode numeric --trials 3 --seed 5 --format csv", "8a938fdcbc5d03937b4c2a2beab9daffe00677cef5259ae7e10d1b0c177c966c"),
     ("verify --n 4 --mode numeric --trials 3 --seed 5 --format latex", "71559acde45e86acc04b9b30cf0d8c5e19d31ed231a7be2a960e3167f4376d72"),
+    # recorded with the witness ranks from two exact Bareiss eliminations per pair
+    ("verify --mode numeric --n 12 --trials 5 --seed 3 --format json", "b780177948150d2ccd0bc4540b7ad72e962c348e8a7b9a4d6398fe1c5642a53e"),
+    ("verify --mode numeric --n 12 --trials 5 --seed 3 --format csv", "969ff69c7b001ba102731f833cbcfb99a4c20d52ba6acc8353af58e179035475"),
+    ("verify --mode numeric --n 12 --trials 5 --seed 3 --format latex", "48a433bcc3149b023d1ee996d4524eba3c6268f792a771d2a4ec6dfed0b093a2"),
 ]
 
 

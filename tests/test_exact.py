@@ -1,11 +1,22 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from invdeg.exact import InvariantViolation, SkewMatrix, binomial, leading_pfaffians, pfaffian, pfaffian_reference
+from invdeg.exact import (
+    InvariantViolation,
+    SkewMatrix,
+    _eliminate,
+    _rank_mod,
+    binomial,
+    leading_pfaffians,
+    matrix_rank,
+    pfaffian,
+    pfaffian_reference,
+)
 
 
 def det_fraction(rows):
@@ -246,3 +257,105 @@ def test_pfaffian_accepts_list_input_and_validates():
 
 def test_invariant_violation_is_runtime_error():
     assert issubclass(InvariantViolation, RuntimeError)
+
+
+# -------------------------------------------------------------------- elimination
+
+def gauss_jordan_fraction(rows):
+    """Independent (rank, det, adj) oracle: Gauss-Jordan on [A | I] over
+    Fraction with unit pivots. det and adj = det * A^-1 are (0, None) unless
+    A is square of full rank."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(nrows)] for i, row in enumerate(rows)]
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if a[r][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        a[rank] = [x / a[rank][col] for x in a[rank]]
+        for r in range(nrows):
+            if r != rank and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+    if rank != nrows or nrows != ncols:
+        return rank, 0, None
+    det = det_fraction(rows)
+    return rank, det, [[det * x for x in row[ncols:]] for row in a]
+
+
+@st.composite
+def eliminable_matrices(draw):
+    """Square and rectangular matrices of ints or of Fractions, with many
+    zeros, so that row swaps and columns without a pivot occur, and often a
+    last row that combines two others, so that square ones are singular."""
+    nrows = draw(st.integers(0, 6))
+    ncols = (nrows or 1) if draw(st.booleans()) else draw(st.integers(1, 6))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7])
+    if draw(st.booleans()):
+        entry = st.builds(Fraction, entry, st.sampled_from([1, 2, 3, 4]))
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if nrows >= 3 and draw(st.booleans()):
+        a, b = draw(entry), draw(entry)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(eliminable_matrices(), st.data())
+def test_eliminate_matches_fraction_gauss_jordan(rows, data):
+    rank, det, adj = gauss_jordan_fraction(rows)
+    assert _eliminate(rows, None) == (rank, det, None)
+    assert _eliminate(rows) == (rank, det, adj)
+    s = data.draw(st.integers(0, len(rows)), label="adj_from")
+    got = _eliminate(rows, s)
+    assert got == (rank, det, None if adj is None else [row[s:] for row in adj])
+    if all(type(x) is int for row in rows for x in row):
+        assert all(type(v) is int for v in [got[1]] + [x for row in got[2] or [] for x in row])
+
+
+def test_eliminate_columns_of_the_adjugate():
+    rows = [[0, 2, 1], [3, 1, 0], [1, 0, 4]]  # the first pivot needs a row swap
+    rank, det, adj = _eliminate(rows)
+    assert (rank, det) == (3, -25)
+    assert adj == [[4, -8, -1], [-12, -1, 3], [-1, 2, -6]]
+    assert _eliminate(rows, 1) == (3, -25, [row[1:] for row in adj])
+    assert _eliminate(rows, 3) == (3, -25, [[], [], []])
+    assert _eliminate([[1, 2], [2, 4]], 1) == (1, 0, None)
+
+
+def rank_mod_by_minors(rows, p):
+    """Rank oracle over F_p: the size of the largest minor that is nonzero mod p."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    for k in range(min(nrows, ncols), 0, -1):
+        for rs in combinations(range(nrows), k):
+            for cs in combinations(range(ncols), k):
+                if det_fraction([[rows[i][j] for j in cs] for i in rs]) % p:
+                    return k
+    return 0
+
+
+BIG_PRIME = 1_073_741_789
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rank_mod_matches_the_minors(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7, BIG_PRIME]), label="p")
+    nrows, ncols = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 5))
+    entry = st.sampled_from([0, 0, 1, -1, 2, 3, -5, 7, 10, 21, BIG_PRIME, -2 * BIG_PRIME, BIG_PRIME + 1])
+    rows = [data.draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    got = _rank_mod(rows, p)
+    assert got == rank_mod_by_minors(rows, p)
+    assert got <= matrix_rank(rows)
+
+
+def test_rank_mod_examples():
+    assert _rank_mod([], 7) == 0
+    assert _rank_mod([[7, 0], [0, 1]], 7) == 1
+    assert _rank_mod([[1, 2], [3, 4]], 2) == 1  # det -2
+    assert _rank_mod([[1, 2], [3, 4]], 3) == 2
+    assert _rank_mod([[0, 0, 5], [0, 3, 1]], 7) == 2

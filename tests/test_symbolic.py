@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import invdeg.poly as poly
 import invdeg.symbolic as symbolic
 from invdeg.cli import main
-from invdeg.exact import InvariantViolation, _eliminate, matrix_rank
+from invdeg.exact import InvariantViolation, _eliminate, _rank_mod, matrix_rank
 from invdeg.poly import (
     SparsePoly,
     SymbolicMatrix,
@@ -41,7 +41,7 @@ from invdeg.symbolic import (
     witness_pair_valid,
     witness_rank_pair,
 )
-from oracles import InversePair, adjugate_from_det, inverse_pair, materialized_checks
+from oracles import InversePair, adjugate_from_det, exact_witness_verdict, inverse_pair, materialized_checks
 
 
 def det_fraction(rows):
@@ -576,7 +576,7 @@ def low_rank_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(square_matrices(), rational_matrices(), low_rank_matrices()))
 def test_forward_rank_matches_gauss_jordan_and_fractions(rows):
-    forward = _eliminate(rows, adjugate=False)
+    forward = _eliminate(rows, None)
     full = _eliminate(rows)
     assert forward[0] == full[0] == matrix_rank(rows) == fraction_sparse_rank(sparse_rows(rows))
     assert forward[1] == full[1] and forward[2] is None
@@ -1267,6 +1267,67 @@ def test_witness_verdict(monkeypatch, m, w, valid):
     # each invalid pair breaks one condition of the verdict and keeps the rest
     monkeypatch.setattr(symbolic, "_witness_rows", lambda n, r, seed: (m, w, 1))
     assert witness_pair_valid(2, 1) is valid
+
+
+@st.composite
+def witness_candidates(draw):
+    """(n, r, M, W) with M = A diag(d) A^T and W = adj(A)^T diag(e) adj(A)
+    for a small integer A, singular at times. Each index weights M, W, both
+    or neither, so that M * W = det(A) A diag(d) diag(e) adj(A) vanishes
+    unless some index weights both. r is mostly the number of weights on M.
+    At times M or W is scaled by the prime of the rank bounds, which keeps
+    its rank and kills its residues, or made asymmetric in one entry."""
+    n = draw(st.integers(1, 5))
+    a = [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) for _ in range(n)]
+    adj = adjugate(a)
+    sides = draw(st.lists(st.sampled_from(["m", "m", "w", "w", "both", "none"]), min_size=n, max_size=n))
+    weight = st.sampled_from([1, -1, 2, -3])
+    d = [draw(weight) if s in ("m", "both") else 0 for s in sides]
+    e = [draw(weight) if s in ("w", "both") else 0 for s in sides]
+    m = [[sum(a[i][k] * d[k] * a[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+    w = [[sum(adj[k][i] * e[k] * adj[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    r = sum(map(bool, d)) if draw(st.integers(0, 3)) else draw(st.integers(0, n))
+    for x in (m, w):
+        change = draw(st.sampled_from(["keep", "keep", "keep", "scale", "asymmetric"]))
+        if change == "scale":
+            x[:] = [[symbolic._PRIME * draw(st.sampled_from([1, -2])) * v for v in row] for row in x]
+        elif change == "asymmetric" and n > 1:
+            x[0][1] += 1
+    return n, r, m, w
+
+
+@settings(max_examples=400, deadline=None)
+@given(witness_candidates())
+def test_witness_verdict_matches_exact_ranks(case):
+    n, r, m, w = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symbolic, "_witness_rows", lambda n, r, seed: (m, w, 1))
+        assert witness_pair_valid(n, r) is exact_witness_verdict(n, r, m, w)
+
+
+@pytest.mark.parametrize("case", ["units", "witness"])
+def test_witness_verdict_survives_an_unlucky_prime(monkeypatch, case):
+    # entries that are multiples of the prime lose rank mod p; the exact rank decides
+    p = symbolic._PRIME
+    if case == "units":
+        n, r, m, w = 2, 1, [[p, 0], [0, 0]], [[0, 0], [0, 3 * p]]
+    else:
+        n, r = 5, 2
+        m, w, _ = symbolic._witness_rows(n, r, 0)
+        m = [[p * v for v in row] for row in m]
+    assert _rank_mod(m, p) < r
+    monkeypatch.setattr(symbolic, "_witness_rows", lambda n, r, seed: (m, w, 1))
+    assert witness_pair_valid(n, r)
+
+
+def test_witness_ranks_need_no_exact_elimination(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("an exact rank was computed")
+
+    monkeypatch.setattr(symbolic, "matrix_rank", refuse)
+    for n in range(1, 9):
+        for r in range(n + 1):
+            assert witness_pair_valid(n, r, seed=n * r)
 
 
 def test_witness_deterministic_in_seed():
