@@ -14,10 +14,9 @@ size of the output, and a run that fails while rendering prints nothing. A
 command imports only the engine it runs and a renderer only the stdlib module
 it writes with, so start-up loads no more than the run executes.
 
-Identical invocations produce byte-identical stdout. ``--threads`` only fans
-independent verification trials over a thread pool; it never changes output,
-and is therefore not echoed into the params block. On a standard (GIL) build
-it gives no speed-up.
+Identical invocations produce byte-identical stdout. Verification runs in one
+thread; ``--threads`` is still accepted and validated, changes nothing, and
+is therefore not echoed into the params block.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure (any failed
 check, a nonzero graph residual included), 3 invariant violation (positivity,
@@ -27,7 +26,6 @@ polynomiality), 4 out of memory.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
@@ -70,8 +68,7 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--threads",
         default="1",
-        help="worker threads for verification fan-out (N or auto, at most the CPU count); "
-        "never changes output, and gives no speed-up on a standard (GIL) build",
+        help="accepted for compatibility (N or auto) and ignored: verification runs in one thread",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -102,11 +99,11 @@ def build_parser() -> _Parser:
 
 
 def _validate(ns: argparse.Namespace) -> None:
-    """Reject a bad invocation; fill in ``window`` and the thread count.
+    """Reject a bad invocation and fill in ``window``.
 
-    The thread count is clamped to the CPU count, so a large ``--threads``
-    starts no more threads than ``auto`` does. Equal namespaces after this
-    step give byte-identical output.
+    ``--threads`` must be a positive integer or ``auto``; its value is not
+    used, since verification runs in one thread. Equal namespaces after
+    this step give byte-identical output.
     """
     if ns.threads != "auto":
         try:
@@ -114,8 +111,6 @@ def _validate(ns: argparse.Namespace) -> None:
                 raise ValueError
         except ValueError:
             raise UsageError(f"--threads must be a positive integer or 'auto', got {ns.threads!r}")
-    cpus = os.cpu_count() or 1
-    ns.threads = cpus if ns.threads == "auto" else min(int(ns.threads), cpus)
     if ns.command in ("psi", "multidegree", "verify") and ns.n < 1:
         raise UsageError(f"--n must be >= 1, got {ns.n}")
     if ns.command == "mldeg":
@@ -420,55 +415,41 @@ def _cmd_verify(ns: argparse.Namespace) -> _Report:
     )
 
     n = ns.n
-    executor = None
-    if ns.threads > 1:  # imported here, so that no other run loads the pool
-        from concurrent.futures import ThreadPoolExecutor
-        executor = ThreadPoolExecutor(max_workers=ns.threads)
-    try:
-        # One P serves graph vanishing and the adjugate identity: X * adj(X)
-        # symbolically, read entry by entry, and M * adj M per exact sample
-        # numerically.
-        if ns.mode == "symbolic":
-            checked = symbolic_checks(n)
-            vanish, holds = "identically under Y -> adj(X)", "symbolically"
-        else:
-            checked = numeric_checks(n, ns.trials, ns.seed, executor)
-            vanish = holds = f"on {ns.trials} exact samples"
-        checks = [
-            {
-                "name": "graph_vanishing",
-                "pass": checked.residual is None,
-                "detail": checked.residual or f"{checked.generators} generators vanish {vanish}",
-            },
-            {"name": "adjugate_identity", "pass": checked.identity, "detail": f"X * adj(X) = det(X) * Id {holds}"},
-        ]
-        checks.append({
-            "name": "swap_symmetry",
-            "pass": swap_symmetry_holds(n),
-            "detail": "generator set stable under exchanging X and Y",
-        })
-        checks.append({
-            "name": "product_span",
-            "pass": spans_product_entries(n),
-            "detail": "generators plus the (1,1) entry span all product entries in bidegree (1,1)",
-        })
-        seeds_per_rank = 3
-        cases = [(r, k) for r in range(n + 1) for k in range(seeds_per_rank)]
-
-        def witness_case(case: tuple[int, int]) -> bool:
-            r, k = case
-            return witness_pair_valid(n, r, ns.seed * 1_000_003 + 101 * r + k)
-
-        runner = executor.map if executor is not None else map
-        witness_ok = all(runner(witness_case, cases))
-        checks.append({
-            "name": "witness_rank_pairs",
-            "pass": witness_ok,
-            "detail": f"{len(cases)} pairs across ranks 0..{n}: exact ranks and zero products",
-        })
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    # One P serves graph vanishing and the adjugate identity: X * adj(X)
+    # symbolically, read entry by entry, and M * adj M per exact sample
+    # numerically.
+    if ns.mode == "symbolic":
+        checked = symbolic_checks(n)
+        vanish, holds = "identically under Y -> adj(X)", "symbolically"
+    else:
+        checked = numeric_checks(n, ns.trials, ns.seed)
+        vanish = holds = f"on {ns.trials} exact samples"
+    checks = [
+        {
+            "name": "graph_vanishing",
+            "pass": checked.residual is None,
+            "detail": checked.residual or f"{checked.generators} generators vanish {vanish}",
+        },
+        {"name": "adjugate_identity", "pass": checked.identity, "detail": f"X * adj(X) = det(X) * Id {holds}"},
+    ]
+    checks.append({
+        "name": "swap_symmetry",
+        "pass": swap_symmetry_holds(n),
+        "detail": "generator set stable under exchanging X and Y",
+    })
+    checks.append({
+        "name": "product_span",
+        "pass": spans_product_entries(n),
+        "detail": "generators plus the (1,1) entry span all product entries in bidegree (1,1)",
+    })
+    seeds_per_rank = 3
+    cases = [(r, k) for r in range(n + 1) for k in range(seeds_per_rank)]
+    witness_ok = all(witness_pair_valid(n, r, ns.seed * 1_000_003 + 101 * r + k) for r, k in cases)
+    checks.append({
+        "name": "witness_rank_pairs",
+        "pass": witness_ok,
+        "detail": f"{len(cases)} pairs across ranks 0..{n}: exact ranks and zero products",
+    })
     return _Report(
         params={"n": n, "mode": ns.mode, "trials": ns.trials, "seed": ns.seed, "symbolic_cap": ns.symbolic_cap},
         checks=checks,

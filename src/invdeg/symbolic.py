@@ -31,13 +31,15 @@ generator's value at (M, adj M) is the entry of P at its place. Either way
 the adjugate identity compares P with det * Id. X * Y depends on n alone,
 so ``product_matrix`` keeps the last one it built for every check of a run.
 
-Matrices of numbers get rank, determinant and adjugate from the one
-fraction-free Bareiss elimination in ``exact``, O(k^3): Gauss-Jordan on B
-beside the unit columns whose adjugate columns are needed, forward
-elimination for an exact rank. The
-span comparison ranks sparse coefficient vectors by fraction-free row
-reduction in integers. ``adjugate`` runs the determinant DP of ``poly`` once
-per minor; it is the oracle that the derivative adjugate is tested against.
+Matrices of numbers get determinant and adjugate from the one fraction-free
+Bareiss elimination in ``exact``, O(k^3): Gauss-Jordan on B beside the unit
+columns whose adjugate columns are needed. Witness ranks come from
+``exact._rank_mod``, Gaussian elimination on residues mod ``_PRIME``; the
+exact rank by Bareiss forward elimination (``matrix_rank``) is taken only
+when a bound mod p falls short. The span comparison ranks sparse
+coefficient vectors by fraction-free row reduction in integers. ``adjugate``
+runs the determinant DP of ``poly`` once per minor; it is the oracle that
+the derivative adjugate is tested against.
 """
 
 from __future__ import annotations
@@ -308,15 +310,15 @@ def symbolic_checks(n: int, *, adj_x: Optional[SymbolicMatrix] = None) -> PairCh
     return PairChecks(len(gens), residual, identity)
 
 
-def numeric_checks(n: int, trials: int, seed: int, executor=None) -> PairChecks:
+def numeric_checks(n: int, trials: int, seed: int) -> PairChecks:
     """Both numeric checks on the same exact samples.
 
     Sample t is a random integer symmetric M with det M != 0, drawn from
     ``seed * 1_000_003 + t``, with det M and adj M from one elimination,
     and P = M * adj M formed once. The adjugate identity compares P with
     det M * Id. At X = M, Y = adj M each generator of X * Y takes the
-    value of P at its place. Trials fan out over ``executor`` when given,
-    in deterministic order.
+    value of P at its place. Trials run in order, in the calling thread;
+    the first failing trial names the residual.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -331,9 +333,8 @@ def numeric_checks(n: int, trials: int, seed: int, executor=None) -> PairChecks:
                 return f"trial {t}: generator {g} evaluates to nonzero", identity
         return None, identity
 
-    runner = executor.map if executor is not None else map
     residual, identity = None, True
-    for failure, ok in runner(trial, range(trials)):
+    for failure, ok in map(trial, range(trials)):
         residual = residual or failure
         identity = identity and ok
     return PairChecks(len(gens), None if residual is None else _NONZERO + residual, identity)
@@ -345,7 +346,6 @@ def verify_graph_vanishing(
     trials: int = 100,
     seed: int = 0,
     symbolic_cap: int = 4,
-    executor=None,
     adj_x: Optional[SymbolicMatrix] = None,
 ) -> VanishingReport:
     """Certify that every graph generator vanishes on pairs (M, adj M): the
@@ -359,7 +359,7 @@ def verify_graph_vanishing(
     if mode not in ("symbolic", "numeric"):
         raise ValueError(f'mode must be "symbolic" or "numeric", got {mode!r}')
     if mode == "numeric":
-        checks = numeric_checks(n, trials, seed, executor)
+        checks = numeric_checks(n, trials, seed)
     elif n > symbolic_cap:
         raise ValueError(f"symbolic mode is capped at n <= {symbolic_cap}; raise symbolic_cap to override")
     else:
@@ -376,11 +376,11 @@ def adjugate_identity_holds(n: int, adj_x: Optional[SymbolicMatrix] = None) -> b
     return symbolic_checks(n, adj_x=adj_x).identity
 
 
-def adjugate_identity_numeric(n: int, trials: int, seed: int, executor=None) -> bool:
+def adjugate_identity_numeric(n: int, trials: int, seed: int) -> bool:
     """Exact spot check of M * adj(M) = det(M) * Id on random nonsingular
     symmetric M: the identity half of ``numeric_checks``, on the samples
     that graph vanishing uses."""
-    return numeric_checks(n, trials, seed, executor).identity
+    return numeric_checks(n, trials, seed).identity
 
 
 # ------------------------------------------------------------- rational witnesses
