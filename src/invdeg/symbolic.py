@@ -8,11 +8,15 @@ plus the (1,1) product entry span every entry of X*Y in bidegree (1,1), and
 produces witness pairs (M, N) of complementary rank with M N = 0. Witnesses
 are built in integers, as M and det(A)^2 N; symmetry, rank and a zero
 product do not change under that scale, so only ``witness_rank_pair``
-divides, once, to return the rational N. N needs only the last n - r rows
-of adj(A), which one elimination of A^T yields. A witness's ranks are
-certified by lower bounds mod a prime: by Sylvester's inequality the exact
-zero product caps rank M + rank N at n, so the bounds are the ranks. The
-polynomials, their packed monomials and the determinant live in ``poly``.
+divides, once, to return the rational N. One family per seed serves every
+rank r = n..0: one A and one elimination of A^T, which yields adj(A^T) =
+adj(A)^T, whose columns r.. are what N needs; each rank down is a rank-one
+update of M and of det(A)^2 N. A witness's ranks are certified by lower
+bounds mod a prime, from the leading r x r block of M and the trailing
+(n - r) x (n - r) block of N where those are nonsingular mod p: by
+Sylvester's inequality the exact zero product caps rank M + rank N at n,
+so the bounds are the ranks. The polynomials, their packed monomials and
+the determinant live in ``poly``.
 
 Graph vanishing and the adjugate identity are read off the entries of one
 P per mode, ``symbolic_checks`` and ``numeric_checks``. Symbolically,
@@ -34,12 +38,13 @@ so ``product_matrix`` keeps the last one it built for every check of a run.
 Matrices of numbers get determinant and adjugate from the one fraction-free
 Bareiss elimination in ``exact``, O(k^3): Gauss-Jordan on B beside the unit
 columns whose adjugate columns are needed. Witness ranks come from
-``exact._rank_mod``, Gaussian elimination on residues mod ``_PRIME``; the
-exact rank by Bareiss forward elimination (``matrix_rank``) is taken only
-when a bound mod p falls short. The span comparison ranks sparse
-coefficient vectors by fraction-free row reduction in integers. ``adjugate``
-runs the determinant DP of ``poly`` once per minor; it is the oracle that
-the derivative adjugate is tested against.
+``exact._rank_mod``, Gaussian elimination on residues mod ``_PRIME``, of a
+principal block first and of the whole matrix when the block is singular
+mod p; the exact rank by Bareiss forward elimination (``matrix_rank``) is
+taken only when both bounds mod p fall short. The span comparison ranks
+sparse coefficient vectors by fraction-free row reduction in integers.
+``adjugate`` runs the determinant DP of ``poly`` once per minor; it is the
+oracle that the derivative adjugate is tested against.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ import random
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .exact import InvariantViolation, Scalar, _eliminate, _exact, _rank_mod, matrix_rank
 from .poly import Entry, SparsePoly, SymbolicMatrix, _add_into, _adjugate_columns, _as_poly, _fixed_by, _monomial
@@ -418,36 +423,59 @@ class RationalSymMatrix(_RationalSymMatrixFields):
         return matrix_rank(self.rows)
 
 
-def _witness_rows(n: int, r: int, seed: int) -> tuple[list[list[int]], list[list[int]], int]:
-    """Integer rows of M = A D A^T and det(A)^2 N = adj(A)^T E adj(A), and det(A);
-    D weights the first r columns of A, E the last n - r rows of adj(A)."""
+# a seed of random.Random; the CLI names each family's stream by a str
+WitnessSeed = Union[int, str]
+
+
+def _witness_family(n: int, seed: WitnessSeed) -> Iterator[tuple[int, list[list[int]], list[list[int]], int]]:
+    """(r, M_r, W_r, det(A)) for r = n down to 0, from one random invertible
+    integer A and sign-weighted diagonals d, e of length n.
+
+    M_r = A diag(d_0..d_{r-1}) A^T and W_r = det(A)^2 N_r = sum_{k >= r}
+    e_k g_k g_k^T, g_k column k of adj(A^T) = adj(A)^T, all of it from one
+    elimination of A^T. Going down one rank is a rank-one update of each:
+    M_r = M_{r+1} - d_r a_r a_r^T and W_r = W_{r+1} + e_r g_r g_r^T, a_r
+    column r of A. Both triangles are computed, so that a symmetry check
+    still means something, and each pair is a new pair of lists, so a
+    yielded pair never changes.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 <= r <= n:
-        raise ValueError(f"rank r out of range 0..{n}, got {r}")
     rng = random.Random(seed)
     while True:
         a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        # columns r.. of adj(A^T) = adj(A)^T: the last n - r rows of adj(A), transposed
-        _, det, cols = _eliminate(list(zip(*a)), r)
-        if cols is not None:
+        _, det, adj_t = _eliminate(list(zip(*a)))
+        if adj_t is not None:
             break
-    d = [rng.randint(1, 9) * rng.choice((1, -1)) for _ in range(r)]
-    e = [rng.randint(1, 9) * rng.choice((1, -1)) for _ in range(n - r)]
-    # both triangles are computed, so that a symmetry check still means something
-    ad = [list(map(mul, row, d)) for row in a]  # map stops at the first r columns
-    m = [[sum(map(mul, x, y)) for y in a] for x in ad]
-    ce = [list(map(mul, col, e)) for col in cols]
-    w = [[sum(map(mul, x, y)) for y in cols] for x in ce]
-    return m, w, det
+    d = [rng.randint(1, 9) * rng.choice((1, -1)) for _ in range(n)]
+    e = [rng.randint(1, 9) * rng.choice((1, -1)) for _ in range(n)]
+    m = [[sum(map(mul, x, y)) for y in a] for x in ([v * dk for v, dk in zip(row, d)] for row in a)]
+    w = [[0] * n for _ in range(n)]
+    for r in range(n - 1, -1, -1):
+        yield r + 1, m, w, det
+        a_r, g_r = [row[r] for row in a], [row[r] for row in adj_t]
+        m = [[x - u * y for x, y in zip(row, a_r)] for row, u in zip(m, [d[r] * v for v in a_r])]
+        w = [[x + u * y for x, y in zip(row, g_r)] for row, u in zip(w, [e[r] * v for v in g_r])]
+    yield 0, m, w, det
 
 
-def witness_rank_pair(n: int, r: int, seed: int = 0) -> tuple[RationalSymMatrix, RationalSymMatrix]:
+def _witness_rows(n: int, r: int, seed: WitnessSeed) -> tuple[list[list[int]], list[list[int]], int]:
+    """Pair r of the witness family of ``seed``: the integer rows of M and
+    det(A)^2 N, and det(A)."""
+    if not 0 <= r <= n:
+        raise ValueError(f"rank r out of range 0..{n}, got {r}")
+    return next((m, w, det) for k, m, w, det in _witness_family(n, seed) if k == r)
+
+
+def witness_rank_pair(n: int, r: int, seed: WitnessSeed = 0) -> tuple[RationalSymMatrix, RationalSymMatrix]:
     """Random pair (M, N) of symmetric rationals with rank r and n - r and M N = 0.
 
     M = A D A^T and N = A^-T E A^-1 for a random invertible integer A and
     complementary nonzero diagonals D, E, so the ranks are exact and the
-    product vanishes identically. Deterministic in the seed.
+    product vanishes identically. The pair is rank r of the family of
+    ``seed`` (``_witness_family``): one A, D and E serve every rank, D
+    weighting the first r columns of A and E the last n - r rows of
+    A^-1. Deterministic in the seed.
     """
     from fractions import Fraction
 
@@ -463,27 +491,45 @@ def witness_rank_pair(n: int, r: int, seed: int = 0) -> tuple[RationalSymMatrix,
 _PRIME = 1_073_741_789
 
 
-def _rank_at_least(rows: Sequence[Sequence[int]], k: int) -> bool:
-    """rank(rows) >= k over the rationals: from the rank mod ``_PRIME``,
-    which is at most the rank over Q, and from the exact rank only when
-    that falls short."""
-    return _rank_mod(rows, _PRIME) >= k or matrix_rank(rows) >= k
+def _rank_at_least(rows: Sequence[Sequence[int]], k: int, start: int) -> bool:
+    """rank(rows) >= k over the rationals. First from the k x k principal
+    block at rows and columns start.., whose nonzero determinant mod
+    ``_PRIME`` is a nonzero minor over the integers; then from the rank mod
+    ``_PRIME``, which is at most the rank over Q; and from the exact rank
+    only when both fall short."""
+    block = [row[start:start + k] for row in rows[start:start + k]]
+    return _rank_mod(block, _PRIME) == k or _rank_mod(rows, _PRIME) >= k or matrix_rank(rows) >= k
 
 
-def witness_pair_valid(n: int, r: int, seed: int = 0) -> bool:
-    """M and N are symmetric, their ranks are exactly (r, n - r) and every
-    entry of M * N vanishes; checked on the integer M and det(A)^2 N.
+def _pair_valid(n: int, r: int, m: Sequence[Sequence[int]], w: Sequence[Sequence[int]]) -> bool:
+    """M and W are symmetric, their ranks are exactly (r, n - r) and every
+    entry of M * W vanishes.
 
-    By Sylvester's inequality M * N = 0, checked exactly, gives rank M +
-    rank N <= n, so the lower bounds rank M >= r and rank N >= n - r are
-    the exact ranks. The bounds come mod a prime (``_rank_at_least``), so
-    the verdict is the one exact ranks give, with no probability involved.
+    By Sylvester's inequality M * W = 0, checked exactly, gives rank M +
+    rank W <= n, so the lower bounds rank M >= r and rank W >= n - r are
+    the exact ranks. The bounds come mod a prime (``_rank_at_least``),
+    from the leading r x r block of M and the trailing (n - r) x (n - r)
+    block of W, where a witness family puts them, so the verdict is the
+    one exact ranks give, with no probability involved.
     """
-    m, w, _ = _witness_rows(n, r, seed)
     return (
         _is_symmetric(m)
         and _is_symmetric(w)
-        and _rank_at_least(m, r)
-        and _rank_at_least(w, n - r)
+        and _rank_at_least(m, r, 0)
+        and _rank_at_least(w, n - r, r)
         and not any(v for row in _product(m, w) for v in row)
     )
+
+
+def witness_pair_valid(n: int, r: int, seed: WitnessSeed = 0) -> bool:
+    """Pair r of the witness family of ``seed`` is valid (``_pair_valid``):
+    checked on the integer M and det(A)^2 N, which have the ranks, the
+    symmetry and the zero product of M and N."""
+    m, w, _ = _witness_rows(n, r, seed)
+    return _pair_valid(n, r, m, w)
+
+
+def witness_family_valid(n: int, seed: WitnessSeed) -> bool:
+    """Every pair r = n..0 of the witness family of ``seed`` is valid; one
+    elimination and 2n rank-one updates build all n + 1 pairs."""
+    return all(_pair_valid(n, r, m, w) for r, m, w, _ in _witness_family(n, seed))

@@ -96,7 +96,7 @@ def materialized_checks(n: int, adj_x: Optional[SymbolicMatrix] = None) -> PairC
 
 
 def exact_witness_verdict(n: int, r: int, m: list[list[int]], w: list[list[int]]) -> bool:
-    """``symbolic.witness_pair_valid``'s verdict on the pair (M, W) from two
+    """``symbolic._pair_valid``'s verdict on the pair (M, W) from two
     exact ranks, as it was computed before the ranks were bounded mod a
     prime: both symmetric, rank M = r, rank W = n - r, and every entry of
     M * W, a triple sum here, is zero."""

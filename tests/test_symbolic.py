@@ -1137,26 +1137,38 @@ def test_product_matches_the_triple_sum(data):
     assert symbolic._product(a, b) == naive
 
 
-def _witness_rows_by_comprehension(n, r, seed):
-    """``_witness_rows`` as it was written with per-entry comprehensions."""
+def _pair_by_formula(a, adj, d, e, r):
+    """M = A D_r A^T and W = adj(A)^T E_r adj(A), D_r weighting the first r
+    columns of A by d and E_r the last n - r rows of adj(A) by e."""
+    n = len(a)
+    return (
+        [[sum(a[i][k] * d[k] * a[j][k] for k in range(r)) for j in range(n)] for i in range(n)],
+        [[sum(adj[k][i] * e[k] * adj[k][j] for k in range(r, n)) for j in range(n)] for i in range(n)],
+    )
+
+
+def _witness_family_by_formula(n, seed):
+    """The witness family of ``seed`` from the direct formulas on the same
+    draws, with the signed-minor ``adjugate`` as the oracle."""
     rng = random.Random(seed)
     while True:
         a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        _, det, adj = _eliminate(a)
-        if adj is not None:
+        det = det_fraction(a)
+        if det:
             break
-    d = [rng.randint(1, 9) * rng.choice((1, -1)) for _ in range(r)]
-    e = [rng.randint(1, 9) * rng.choice((1, -1)) for _ in range(n - r)]
-    m = [[sum(a[i][k] * d[k] * a[j][k] for k in range(r)) for j in range(n)] for i in range(n)]
-    w = [[sum(adj[r + k][i] * e[k] * adj[r + k][j] for k in range(n - r)) for j in range(n)] for i in range(n)]
-    return m, w, det
+    adj = adjugate(a)
+    d = [rng.randint(1, 9) * rng.choice((1, -1)) for _ in range(n)]
+    e = [rng.randint(1, 9) * rng.choice((1, -1)) for _ in range(n)]
+    return [(r, *_pair_by_formula(a, adj, d, e, r), det) for r in range(n, -1, -1)]
 
 
 def test_witness_rows_match_the_comprehension_formulas():
-    for n in range(1, 8):
-        for r in range(n + 1):
-            for seed in (0, 7 * n + r):
-                assert symbolic._witness_rows(n, r, seed) == _witness_rows_by_comprehension(n, r, seed), (n, r)
+    for n in range(1, 7):
+        for seed in (0, 7 * n, "witness:3:1"):
+            family = list(symbolic._witness_family(n, seed))
+            assert family == _witness_family_by_formula(n, seed), (n, seed)
+            for r, m, w, det in family:
+                assert symbolic._witness_rows(n, r, seed) == (m, w, det)
 
 
 def test_graph_vanishing_bad_arguments():
@@ -1263,10 +1275,9 @@ def test_witness_sweep_small():
     ([[0, 0], [0, 0]], [[1, 0], [0, 0]], False),  # rank M = 0
     ([[1, 0], [0, 0]], [[0, 0], [0, 0]], False),  # rank N = 0
 ])
-def test_witness_verdict(monkeypatch, m, w, valid):
+def test_witness_verdict(m, w, valid):
     # each invalid pair breaks one condition of the verdict and keeps the rest
-    monkeypatch.setattr(symbolic, "_witness_rows", lambda n, r, seed: (m, w, 1))
-    assert witness_pair_valid(2, 1) is valid
+    assert symbolic._pair_valid(2, 1, m, w) is valid
 
 
 @st.composite
@@ -1300,9 +1311,7 @@ def witness_candidates(draw):
 @given(witness_candidates())
 def test_witness_verdict_matches_exact_ranks(case):
     n, r, m, w = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(symbolic, "_witness_rows", lambda n, r, seed: (m, w, 1))
-        assert witness_pair_valid(n, r) is exact_witness_verdict(n, r, m, w)
+    assert symbolic._pair_valid(n, r, m, w) is exact_witness_verdict(n, r, m, w)
 
 
 @pytest.mark.parametrize("case", ["units", "witness"])
@@ -1316,15 +1325,82 @@ def test_witness_verdict_survives_an_unlucky_prime(monkeypatch, case):
         m, w, _ = symbolic._witness_rows(n, r, 0)
         m = [[p * v for v in row] for row in m]
     assert _rank_mod(m, p) < r
-    monkeypatch.setattr(symbolic, "_witness_rows", lambda n, r, seed: (m, w, 1))
-    assert witness_pair_valid(n, r)
+    exact_ranks = []
+    monkeypatch.setattr(symbolic, "matrix_rank", lambda rows: exact_ranks.append(rows) or matrix_rank(rows))
+    assert symbolic._pair_valid(n, r, m, w)
+    assert m in exact_ranks  # the bounds mod p fall short, and the exact rank decides
 
 
-def test_witness_ranks_need_no_exact_elimination(monkeypatch):
+def _refuse_exact_ranks(monkeypatch):
     def refuse(rows):
         raise AssertionError("an exact rank was computed")
 
     monkeypatch.setattr(symbolic, "matrix_rank", refuse)
+
+
+def test_witness_block_bound_survives_a_singular_leading_block(monkeypatch):
+    # A[0][0] = 0 makes the leading 1 x 1 block of M = A D_1 A^T zero; the
+    # rank mod p of the whole M still bounds it, with no exact elimination
+    _refuse_exact_ranks(monkeypatch)
+    a = [[0, 2, 1, -1], [3, 1, 0, 2], [1, -1, 2, 0], [2, 0, 1, 3]]
+    assert det_fraction(a) == -32
+    adj = adjugate(a)
+    n = len(a)
+    for r in range(n + 1):
+        m, w = _pair_by_formula(a, adj, [2, -1, 3, 1], [1, 4, -2, -3], r)
+        if r == 1:
+            assert m[0][0] == 0
+        assert symbolic._pair_valid(n, r, m, w), r
+
+
+def test_witness_of_one_rank_less_fails():
+    # M of rank r - 1 beside W of rank n - r: a zero product, but no rank r
+    for n in range(1, 7):
+        family = list(symbolic._witness_family(n, n))
+        for (r, _, w, _), (_, m_less, _, _) in zip(family, family[1:]):
+            assert not any(v for row in symbolic._product(m_less, w) for v in row)
+            assert not symbolic._pair_valid(n, r, m_less, w), (n, r)
+            assert not exact_witness_verdict(n, r, m_less, w)
+
+
+def test_witness_block_bounds_are_the_leading_block_of_m_and_the_trailing_block_of_w(monkeypatch):
+    # each block is nonsingular mod p where the verdict looks for it, so no
+    # whole matrix is ranked; W's leading block here is zero
+    shapes = []
+    monkeypatch.setattr(symbolic, "_rank_mod", lambda rows, p: shapes.append(len(rows)) or _rank_mod(rows, p))
+    _refuse_exact_ranks(monkeypatch)
+    n = 5
+    for r in range(n + 1):
+        m = [[int(i == j < r) for j in range(n)] for i in range(n)]
+        w = [[int(i == j >= r) for j in range(n)] for i in range(n)]
+        shapes.clear()
+        assert symbolic._pair_valid(n, r, m, w)
+        assert shapes == [r, n - r], r
+
+
+def test_witness_streams_are_not_trial_streams(monkeypatch):
+    # numeric trial t of seed s draws from Random(s * 1_000_003 + t); a witness
+    # family drawing from one of those would be correlated with that sample
+    seeds = []
+
+    class Recording(random.Random):
+        def __init__(self, x=None):
+            seeds.append(x)
+            super().__init__(x)
+
+    monkeypatch.setattr(symbolic.random, "Random", Recording)
+    trial_seeds = {s * 1_000_003 + t for s in range(51) for t in range(10**4)}
+    for seed in range(51):
+        seeds.clear()
+        assert main(["verify", "--mode", "numeric", "--n", "1", "--trials", "3", "--seed", str(seed)]) == 0
+        trials, families = seeds[:3], seeds[3:]
+        assert trials == [seed * 1_000_003 + t for t in range(3)]
+        assert len(families) == 3 and len(set(families)) == 3
+        assert not trial_seeds.intersection(families), seed
+
+
+def test_witness_ranks_need_no_exact_elimination(monkeypatch):
+    _refuse_exact_ranks(monkeypatch)
     for n in range(1, 9):
         for r in range(n + 1):
             assert witness_pair_valid(n, r, seed=n * r)
@@ -1339,16 +1415,16 @@ def test_witness_deterministic_in_seed():
 
 
 # sha256 over repr((r, seed, M.rows, N.rows)) for every r and seeds 0..5,
-# one per line, recorded when the witnesses were built in Fraction arithmetic.
+# one per line, recorded when one witness family per seed began to serve every rank.
 WITNESS_SHA256 = {
-    1: "69d85af272e4b6113da9d8f7cfdc9d4a10707cb207051be2b4894bc795f72bc0",
-    2: "2c45c9eefbebc7442dc56f23999b8f87dd82bcc5b5a480d69fc0baf96d049bf5",
-    3: "21cadb320403bf81538015861f201efc950637b04fdd64818540c1db808ffbb0",
-    4: "fccfe277f5fd80594f22c18369121cf8d1b9ae1607522f803d6b4e7077d516e4",
-    5: "453849c4c30be15eac1ecb964d3ef6b2838c5603546519b20e0becf8bdbc5624",
-    6: "478babae9719c973d484153e1c743833f2cdd5cdac162103d5baf937effa69e4",
-    7: "a067c764c7109ea4937c1e982002075b4c29aa09db73607f1b475ee7cfb83ebd",
-    8: "06f12837f4a30a1f933b0e31004e679b7357002ea6de60ccdfbcb89d3738f225",
+    1: "9ff034ff1f77529288a46719c4c451aa21091a321cb43605c81550321f6fc26f",
+    2: "e718d3810adbebcdeda676d432434fefc0809add2207ae5b153c6b4b9789fafd",
+    3: "d7cd2e534c7aa135b0946a40df1b9a336f48c67bd0fcfbbf7fc716711843d916",
+    4: "869402e82be8bd21aa84552fb796422e9092035f2c7f44b1b4c9e33c18bbffe5",
+    5: "09748d842883169b4812d46db59dba8aa7b2041af27c04610c23b4a3bba220f3",
+    6: "fed15ec894b48a1bd05a03f53631629765e829427136e786251a8c8a97132db2",
+    7: "77b19ec73f9320de66a7cfc4db6a35d83343c1f02c9979c77a8254d2ede38f3b",
+    8: "8473bd2bf0935f4e509e487818df3d2a903ea0c85251b65311be2d6f14904bbc",
 }
 
 
