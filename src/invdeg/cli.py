@@ -7,12 +7,15 @@ symbolic/numeric certificate suite). Output formats are json, csv and latex;
 JSON carries every integer as a decimal string since the values outgrow 64
 bits quickly, and is shaped as {command, params, results, checks}. Each
 command returns one report; one renderer per format appends its text to one
-list of pieces (a JSON record or array of ints, a CSV row, a LaTeX line or
+list of pieces (a JSON record or array of ints, a CSV line, a LaTeX line or
 psi term), and ``main`` writes them with ``writelines`` once rendering has
 finished. No whole-document string is built, so output memory stays near the
 size of the output, and a run that fails while rendering prints nothing. A
-command imports only the engine it runs and a renderer only the stdlib module
-it writes with, so start-up loads no more than the run executes.
+list of same-shaped int records, such as psi's (i, j, value) pairs, travels
+as one ``_Records`` value: JSON and CSV fill one %-template per record, so no
+record becomes a dict or passes a per-cell check. A command imports only the
+engine it runs, and only the JSON renderer loads a stdlib module (``json``'s
+string quoting), so start-up loads no more than the run executes.
 
 Identical invocations produce byte-identical stdout. Verification runs in one
 thread; ``--threads`` is still accepted and validated, changes nothing, and
@@ -28,7 +31,6 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .exact import InvariantViolation, _is_scalar
@@ -61,6 +63,17 @@ class _Report(NamedTuple):
     csv_header: list[str]
     rows: Callable[[], Iterable[Sequence]]
     latex: Callable[[], Iterable[str]]
+
+
+class _Records(NamedTuple):
+    """Records of ints that share one key set, read once and possibly lazily.
+
+    JSON writes them as an array of objects with these keys; CSV writes each
+    record's ints as the cells after a row's leading cells.
+    """
+
+    keys: tuple[str, ...]
+    rows: Iterable[tuple[int, ...]]
 
 
 def build_parser() -> _Parser:
@@ -142,8 +155,9 @@ def _validate(ns: argparse.Namespace) -> None:
 def _to_json(value, out: list[str]) -> None:
     """Append ``json.dumps(value, indent=2)`` to ``out`` as pieces, with every
     int and Fraction written as its decimal string and dict keys passed
-    through str. Lists, tuples and iterators are arrays. A dict or list whose
-    values are all plain ints is one piece."""
+    through str. Lists, tuples and iterators are arrays, and ``_Records`` an
+    array of objects. A dict or list whose values are all plain ints, and
+    each record of a ``_Records``, is one piece."""
     from json.encoder import encode_basestring_ascii as quote
 
     def write(value, pad: str) -> None:
@@ -168,6 +182,18 @@ def _to_json(value, out: list[str]) -> None:
             out.append('"' + str(value) + '"')
         elif isinstance(value, str):
             out.append(quote(value))
+        elif type(value) is _Records:
+            inner = pad + "  "
+            fields = [f'{inner}  {quote(k).replace("%", "%%")}: "%d"' for k in value.keys]
+            record = "{\n" + ",\n".join(fields) + "\n" + inner + "}" if fields else "{}"
+            rows = iter(value.rows)
+            first = next(rows, None)
+            if first is None:
+                out.append("[]")
+                return
+            out.append(f"[\n{inner}{record}" % first)
+            out.extend(map(f",\n{inner}{record}".__mod__, rows))
+            out.append("\n" + pad + "]")
         elif isinstance(value, (list, tuple, Iterator)):
             inner = pad + "  "
             if isinstance(value, (list, tuple)) and value and all(type(v) is int for v in value):
@@ -195,13 +221,39 @@ def _render_json(command: str, report: _Report, out: list[str]) -> None:
     out.append("\n")
 
 
-def _render_csv(command: str, report: _Report, out: list[str]) -> None:
-    import csv
-    from types import SimpleNamespace
+def _csv_cell(cell) -> str:
+    """One CSV field as ``csv.writer`` writes it with QUOTE_MINIMAL: None is
+    empty, anything else its str, quoted when it holds a comma, a quote or a
+    line break, with quotes doubled. A lone carriage return is quoted as
+    Python 3.13's writer does; earlier writers leave it bare."""
+    if cell is None:
+        return ""
+    text = str(cell)
+    if '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    if "," in text or "\n" in text or "\r" in text:
+        return '"' + text + '"'
+    return text
 
-    writer = csv.writer(SimpleNamespace(write=out.append), lineterminator="\n")
-    writer.writerow(report.csv_header)
-    writer.writerows(report.rows())
+
+def _csv_line(fields: list[str]) -> str:
+    """Written fields as one line; a line of one empty field is ``""``, so
+    that it reads back as a field rather than a blank line."""
+    line = ",".join(fields)
+    return line + "\n" if line or not fields else '""\n'
+
+
+def _render_csv(command: str, report: _Report, out: list[str]) -> None:
+    """Header, then one line per row. A row that ends in a ``_Records`` is
+    one line per record: the row's leading cells, then the record's ints."""
+    out.append(_csv_line([_csv_cell(c) for c in report.csv_header]))
+    for row in report.rows():
+        if row and type(row[-1]) is _Records:
+            head = [_csv_cell(c).replace("%", "%%") for c in row[:-1]]
+            template = _csv_line(head + ["%d"] * len(row[-1].keys))
+            out.extend(map(template.__mod__, row[-1].rows))
+        else:
+            out.append(_csv_line([_csv_cell(c) for c in row]))
 
 
 def _render_latex(command: str, report: _Report, out: list[str]) -> None:
@@ -287,15 +339,12 @@ def _cmd_psi(ns: argparse.Namespace) -> _Report:
     return _Report(
         params={"n": n},
         checks=[],
-        results=lambda: {
-            "singles": table.singles,
-            "pairs": ({"i": i, "j": j, "value": v} for i, j, v in pairs()),
-        },
+        results=lambda: {"singles": table.singles, "pairs": _Records(("i", "j", "value"), pairs())},
         csv_header=["kind", "i", "j", "value"],
-        rows=lambda: chain(
-            (("single", i, None, v) for i, v in enumerate(table.singles, 1)),
-            (("pair", i, j, v) for i, j, v in pairs()),
-        ),
+        rows=lambda: [
+            *(("single", i, None, v) for i, v in enumerate(table.singles, 1)),
+            ("pair", _Records(("i", "j", "value"), pairs())),
+        ],
         latex=latex,
     )
 

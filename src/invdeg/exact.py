@@ -201,18 +201,18 @@ def pfaffian_reference(matrix: MatrixLike) -> int:
 
 
 def _eliminate(
-    rows: Sequence[Sequence[Scalar]], adj_from: Optional[int] = 0
+    rows: Sequence[Sequence[Scalar]], adjugate: bool = True
 ) -> tuple[int, Scalar, Optional[list[list[Scalar]]]]:
     """(rank, det, adj) of an int/Fraction matrix; det is 0 unless the matrix
-    is square of full rank, and adj is None then or when ``adj_from`` is None.
+    is square of full rank, and adj is None then or when ``adjugate`` is
+    false.
 
     Bareiss's fraction-free elimination on B, the matrix scaled to integers:
-    every entry stays a minor, so each division is exact. With ``adj_from``
-    = s it is Gauss-Jordan on B beside the unit columns s.. of I, and at full
-    rank the blocks end as (+-det B) * I and columns s.. of +-adj B, so each
-    row of adj holds n - s entries; s = 0 gives the whole adjugate. With None
-    it appends no unit columns and updates only the rows below each pivot;
-    the rank and the last pivot, +-det B at full rank, are the same.
+    every entry stays a minor, so each division is exact. With ``adjugate``
+    it is Gauss-Jordan on [B | I], and at full rank the blocks end as
+    (+-det B) * I and +-adj B. Without it, it appends no unit columns and
+    updates only the rows below each pivot; the rank and the last pivot,
+    +-det B at full rank, are the same.
 
     A step updates only live columns. Left of its pivot a row holds 0, or
     its own earlier pivot, and neither is read again. Column j of I stays
@@ -235,13 +235,13 @@ def _eliminate(
             work[rank], work[pivot] = work[pivot], work[rank]
             origin[rank], origin[pivot] = origin[pivot], origin[rank]
             sign = -sign
-        if adj_from is not None and origin[rank] >= adj_from:
+        if adjugate:
             units.append(origin[rank])
             for r, row in enumerate(work):
                 row.append(prev if r == rank else 0)
         prow = work[rank]
         lead, live = prow[col], prow[col + 1:]
-        for r in range(rank + 1 if adj_from is None else 0, nrows):
+        for r in range(0 if adjugate else rank + 1, nrows):
             if r != rank:
                 row = work[r]
                 f = row[col]
@@ -252,7 +252,7 @@ def _eliminate(
         return rank, 0, None
     det = sign * prev
     adj = None
-    if adj_from is not None:
+    if adjugate:
         place = sorted(range(len(units)), key=units.__getitem__)
         adj = [[sign * row[ncols + k] for k in place] for row in work]
     if scale > 1:
@@ -295,4 +295,4 @@ def matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:
             raise ValueError("matrix rows have unequal lengths")
         for x in row:
             _exact(x)
-    return _eliminate(rows, None)[0]
+    return _eliminate(rows, False)[0]

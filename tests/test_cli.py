@@ -1,5 +1,7 @@
+import csv
 import importlib.metadata as md
 import inspect
+import io
 import json
 import os
 import random
@@ -481,6 +483,13 @@ def test_runs_without_rationals_load_neither_fractions_nor_decimal(args):
     assert loaded & {"fractions", "decimal"} == set()
 
 
+@pytest.mark.parametrize("args", [("psi", "--n", "3"), ("verify", "--n", "3")])
+def test_csv_runs_load_no_csv_module(args):
+    code, loaded = _modules_loaded_by(*args, "--format", "csv")
+    assert code == 0 and "invdeg.cli" in loaded
+    assert loaded & {"csv", "_csv"} == set()
+
+
 def test_poly_run_loads_fractions():
     # the interpolant has rational coefficients; this run shows the check above can see the import
     code, loaded = _modules_loaded_by("mldeg", "--d", "3", "--poly")
@@ -523,9 +532,12 @@ class _Gen(tuple):
 
 
 def _lazily(payload):
-    """``payload`` with every ``_Gen`` array turned into a generator."""
+    """``payload`` with every ``_Gen`` array turned into a generator, and the
+    rows of every ``_Records`` into an iterator, as psi passes its pairs."""
     if isinstance(payload, _Gen):
         return (_lazily(v) for v in payload)
+    if isinstance(payload, cli._Records):
+        return payload._replace(rows=iter(payload.rows))
     if isinstance(payload, (list, tuple)):
         return type(payload)(_lazily(v) for v in payload)
     if isinstance(payload, dict):
@@ -550,6 +562,8 @@ def _old_jsonable(value):
         return str(value)
     if isinstance(value, str):
         return value
+    if isinstance(value, cli._Records):  # the equivalent list of dicts
+        return [{k: str(v) for k, v in zip(value.keys, row)} for row in value.rows]
     if isinstance(value, (list, tuple)):
         return [_old_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -567,6 +581,12 @@ _LEAVES = st.one_of(
     _AWKWARD_TEXT,
 )
 _KEYS = st.one_of(st.text(max_size=6), _AWKWARD_TEXT, st.integers(), st.booleans())
+# same-shaped int records, empty ones included; "%" keys exercise the template escaping
+_RECORDS = st.lists(st.one_of(st.text(max_size=6), _AWKWARD_TEXT, st.just("%d %%s")), max_size=4, unique=True).flatmap(
+    lambda keys: st.lists(st.tuples(*[st.integers()] * len(keys)), max_size=4).map(
+        lambda rows: cli._Records(tuple(keys), rows)
+    )
+)
 _PAYLOADS = st.recursive(
     _LEAVES,
     lambda inner: st.one_of(
@@ -580,6 +600,7 @@ _PAYLOADS = st.recursive(
             lambda d: len({str(k) for k in d}) == len(d)
         ),
         st.lists(st.integers(), min_size=1, max_size=4),
+        _RECORDS,
     ),
     max_leaves=30,
 )
@@ -596,6 +617,8 @@ _PAYLOADS = st.recursive(
     "lazy": [_Gen(), _Gen([_Gen([1, 2]), {"i": 1, "value": -(2**70)}]), _Gen([_Gen()])],
     "records": [{"i": 1, "j": 2, "value": 3}, {"i": 1, "flag": True}, {"off": False}],
     "ints": [(7,), [1, -2, 3], [1, True]],
+    "pairs": cli._Records(("i", "j", "value"), [(1, 2, 1), (1, 3, -(2**70))]),
+    "no records": [cli._Records(("i",), []), cli._Records((), [(), ()]), cli._Records(("100%",), [(5,)])],
 })
 def test_json_writer_matches_the_two_pass_oracle(payload):
     assert _json_text(_lazily(payload)) == json.dumps(_old_jsonable(payload), indent=2)
@@ -612,6 +635,77 @@ def test_json_writer_writes_an_int_record_or_int_array_as_one_piece():
     out = []
     cli._to_json({"i": 1, "flag": True}, out)
     assert len(out) > 1 and "".join(out) == '{\n  "i": "1",\n  "flag": true\n}'
+
+
+def _csv_module_text(rows) -> str:
+    """What ``csv.writer(..., lineterminator="\n")`` writes on Python 3.13+.
+
+    Before 3.13 that writer leaves a field with a lone carriage return
+    unquoted, so a reader splits the line there. A writer whose terminator
+    is "\r\n" quotes it on every version; each of its lines, cut back to
+    "\n", is the 3.13 text.
+    """
+    lines = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    text = "".join(lines)
+    if sys.version_info >= (3, 13):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        assert buf.getvalue() == text
+    return text
+
+
+_CSV_CELLS = st.one_of(
+    st.none(),
+    st.integers(),
+    st.integers(min_value=-(10**80), max_value=10**80),
+    st.text(alphabet=st.sampled_from(',"\r\n a%é😀'), max_size=6),
+    st.text(max_size=6),
+)
+_BIG_INTS = st.one_of(st.integers(), st.integers(min_value=-(10**80), max_value=10**80))
+
+
+@given(
+    st.lists(_CSV_CELLS, max_size=4),
+    st.lists(st.lists(_CSV_CELLS, max_size=4), max_size=5),
+    st.lists(_CSV_CELLS, max_size=3),
+    st.integers(0, 3).flatmap(lambda k: st.lists(st.tuples(*[_BIG_INTS] * k), max_size=4)),
+)
+@example(["kind", "i", "j", "value"], [["single", 1, None, 1], [""], [None], [], ["a,b", 'say "x"', "\r", "x\ny", ""]],
+         ["pair"], [(1, 2, 3), (-(10**70), 0, 7)])
+@example([], [], ["50%", "%d"], [(1,), (2,)])
+@example(["h"], [], [""], [(), ()])
+def test_csv_writer_matches_the_csv_module(header, rows, head, records):
+    # a row that ends in a _Records stands for one line per record after its leading cells
+    keys = tuple(f"k{i}" for i in range(len(records[0]))) if records else ()
+    report = cli._Report(
+        params={}, checks=[], results=dict, csv_header=header,
+        rows=lambda: [*rows, (*head, cli._Records(keys, iter(records)))], latex=list,
+    )
+    out: list[str] = []
+    cli._render_csv("psi", report, out)
+    assert "".join(out) == _csv_module_text([header, *rows, *([*head, *r] for r in records)])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_psi_pairs_are_appended_one_record_per_piece(monkeypatch, fmt):
+    # no piece holds the document or the pair list, so peak memory stays near the output's size
+    pieces: list[str] = []
+
+    class Sink:
+        def writelines(self, lines):
+            pieces.extend(lines)
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert main(["psi", "--n", "60", "--format", fmt]) == 0
+    mark = '"value"' if fmt == "json" else "pair,"
+    assert sum(mark in piece for piece in pieces) == 60 * 59 // 2
+    assert all(piece.count(mark) <= 1 for piece in pieces)
+    # the longest piece is the JSON array of the 60 singles, about 1.3 KB
+    assert max(map(len, pieces)) < 2048
 
 
 @pytest.mark.parametrize("bad", [None, 1.5, b"x", {"k": [None]}, [{1, 2}]])

@@ -304,14 +304,12 @@ def eliminable_matrices(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(eliminable_matrices(), st.data())
-def test_eliminate_matches_fraction_gauss_jordan(rows, data):
+@given(eliminable_matrices())
+def test_eliminate_matches_fraction_gauss_jordan(rows):
     rank, det, adj = gauss_jordan_fraction(rows)
-    assert _eliminate(rows, None) == (rank, det, None)
-    assert _eliminate(rows) == (rank, det, adj)
-    s = data.draw(st.integers(0, len(rows)), label="adj_from")
-    got = _eliminate(rows, s)
-    assert got == (rank, det, None if adj is None else [row[s:] for row in adj])
+    assert _eliminate(rows, False) == (rank, det, None)
+    got = _eliminate(rows)
+    assert got == (rank, det, adj)
     if all(type(x) is int for row in rows for x in row):
         assert all(type(v) is int for v in [got[1]] + [x for row in got[2] or [] for x in row])
 
@@ -321,9 +319,6 @@ def test_eliminate_columns_of_the_adjugate():
     rank, det, adj = _eliminate(rows)
     assert (rank, det) == (3, -25)
     assert adj == [[4, -8, -1], [-12, -1, 3], [-1, 2, -6]]
-    assert _eliminate(rows, 1) == (3, -25, [row[1:] for row in adj])
-    assert _eliminate(rows, 3) == (3, -25, [[], [], []])
-    assert _eliminate([[1, 2], [2, 4]], 1) == (1, 0, None)
 
 
 def rank_mod_by_minors(rows, p):

@@ -576,7 +576,7 @@ def low_rank_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(square_matrices(), rational_matrices(), low_rank_matrices()))
 def test_forward_rank_matches_gauss_jordan_and_fractions(rows):
-    forward = _eliminate(rows, None)
+    forward = _eliminate(rows, False)
     full = _eliminate(rows)
     assert forward[0] == full[0] == matrix_rank(rows) == fraction_sparse_rank(sparse_rows(rows))
     assert forward[1] == full[1] and forward[2] is None
