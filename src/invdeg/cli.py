@@ -23,17 +23,20 @@ is therefore not echoed into the params block.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure (any failed
 check, a nonzero graph residual included), 3 invariant violation (positivity,
-polynomiality), 4 out of memory.
+polynomiality), 4 out of memory, 141 stdout closed by its reader (a pipe
+cut short, as by ``head``; 128 + SIGPIPE, what a shell reports for a
+producer killed by that signal), with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
-from .exact import InvariantViolation, _is_scalar
+from .exact import InvariantViolation
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -154,10 +157,10 @@ def _validate(ns: argparse.Namespace) -> None:
 
 def _to_json(value, out: list[str]) -> None:
     """Append ``json.dumps(value, indent=2)`` to ``out`` as pieces, with every
-    int and Fraction written as its decimal string and dict keys passed
-    through str. Lists, tuples and iterators are arrays, and ``_Records`` an
-    array of objects. A dict or list whose values are all plain ints, and
-    each record of a ``_Records``, is one piece."""
+    int written as its decimal string and dict keys passed through str. Lists
+    and tuples are arrays, and ``_Records`` an array of objects. A list or
+    tuple whose values are all plain ints, and each record of a ``_Records``,
+    is one piece."""
     from json.encoder import encode_basestring_ascii as quote
 
     def write(value, pad: str) -> None:
@@ -168,17 +171,13 @@ def _to_json(value, out: list[str]) -> None:
                 out.append("{}")
                 return
             inner = pad + "  "
-            if all(type(v) is int for v in value.values()):
-                fields = [f'{inner}{quote(str(k))}: "{v}"' for k, v in value.items()]
-                out.append("{\n" + ",\n".join(fields) + "\n" + pad + "}")
-                return
             sep = "{\n" + inner
             for k, v in value.items():
                 out.append(sep + quote(str(k)) + ": ")
                 write(v, inner)
                 sep = ",\n" + inner
             out.append("\n" + pad + "}")
-        elif _is_scalar(value):
+        elif isinstance(value, int):
             out.append('"' + str(value) + '"')
         elif isinstance(value, str):
             out.append(quote(value))
@@ -194,9 +193,9 @@ def _to_json(value, out: list[str]) -> None:
             out.append(f"[\n{inner}{record}" % first)
             out.extend(map(f",\n{inner}{record}".__mod__, rows))
             out.append("\n" + pad + "]")
-        elif isinstance(value, (list, tuple, Iterator)):
+        elif isinstance(value, (list, tuple)):
             inner = pad + "  "
-            if isinstance(value, (list, tuple)) and value and all(type(v) is int for v in value):
+            if value and all(type(v) is int for v in value):
                 out.append(f'[\n{inner}"' + f'",\n{inner}"'.join(map(str, value)) + f'"\n{pad}]')
                 return
             opening = sep = "[\n" + inner
@@ -540,7 +539,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MemoryError:
         print(f"out of memory: {ns.command} needs more memory than this process may use", file=sys.stderr)
         return 4
-    sys.stdout.writelines(out)
+    try:
+        sys.stdout.writelines(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull, so that the flush at
+        # exit cannot raise again, and exit as a run killed by SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return 0 if all(c["pass"] for c in report.checks) else 2
 
 

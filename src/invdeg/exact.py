@@ -1,19 +1,19 @@
 """Exact kernels: binomial coefficients, Pfaffians of skew matrices, and one
-fraction-free elimination for the rank, determinant and adjugate of a matrix
-of numbers.
+fraction-free elimination for the rank, determinant and adjugate of an
+integer matrix.
 
-Everything here returns arbitrary-precision ``int`` (``Fraction`` for
-rational input, and ``_exact`` refuses a float); there is no fixed-width
-fast path. Both eliminations are fraction-free: the Pfaffian's 2x2-block
-steps and the Bareiss steps divide only exactly, by the previous pivot. The
-Pfaffian's pivots are the leading principal Pfaffians. The Bareiss loop
-runs Gauss-Jordan on B beside the unit columns of I whose adjugate columns
-a caller needs; a rank (``matrix_rank``) comes from forward elimination,
-which updates only the rows below each pivot (Bareiss, Math. Comp. 22,
-1968). Either way a step updates only the columns that are not yet known.
-``_rank_mod`` alone works over F_p, not over the rationals; its rank is a
-lower bound of the rational one. ``fractions`` is imported only to build a
-``Fraction``.
+Everything here takes and returns arbitrary-precision ``int``; there is no
+fixed-width fast path. ``matrix_rank`` alone also takes ``Fraction``
+entries, which it scales to integers, and ``_exact`` refuses a float. Both
+eliminations are fraction-free: the Pfaffian's 2x2-block steps and the
+Bareiss steps divide only exactly, by the previous pivot. The Pfaffian's
+pivots are the leading principal Pfaffians. The Bareiss loop runs
+Gauss-Jordan on B beside I when a caller needs the adjugate; a rank
+(``matrix_rank``) comes from forward elimination, which updates only the
+rows below each pivot (Bareiss, Math. Comp. 22, 1968). Either way a step
+updates only the columns that are not yet known. ``_rank_mod`` alone works
+over F_p, not over the rationals; its rank is a lower bound of the rational
+one. Nothing here builds a ``Fraction``, so ``fractions`` is never imported.
 """
 
 from __future__ import annotations
@@ -201,18 +201,16 @@ def pfaffian_reference(matrix: MatrixLike) -> int:
 
 
 def _eliminate(
-    rows: Sequence[Sequence[Scalar]], adjugate: bool = True
-) -> tuple[int, Scalar, Optional[list[list[Scalar]]]]:
-    """(rank, det, adj) of an int/Fraction matrix; det is 0 unless the matrix
-    is square of full rank, and adj is None then or when ``adjugate`` is
-    false.
+    rows: Sequence[Sequence[int]], adjugate: bool = True
+) -> tuple[int, int, Optional[list[list[int]]]]:
+    """(rank, det, adj) of an integer matrix B; det is 0 unless B is square
+    of full rank, and adj is None then or when ``adjugate`` is false.
 
-    Bareiss's fraction-free elimination on B, the matrix scaled to integers:
-    every entry stays a minor, so each division is exact. With ``adjugate``
-    it is Gauss-Jordan on [B | I], and at full rank the blocks end as
-    (+-det B) * I and +-adj B. Without it, it appends no unit columns and
-    updates only the rows below each pivot; the rank and the last pivot,
-    +-det B at full rank, are the same.
+    Bareiss's fraction-free elimination: every entry stays a minor, so each
+    division is exact. With ``adjugate`` it is Gauss-Jordan on [B | I], and
+    at full rank the blocks end as (+-det B) * I and +-adj B. Without it, it
+    appends no unit columns and updates only the rows below each pivot; the
+    rank and the last pivot, +-det B at full rank, are the same.
 
     A step updates only live columns. Left of its pivot a row holds 0, or
     its own earlier pivot, and neither is read again. Column j of I stays
@@ -222,8 +220,7 @@ def _eliminate(
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    scale = math.lcm(*(x.denominator for row in rows for x in row))
-    work = [[int(x * scale) for x in row] for row in rows]
+    work = [list(row) for row in rows]
     origin = list(range(nrows))  # the row of I that each row started beside
     units: list[int] = []  # the columns of I appended so far
     rank, prev, sign = 0, 1, 1
@@ -250,18 +247,10 @@ def _eliminate(
         rank += 1
     if rank != nrows or nrows != ncols:
         return rank, 0, None
-    det = sign * prev
-    adj = None
-    if adjugate:
-        place = sorted(range(len(units)), key=units.__getitem__)
-        adj = [[sign * row[ncols + k] for k in place] for row in work]
-    if scale > 1:
-        from fractions import Fraction
-
-        det = Fraction(det, scale ** nrows)
-        if adj is not None:
-            adj = [[Fraction(v, scale ** (nrows - 1)) for v in row] for row in adj]
-    return rank, det, adj
+    if not adjugate:
+        return rank, sign * prev, None
+    place = sorted(range(len(units)), key=units.__getitem__)
+    return rank, sign * prev, [[sign * row[ncols + k] for k in place] for row in work]
 
 
 def _rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
@@ -289,10 +278,11 @@ def _rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
 
 def matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:
     """Exact rank over the rationals of an int/Fraction matrix of any shape,
-    by forward elimination alone."""
+    by forward elimination alone of the matrix scaled to integers."""
     for row in rows:
         if len(row) != len(rows[0]):
             raise ValueError("matrix rows have unequal lengths")
         for x in row:
             _exact(x)
-    return _eliminate(rows, False)[0]
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    return _eliminate([[int(x * scale) for x in row] for row in rows], False)[0]

@@ -24,8 +24,8 @@ Polynomial entries cannot be divided, so ``determinant`` runs a
 division-free DP over column subsets, O(2^k * k) ring operations, which
 serves only the small symbolic sizes; it holds two popcount levels of minors
 at a time. The adjugate of the generic symmetric X is read off the partial
-derivatives of det(X), one entry at a time, of all columns or of those
-asked for (``_adjugate_columns``). ``_fixed_by`` tells whether relabelling
+derivatives of det(X), one entry at a time, column by column
+(``_adjugate_columns``). ``_fixed_by`` tells whether relabelling
 the variables of X by a permutation of the indices fixes a polynomial.
 """
 
@@ -406,41 +406,35 @@ def _fixed_by(det: Mapping[int, Scalar], n: int, sigma: Sequence[int]) -> bool:
     return True
 
 
-def _adjugate_columns(
-    n: int, det: Mapping[int, Scalar], columns: Optional[Sequence[int]] = None
-) -> Iterator[Iterator[dict]]:
+def _adjugate_columns(n: int, det: Mapping[int, Scalar]) -> Iterator[Iterator[dict]]:
     """The columns of adj(X) for the generic symmetric X, one at a time, read
     off the partial derivatives of det (a terms dict): X[i,j] fills (i, j)
     and (j, i) and the cofactors are symmetric, so d det/d X[i,i] =
-    adj[i][i] and d det/d X[i,j] = 2 adj[i][j] for i != j. ``columns``
-    picks the columns (0-based, all when None); each is an iterator that
-    derives its entries one at a time, row by row.
+    adj[i][i] and d det/d X[i,j] = 2 adj[i][j] for i != j. Each column is
+    an iterator that derives its entries one at a time, row by row.
 
-    One scan of det per variable of the picked columns lists the keys that
-    hold it, so each derivative then costs its own size. The scans run row
-    by row over the upper triangle and raise InvariantViolation at the first
-    off-diagonal derivative with an odd coefficient.
+    The first entry that needs a variable scans det once to list the keys
+    that hold it, so each derivative then costs its own size, and the first
+    k columns scan det once per variable they hold. Column j first needs
+    X[j,j], .., X[j,n], so the scans run row by row over the upper triangle
+    and raise InvariantViolation at the first off-diagonal derivative with
+    an odd coefficient.
     """
-    picked = range(n) if columns is None else columns
     holding: dict[int, list[int]] = {}  # field shift of X[i,j] -> the keys of det that hold it
-    for i in range(n):
-        for j in range(i, n):
-            if i not in picked and j not in picked:
-                continue
-            v = xvar(i + 1, j + 1)
-            shift = _FIELD_BITS * _slot(v)
+
+    def entry(i: int, j: int) -> dict:
+        v = xvar(i + 1, j + 1)
+        shift = _FIELD_BITS * _slot(v)
+        keys = holding.get(shift)
+        if keys is None:
             field = 0xFF << shift
             keys = holding[shift] = [key for key in det if key & field]
             if i != j and any(det[key] * (key >> shift & 0xFF) % 2 for key in keys):
                 raise InvariantViolation(f"d det/d {v} has an odd coefficient")
-
-    def entry(i: int, j: int) -> dict:
-        shift = _FIELD_BITS * _slot(xvar(i + 1, j + 1))
         unit, halve = 1 << shift, int(i != j)
-        return {key - unit: det[key] * (key >> shift & 0xFF) >> halve for key in holding[shift]}
+        return {key - unit: det[key] * (key >> shift & 0xFF) >> halve for key in keys}
 
-    for j in picked:
-        yield map(entry, range(n), repeat(j))
+    return (map(entry, range(n), repeat(j)) for j in range(n))
 
 
 # ------------------------------------------------------------ symbolic matrices

@@ -235,14 +235,16 @@ def _two_entries_suffice(n: int, x_row: Sequence[Mapping], det: Mapping[int, Sca
     image of P[1,1] and every off-diagonal one an image of P[1,2]: P = det *
     Id exactly when P[1,1] = det and P[1,2] = 0. The off-diagonal variables
     form one orbit, so an odd derivative, if any, is one at X[1,2], the
-    first that the full scan of ``_adjugate_columns`` reaches; reading
-    columns 1 and 2 raises the same InvariantViolation. ``x_row`` is row 1
-    of X; one adjugate entry is held at a time.
+    first that the whole stream of ``_adjugate_columns`` reaches; reading
+    the first two columns of that stream raises the same
+    InvariantViolation, and scans det 2n - 1 times. ``x_row`` is row 1 of
+    X; one adjugate entry is held at a time.
     """
     generators = ([1, 0, *range(2, n)], [*range(1, n), 0]) if n > 1 else ()
     if not all(_fixed_by(det, n, sigma) for sigma in generators):
         return False
-    for column, want in zip(_adjugate_columns(n, det, (0, 1)[:n]), (det, {})):
+    # the wanted entries come first, so zip stops before it draws a third column
+    for want, column in zip((det, {}), _adjugate_columns(n, det)):
         entry: dict[int, Scalar] = {}
         for x_1k, adj_kj in zip(x_row, column):
             _mul_into(entry, x_1k, adj_kj)

@@ -7,7 +7,6 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
 
@@ -527,15 +526,9 @@ def test_public_names_resolve_on_first_use():
         exec("from invdeg import no_such_name", {})
 
 
-class _Gen(tuple):
-    """An array that the writer under test receives as a generator."""
-
-
 def _lazily(payload):
-    """``payload`` with every ``_Gen`` array turned into a generator, and the
-    rows of every ``_Records`` into an iterator, as psi passes its pairs."""
-    if isinstance(payload, _Gen):
-        return (_lazily(v) for v in payload)
+    """``payload`` with the rows of every ``_Records`` turned into an
+    iterator, as psi passes its pairs."""
     if isinstance(payload, cli._Records):
         return payload._replace(rows=iter(payload.rows))
     if isinstance(payload, (list, tuple)):
@@ -552,13 +545,11 @@ def _json_text(value) -> str:
 
 
 def _old_jsonable(value):
-    """The serializer the one-pass JSON writer replaced: map ints and
-    Fractions to str, then ``json.dumps(..., indent=2)``. Kept as its oracle."""
+    """The serializer the one-pass JSON writer replaced: map ints to str,
+    then ``json.dumps(..., indent=2)``. Kept as its oracle."""
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, str):
         return value
@@ -576,7 +567,6 @@ _LEAVES = st.one_of(
     st.booleans(),
     st.integers(),
     st.integers(min_value=-(10**60), max_value=10**60),
-    st.fractions(),
     st.text(max_size=8),
     _AWKWARD_TEXT,
 )
@@ -592,10 +582,9 @@ _PAYLOADS = st.recursive(
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
-        st.lists(inner, max_size=4).map(_Gen),
         # str(key) must stay unique, or the oracle's dict would merge keys
         st.dictionaries(_KEYS, inner, max_size=4).filter(lambda d: len({str(k) for k in d}) == len(d)),
-        # all-int records and arrays are written as one piece each
+        # all-int arrays are written as one piece each, all-int dicts key by key
         st.dictionaries(_KEYS, st.one_of(st.integers(), st.booleans()), max_size=4).filter(
             lambda d: len({str(k) for k in d}) == len(d)
         ),
@@ -612,9 +601,8 @@ _PAYLOADS = st.recursive(
     "text": ['"quoted"', "back\\slash", "\x00\x08\x1f", "ünïcödé 😀", "\u2028"],
     "flags": [True, False],
     "big": [2**200, -(3**150)],
-    "exact": [Fraction(-7, 3), Fraction(4)],
     1: {"nested": {"deeper": [0]}},
-    "lazy": [_Gen(), _Gen([_Gen([1, 2]), {"i": 1, "value": -(2**70)}]), _Gen([_Gen()])],
+    "nested": [(), ([1, 2], {"i": 1, "value": -(2**70)}), [()]],
     "records": [{"i": 1, "j": 2, "value": 3}, {"i": 1, "flag": True}, {"off": False}],
     "ints": [(7,), [1, -2, 3], [1, True]],
     "pairs": cli._Records(("i", "j", "value"), [(1, 2, 1), (1, 3, -(2**70))]),
@@ -624,17 +612,10 @@ def test_json_writer_matches_the_two_pass_oracle(payload):
     assert _json_text(_lazily(payload)) == json.dumps(_old_jsonable(payload), indent=2)
 
 
-def test_json_writer_writes_an_int_record_or_int_array_as_one_piece():
-    for value, text in (
-        ({"i": 1, "value": 2**70}, '{\n  "i": "1",\n  "value": "1180591620717411303424"\n}'),
-        ([3, -4], '[\n  "3",\n  "-4"\n]'),
-    ):
-        out: list[str] = []
-        cli._to_json(value, out)
-        assert out == [text]
-    out = []
-    cli._to_json({"i": 1, "flag": True}, out)
-    assert len(out) > 1 and "".join(out) == '{\n  "i": "1",\n  "flag": true\n}'
+def test_json_writer_writes_an_int_array_as_one_piece():
+    out: list[str] = []
+    cli._to_json([3, -4], out)
+    assert out == ['[\n  "3",\n  "-4"\n]']
 
 
 def _csv_module_text(rows) -> str:
@@ -699,6 +680,9 @@ def test_psi_pairs_are_appended_one_record_per_piece(monkeypatch, fmt):
         def writelines(self, lines):
             pieces.extend(lines)
 
+        def flush(self):
+            pass
+
     monkeypatch.setattr(sys, "stdout", Sink())
     assert main(["psi", "--n", "60", "--format", fmt]) == 0
     mark = '"value"' if fmt == "json" else "pair,"
@@ -729,3 +713,19 @@ def test_module_is_runnable():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "kind,i,j,value"
+
+
+def test_a_reader_that_closes_early_ends_the_run_quietly_with_141():
+    # 10 MB of CSV outgrow any pipe buffer, so the writer meets the closed pipe
+    src = str(Path(invdeg.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "invdeg", "psi", "--n", "400", "--format", "csv"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    header = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (header, proc.wait(timeout=60), err) == (b"kind,i,j,value\n", 141, b"")

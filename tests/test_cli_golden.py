@@ -47,6 +47,10 @@ GOLDENS = [
     ("verify --n 3 --format json", "9a59cec5dc67e6eb0834610d169260b31515ec232a58a8ecf9b36c6aae52e6d1"),
     ("verify --n 3 --format csv", "b8ed4ac05bb889b9a29c28cc08321c8c83bda8b8a57b05f8401c33f0d88296dd"),
     ("verify --n 3 --format latex", "eed9fe0ad55298be5f805d126e9b816fa5f40f120059a7dc33de5be3c1b01c65"),
+    # the symbolic run of the certify benchmark workload: P[1,1] and P[1,2] by the S_n action
+    ("verify --mode symbolic --n 7 --symbolic-cap 7 --format json", "ca6e547c2d9df9230d09f8a6b0e7cb0c5010d112124d223ad04ef1ec9d65a59c"),
+    ("verify --mode symbolic --n 7 --symbolic-cap 7 --format csv", "1c37c827888f93a22e8ae5b5cba0ebd572a735779c1fa72a4ea047d73266ba42"),
+    ("verify --mode symbolic --n 7 --symbolic-cap 7 --format latex", "061da7fedfd5da06bccd40a8aae5e05f5929bb49c95849a684047aa7bb7a7c4d"),
     ("verify --n 4 --mode numeric --trials 3 --seed 5 --format json", "40d15cec1d0777247a9bc26224b7250f690926f3afd253c530a2ad24ca366332"),
     ("verify --n 4 --mode numeric --trials 3 --seed 5 --format csv", "8a938fdcbc5d03937b4c2a2beab9daffe00677cef5259ae7e10d1b0c177c966c"),
     ("verify --n 4 --mode numeric --trials 3 --seed 5 --format latex", "71559acde45e86acc04b9b30cf0d8c5e19d31ed231a7be2a960e3167f4376d72"),

@@ -306,11 +306,13 @@ def eliminable_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(eliminable_matrices())
 def test_eliminate_matches_fraction_gauss_jordan(rows):
+    # _eliminate takes integers; rational rows reach it only through matrix_rank
     rank, det, adj = gauss_jordan_fraction(rows)
-    assert _eliminate(rows, False) == (rank, det, None)
-    got = _eliminate(rows)
-    assert got == (rank, det, adj)
+    assert matrix_rank(rows) == rank
     if all(type(x) is int for row in rows for x in row):
+        assert _eliminate(rows, False) == (rank, det, None)
+        got = _eliminate(rows)
+        assert got == (rank, det, adj)
         assert all(type(v) is int for v in [got[1]] + [x for row in got[2] or [] for x in row])
 
 

@@ -1,9 +1,11 @@
 import hashlib
 import random
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -541,6 +543,12 @@ def sparse_rows(rows):
     return [{c: x for c, x in enumerate(row)} for row in rows]
 
 
+def integer_rows(rows):
+    """An int/Fraction matrix times the lcm of its denominators, as ints."""
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return [[int(x * scale) for x in row] for row in rows]
+
+
 def fraction_sparse_rank(vectors):
     """Rank oracle: Gaussian elimination of dict vectors over Fraction, the
     kernel ``sparse_rank`` used before it moved to integers."""
@@ -576,8 +584,10 @@ def low_rank_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(square_matrices(), rational_matrices(), low_rank_matrices()))
 def test_forward_rank_matches_gauss_jordan_and_fractions(rows):
-    forward = _eliminate(rows, False)
-    full = _eliminate(rows)
+    # _eliminate takes integers: rational rows go through matrix_rank, and
+    # both eliminations run on the rows scaled to integers
+    ints = integer_rows(rows)
+    forward, full = _eliminate(ints, False), _eliminate(ints)
     assert forward[0] == full[0] == matrix_rank(rows) == fraction_sparse_rank(sparse_rows(rows))
     assert forward[1] == full[1] and forward[2] is None
 
@@ -619,13 +629,16 @@ def test_eliminate_matches_subset_dp(rows):
 @settings(max_examples=150, deadline=None)
 @given(rational_matrices())
 def test_eliminate_rational_and_rectangular(rows):
-    rank, det, adj = _eliminate(rows)
+    # rational rows reach _eliminate only through matrix_rank; det and adj
+    # are checked on the rows scaled to integers
+    ints = integer_rows(rows)
+    rank, det, adj = _eliminate(ints)
     assert rank == matrix_rank(rows) == sparse_rank(sparse_rows(rows))
     if len(rows) != len(rows[0] if rows else []) or rank < len(rows):
         assert (det, adj) == (0, None)
     else:
-        assert det == det_fraction(rows)
-        assert adj == adjugate(rows)
+        assert det == det_fraction(ints)
+        assert adj == adjugate(ints)
 
 
 def test_numeric_checks_never_reach_subset_dp(monkeypatch, capsys):
@@ -708,10 +721,6 @@ def test_adjugate_from_det_matches_the_minor_dp():
         # the streamed columns are the columns of the whole adjugate
         columns = [list(column) for column in poly._adjugate_columns(n, pair.det.terms)]
         assert [[SparsePoly(columns[j][i]) for j in range(n)] for i in range(n)] == list(map(list, pair.adj.entries)), n
-        # picked columns come out in the order asked, equal to the whole scan's
-        picked = [n - 1, 0]
-        picked_columns = poly._adjugate_columns(n, pair.det.terms, picked)
-        assert [list(column) for column in picked_columns] == [columns[j] for j in picked]
         if n in DET_ADJ_STR_SHA256:
             adj = "\n".join(str(e) for row in pair.adj.entries for e in row)
             assert hashlib.sha256(adj.encode()).hexdigest() == DET_ADJ_STR_SHA256[n][1], n
@@ -723,7 +732,7 @@ def test_adjugate_from_det_rejects_an_odd_derivative(monkeypatch, capsys):
     with pytest.raises(InvariantViolation, match=r"d det/d X\[1,2\] has an odd coefficient"):
         adjugate_from_det(2, f)
     with pytest.raises(InvariantViolation, match=r"d det/d X\[1,2\] has an odd coefficient"):
-        list(poly._adjugate_columns(2, f.terms))
+        [list(column) for column in poly._adjugate_columns(2, f.terms)]
     monkeypatch.setattr(symbolic, "det_sym", lambda a: f)
     with pytest.raises(InvariantViolation, match=r"d det/d X\[1,2\] has an odd coefficient"):
         symbolic.symbolic_checks(2)
@@ -738,7 +747,37 @@ def test_odd_derivatives_are_named_in_row_major_order():
     with pytest.raises(InvariantViolation, match=r"X\[1,4\]"):
         adjugate_from_det(4, f)
     with pytest.raises(InvariantViolation, match=r"X\[1,4\]"):
-        list(poly._adjugate_columns(4, f.terms))
+        [list(column) for column in poly._adjugate_columns(4, f.terms)]
+
+
+class _CountedScans(Mapping):
+    """A read-only terms dict that counts the scans of its keys."""
+
+    def __init__(self, terms):
+        self.terms, self.scans = terms, 0
+
+    def __getitem__(self, key):
+        return self.terms[key]
+
+    def __len__(self):
+        return len(self.terms)
+
+    def __iter__(self):
+        self.scans += 1
+        return iter(self.terms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_adjugate_columns_scan_det_once_per_variable_they_need(n):
+    # columns 1 and 2 hold 2n - 1 variables, all n columns n(n + 1) / 2
+    det = det_sym(generic_sym_matrix(n, "X")).terms
+    counted = _CountedScans(det)
+    stream = poly._adjugate_columns(n, counted)
+    first = [list(column) for column in islice(stream, 2)]
+    assert counted.scans == 2 * n - 1
+    rest = [list(column) for column in stream]
+    assert counted.scans == n * (n + 1) // 2
+    assert first + rest == [list(column) for column in poly._adjugate_columns(n, det)]
 
 
 def test_graph_images_from_the_product_equal_substitution(monkeypatch, pair_assignment):
@@ -848,13 +887,21 @@ def test_symbolic_checks_hold_no_whole_product(monkeypatch):
 def test_passing_run_forms_only_p11_and_p12(monkeypatch, n):
     # n = 1 has no P[1,2] and no generator of S_n; at n = 2 the cycle is the transposition
     product_matrix(n)
-    products, picks = [], []
+    products, calls, drawn = [], [], []
     mul_into, columns = symbolic._mul_into, symbolic._adjugate_columns
+
+    def counted_columns(*args):
+        calls.append(args[2:])
+        for column in columns(*args):
+            drawn.append(1)
+            yield column
+
     monkeypatch.setattr(symbolic, "_mul_into", lambda *a: products.append(1) or mul_into(*a))
-    monkeypatch.setattr(symbolic, "_adjugate_columns", lambda *a: picks.append(a[2:]) or columns(*a))
+    monkeypatch.setattr(symbolic, "_adjugate_columns", counted_columns)
     assert symbolic.symbolic_checks(n) == materialized_checks(n) == PairChecks(n * (n - 1) + n - 1, None, True)
     assert len(products) <= 2 * n
-    assert picks == [((0, 1)[:n],)]  # the full column scan never runs
+    # one stream, no column selector, and only its first two columns drawn
+    assert calls == [()] and len(drawn) == min(n, 2)
 
 
 def _invariant_but_wrong(n, det):
