@@ -19,7 +19,15 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _PUBLIC = {
-    "exact": ("InvariantViolation", "SkewMatrix", "binomial", "matrix_rank", "pfaffian", "pfaffian_reference"),
+    "exact": (
+        "InvariantViolation",
+        "SkewMatrix",
+        "binomial",
+        "matrix_rank",
+        "pfaffian",
+        "pfaffian_reference",
+        "sparse_rank",
+    ),
     "psi": ("PsiTable", "Subsequence", "p_alpha", "psi_pair", "psi_seq", "psi_single", "psi_table"),
     "multidegree": (
         "MultidegreeIdentityReport",
@@ -64,7 +72,6 @@ _PUBLIC = {
         "product_entries",
         "product_matrix",
         "spans_product_entries",
-        "sparse_rank",
         "swap_symmetry_holds",
         "verify_graph_vanishing",
         "witness_pair_valid",

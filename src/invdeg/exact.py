@@ -1,19 +1,17 @@
-"""Exact kernels: binomial coefficients, Pfaffians of skew matrices, and one
-fraction-free elimination for the rank, determinant and adjugate of an
-integer matrix.
+"""Exact kernels: binomial coefficients, Pfaffians of skew matrices, the
+determinant and adjugate of an integer matrix, and ranks over Q.
 
 Everything here takes and returns arbitrary-precision ``int``; there is no
-fixed-width fast path. ``matrix_rank`` alone also takes ``Fraction``
-entries, which it scales to integers, and ``_exact`` refuses a float. Both
-eliminations are fraction-free: the Pfaffian's 2x2-block steps and the
-Bareiss steps divide only exactly, by the previous pivot. The Pfaffian's
-pivots are the leading principal Pfaffians. The Bareiss loop runs
-Gauss-Jordan on B beside I when a caller needs the adjugate; a rank
-(``matrix_rank``) comes from forward elimination, which updates only the
-rows below each pivot (Bareiss, Math. Comp. 22, 1968). Either way a step
-updates only the columns that are not yet known. ``_rank_mod`` alone works
-over F_p, not over the rationals; its rank is a lower bound of the rational
-one. Nothing here builds a ``Fraction``, so ``fractions`` is never imported.
+fixed-width fast path. The rank kernels also take ``Fraction`` entries, and
+``_exact`` refuses a float. Every kernel is fraction-free. The Pfaffian's
+2x2-block steps and the Bareiss Gauss-Jordan steps of ``_eliminate`` on
+[B | I] (Math. Comp. 22, 1968) divide only exactly, by the previous pivot.
+Every rank over Q comes from ``_reduce_into``, which divides each vector by
+its content: a factor common to the rows, as det(A)^2 in a witness, goes
+at once, where Bareiss's k x k minors would carry its k-th power.
+``_rank_mod`` alone works over F_p; its rank is a lower bound of the
+rational one. Nothing here builds a ``Fraction``, so ``fractions`` is never
+imported.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from operator import index
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -200,17 +198,13 @@ def pfaffian_reference(matrix: MatrixLike) -> int:
     return expand(tuple(range(k)))
 
 
-def _eliminate(
-    rows: Sequence[Sequence[int]], adjugate: bool = True
-) -> tuple[int, int, Optional[list[list[int]]]]:
-    """(rank, det, adj) of an integer matrix B; det is 0 unless B is square
-    of full rank, and adj is None then or when ``adjugate`` is false.
+def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[int, int, Optional[list[list[int]]]]:
+    """(rank, det, adj) of an integer matrix B; det is 0 and adj is None
+    unless B is square of full rank.
 
-    Bareiss's fraction-free elimination: every entry stays a minor, so each
-    division is exact. With ``adjugate`` it is Gauss-Jordan on [B | I], and
-    at full rank the blocks end as (+-det B) * I and +-adj B. Without it, it
-    appends no unit columns and updates only the rows below each pivot; the
-    rank and the last pivot, +-det B at full rank, are the same.
+    Bareiss's fraction-free Gauss-Jordan on [B | I]: every entry stays a
+    minor, so each division is exact, and at full rank the blocks end as
+    (+-det B) * I and +-adj B.
 
     A step updates only live columns. Left of its pivot a row holds 0, or
     its own earlier pivot, and neither is read again. Column j of I stays
@@ -232,23 +226,19 @@ def _eliminate(
             work[rank], work[pivot] = work[pivot], work[rank]
             origin[rank], origin[pivot] = origin[pivot], origin[rank]
             sign = -sign
-        if adjugate:
-            units.append(origin[rank])
-            for r, row in enumerate(work):
-                row.append(prev if r == rank else 0)
+        units.append(origin[rank])
+        for r, row in enumerate(work):
+            row.append(prev if r == rank else 0)
         prow = work[rank]
         lead, live = prow[col], prow[col + 1:]
-        for r in range(0 if adjugate else rank + 1, nrows):
+        for r, row in enumerate(work):
             if r != rank:
-                row = work[r]
                 f = row[col]
                 row[col + 1:] = [(lead * a - f * b) // prev for a, b in zip(row[col + 1:], live)]
         prev = lead
         rank += 1
     if rank != nrows or nrows != ncols:
         return rank, 0, None
-    if not adjugate:
-        return rank, sign * prev, None
     place = sorted(range(len(units)), key=units.__getitem__)
     return rank, sign * prev, [[sign * row[ncols + k] for k in place] for row in work]
 
@@ -276,13 +266,58 @@ def _rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
     return rank
 
 
+def _add_into(out: dict, terms: Mapping, scale: Scalar = 1) -> None:
+    """out += scale * terms in place, dropping keys that cancel. A pop does not
+    shrink a dict's table, so a caller that keeps a sum with many cancellations
+    copies it to a fresh dict first."""
+    for key, c in terms.items():
+        nc = out.get(key, 0) + scale * c
+        if nc:
+            out[key] = nc
+        else:
+            out.pop(key, None)
+
+
+def _reduce_into(basis: dict, vectors: Iterable[Mapping]) -> dict:
+    """Extend ``basis`` in place by the vectors and return it.
+
+    ``basis`` maps a pivot key to the integer vector whose largest key it is.
+    Fraction-free row reduction: a vector scaled to integers on entry is
+    reduced by v <- a * v - b * other at each pivot it shares, a and b the
+    pivot coefficients over their gcd, and divided by its content; what
+    survives starts a new pivot.
+    """
+    for vec in vectors:
+        scale = math.lcm(*(c.denominator for c in vec.values()))
+        v = {k: c.numerator * (scale // c.denominator) for k, c in vec.items() if c}
+        while v:
+            pivot = max(v)
+            other = basis.get(pivot)
+            if other is None:
+                basis[pivot] = v
+                break
+            g = math.gcd(v[pivot], other[pivot])
+            a, b = other[pivot] // g, v[pivot] // g
+            if a != 1:
+                for k in v:
+                    v[k] *= a
+            _add_into(v, other, -b)
+            g = math.gcd(*v.values())
+            if g > 1:
+                for k in v:
+                    v[k] //= g
+    return basis
+
+
+def sparse_rank(vectors: Iterable[Mapping]) -> int:
+    """Rank over the rationals of sparse int/Fraction vectors (dict keyed)."""
+    return len(_reduce_into({}, ({k: _exact(c) for k, c in v.items()} for v in vectors)))
+
+
 def matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Exact rank over the rationals of an int/Fraction matrix of any shape,
-    by forward elimination alone of the matrix scaled to integers."""
+    """Exact rank over the rationals of an int/Fraction matrix of any shape:
+    the ``sparse_rank`` of its rows."""
     for row in rows:
         if len(row) != len(rows[0]):
             raise ValueError("matrix rows have unequal lengths")
-        for x in row:
-            _exact(x)
-    scale = math.lcm(*(x.denominator for row in rows for x in row))
-    return _eliminate([[int(x * scale) for x in row] for row in rows], False)[0]
+    return sparse_rank(dict(enumerate(row)) for row in rows)

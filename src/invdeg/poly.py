@@ -10,7 +10,7 @@ interleaved over the upper triangle column by column. So X[1,1]^2*Y[1,2] is
 sum of their ints. Keys are decoded to sorted VarId tuples, by walking their
 set bits, only to print, evaluate or substitute. One kernel, ``_mul_into``,
 adds products in place (out[ma + mb] += ca * cb) for ``*``, ``substitute``,
-``mat_mul`` and the determinant DP; sums go through ``_add_into``.
+``mat_mul`` and the determinant DP; sums go through ``exact._add_into``.
 Exponents stay below 2^7: every ``SparsePoly`` (so every product and
 ``mat_mul`` entry), every partial product of ``substitute`` and every DP
 minor passes through ``_checked``, which raises ValueError at the top bit of
@@ -38,7 +38,7 @@ from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .exact import InvariantViolation, Scalar, _exact, _is_scalar
+from .exact import InvariantViolation, Scalar, _add_into, _exact, _is_scalar
 
 
 class VarId(NamedTuple):
@@ -104,18 +104,6 @@ def _decode(key: int) -> tuple[int, ...]:
 def _fields_mask(pattern: bytes, key: int) -> int:
     """``pattern`` repeated, one byte per field, over every field of ``key``."""
     return int.from_bytes(pattern * -(-key.bit_length() // (8 * len(pattern))), "little")
-
-
-def _add_into(out: dict, terms: Mapping, scale: Scalar = 1) -> None:
-    """out += scale * terms in place, dropping keys that cancel. A pop does not
-    shrink a dict's table, so a caller that keeps a sum with many cancellations
-    copies it to a fresh dict first."""
-    for key, c in terms.items():
-        nc = out.get(key, 0) + scale * c
-        if nc:
-            out[key] = nc
-        else:
-            out.pop(key, None)
 
 
 def _checked(terms: dict) -> dict:

@@ -36,13 +36,13 @@ the adjugate identity compares P with det * Id. X * Y depends on n alone,
 so ``product_matrix`` keeps the last one it built for every check of a run.
 
 Matrices of numbers get determinant and adjugate from the one fraction-free
-Bareiss elimination in ``exact``, O(k^3): Gauss-Jordan on B beside the unit
-columns whose adjugate columns are needed. Witness ranks come from
-``exact._rank_mod``, Gaussian elimination on residues mod ``_PRIME``, of a
-principal block first and of the whole matrix when the block is singular
-mod p; the exact rank by Bareiss forward elimination (``matrix_rank``) is
-taken only when both bounds mod p fall short. The span comparison ranks
-sparse coefficient vectors by fraction-free row reduction in integers.
+Bareiss Gauss-Jordan elimination in ``exact``, O(k^3). Every rank over Q
+comes from the one fraction-free sparse reduction in ``exact``
+(``_reduce_into``): the span comparison ranks coefficient vectors with it,
+and witness ranks take it (``matrix_rank``) only when both bounds mod p
+fall short. Those bounds come from ``exact._rank_mod``, Gaussian
+elimination on residues mod ``_PRIME``, of a principal block first and of
+the whole matrix when the block is singular mod p.
 ``adjugate`` runs the determinant DP of ``poly`` once per minor; it is the
 oracle that the derivative adjugate is tested against.
 """
@@ -51,12 +51,11 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from math import gcd, lcm
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .exact import InvariantViolation, Scalar, _eliminate, _exact, _rank_mod, matrix_rank
-from .poly import Entry, SparsePoly, SymbolicMatrix, _add_into, _adjugate_columns, _as_poly, _fixed_by, _monomial
+from .exact import InvariantViolation, Scalar, _eliminate, _exact, _rank_mod, _reduce_into, matrix_rank, sparse_rank
+from .poly import Entry, SparsePoly, SymbolicMatrix, _adjugate_columns, _as_poly, _fixed_by, _monomial
 from .poly import _mul_into, det_sym, determinant, generic_sym_matrix, mat_mul, swap_sides, xvar
 
 if TYPE_CHECKING:
@@ -127,42 +126,6 @@ def swap_symmetry_holds(n: int) -> bool:
 
 
 # ------------------------------------------------------------- span comparison
-
-def _reduce_into(basis: dict, vectors: Iterable[Mapping]) -> dict:
-    """Extend ``basis`` in place by the vectors and return it.
-
-    ``basis`` maps a pivot key to the integer vector whose largest key it is.
-    Fraction-free row reduction: a vector scaled to integers on entry is
-    reduced by v <- a * v - b * other at each pivot it shares, a and b the
-    pivot coefficients over their gcd, and divided by its content; what
-    survives starts a new pivot.
-    """
-    for vec in vectors:
-        scale = lcm(*(c.denominator for c in vec.values()))
-        v = {k: c.numerator * (scale // c.denominator) for k, c in vec.items() if c}
-        while v:
-            pivot = max(v)
-            other = basis.get(pivot)
-            if other is None:
-                basis[pivot] = v
-                break
-            g = gcd(v[pivot], other[pivot])
-            a, b = other[pivot] // g, v[pivot] // g
-            if a != 1:
-                for k in v:
-                    v[k] *= a
-            _add_into(v, other, -b)
-            g = gcd(*v.values())
-            if g > 1:
-                for k in v:
-                    v[k] //= g
-    return basis
-
-
-def sparse_rank(vectors: Iterable[Mapping]) -> int:
-    """Rank over the rationals of sparse int/Fraction vectors (dict keyed)."""
-    return len(_reduce_into({}, ({k: _exact(c) for k, c in v.items()} for v in vectors)))
-
 
 def spans_product_entries(n: int) -> bool:
     """Graph generators plus the (1,1) product entry span every entry of X*Y.

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -310,10 +310,23 @@ def test_eliminate_matches_fraction_gauss_jordan(rows):
     rank, det, adj = gauss_jordan_fraction(rows)
     assert matrix_rank(rows) == rank
     if all(type(x) is int for row in rows for x in row):
-        assert _eliminate(rows, False) == (rank, det, None)
         got = _eliminate(rows)
         assert got == (rank, det, adj)
         assert all(type(v) is int for v in [got[1]] + [x for row in got[2] or [] for x in row])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    eliminable_matrices(),
+    st.integers(-(10**30), 10**30).filter(bool),
+    st.lists(st.sampled_from([1, -1, 2, 7, 10**12 + 39]), min_size=6, max_size=6),
+)
+def test_matrix_rank_of_high_content_rows_matches_gauss_jordan(rows, det, row_factors):
+    # a witness holds det(A)^2 N: every entry shares the factor det^2, and
+    # the rows here carry factors of their own on top of it
+    scale = det * det * lcm(*(x.denominator for row in rows for x in row))
+    ints = [[int(x * scale) * f for x in row] for row, f in zip(rows, row_factors)]
+    assert matrix_rank(ints) == _eliminate(ints)[0] == gauss_jordan_fraction(rows)[0]
 
 
 def test_eliminate_columns_of_the_adjugate():
