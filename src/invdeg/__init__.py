@@ -28,7 +28,7 @@ _PUBLIC = {
         "pfaffian_reference",
         "sparse_rank",
     ),
-    "psi": ("PsiTable", "Subsequence", "p_alpha", "psi_pair", "psi_seq", "psi_single", "psi_table"),
+    "psi": ("PsiTable", "p_alpha", "psi_pair", "psi_seq", "psi_single", "psi_table"),
     "multidegree": (
         "MultidegreeIdentityReport",
         "MultidegreeTable",

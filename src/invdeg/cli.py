@@ -267,49 +267,36 @@ def _tabular(spec: str, rows: Iterable[Sequence]) -> list[str]:
     return [f"\\begin{{tabular}}{{{spec}}}\n", *body, "\\end{tabular}\n"]
 
 
-def _latex_bipoly(coeffs: list[int], m: int) -> str:
-    """Render sum of coeffs[d] * t1^(m-d) * t2^d."""
+def _latex_power(name: str, e: int) -> str:
+    return "" if e == 0 else name if e == 1 else f"{name}^{{{e}}}"
+
+
+def _latex_sum(terms: Iterable[tuple[int | Fraction, str]]) -> str:
+    """The signed sum of (coefficient, body) terms: zero terms are dropped and
+    a coefficient of magnitude 1 is elided before a nonempty body."""
     parts = []
-    for d, c in enumerate(coeffs):
+    for c, body in terms:
         if not c:
             continue
-        factors = []
-        for name, e in (("t_1", m - d), ("t_2", d)):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{{{e}}}")
-        body = " ".join(factors)
-        if not body:
-            parts.append(str(c))
-        elif c == 1:
-            parts.append(body)
+        mag = str(abs(c)) if c.denominator == 1 else f"\\tfrac{{{abs(c.numerator)}}}{{{c.denominator}}}"
+        text = body if (body and abs(c) == 1) else f"{mag} {body}".strip()
+        if parts:
+            parts.append(f"- {text}" if c < 0 else f"+ {text}")
         else:
-            parts.append(f"{c} {body}")
-    return " + ".join(parts) if parts else "0"
+            parts.append(f"-{text}" if c < 0 else text)
+    return " ".join(parts) if parts else "0"
 
 
-def _latex_coeff(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    sign = "-" if c < 0 else ""
-    return f"{sign}\\tfrac{{{abs(c.numerator)}}}{{{c.denominator}}}"
+def _latex_bipoly(coeffs: list[int], m: int) -> str:
+    """Render sum of coeffs[d] * t1^(m-d) * t2^d."""
+    return _latex_sum(
+        (c, f"{_latex_power('t_1', m - d)} {_latex_power('t_2', d)}".strip()) for d, c in enumerate(coeffs)
+    )
 
 
 def _latex_poly_in_n(coeffs: tuple[Fraction, ...]) -> str:
-    parts = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if not c:
-            continue
-        var = "" if k == 0 else ("n" if k == 1 else f"n^{{{k}}}")
-        mag = _latex_coeff(abs(c))
-        body = var if (var and abs(c) == 1) else f"{mag} {var}".strip()
-        if not parts:
-            parts.append(f"-{body}" if c < 0 else body)
-        else:
-            parts.append(f"- {body}" if c < 0 else f"+ {body}")
-    return " ".join(parts) if parts else "0"
+    """Render sum of coeffs[k] * n^k, highest power first."""
+    return _latex_sum((coeffs[k], _latex_power("n", k)) for k in reversed(range(len(coeffs))))
 
 
 # ------------------------------------------------------------------- commands

@@ -72,11 +72,6 @@ class SkewMatrix(_SkewMatrixFields):
         return len(self.rows)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "SkewMatrix":
-        """Validate and freeze a square antisymmetric array."""
-        return cls(rows)
-
-    @classmethod
     def from_upper(cls, size: int, upper) -> "SkewMatrix":
         """Build from ``upper(i, j)`` giving the entries above the diagonal."""
         rows = [[0] * size for _ in range(size)]
@@ -111,7 +106,7 @@ def _exact(x: Scalar) -> Scalar:
 def _coerce(matrix: MatrixLike) -> SkewMatrix:
     if isinstance(matrix, SkewMatrix):
         return matrix
-    return SkewMatrix.from_rows(matrix)
+    return SkewMatrix(matrix)
 
 
 def _pfaffian_pivots(skew: SkewMatrix, swap: bool) -> Iterator[int]:

@@ -7,10 +7,11 @@ exponent vector (Monagan & Pearce, CASC 2007): one int in which every
 variable owns an 8-bit field at a slot that does not depend on n, X and Y
 interleaved over the upper triangle column by column. So X[1,1]^2*Y[1,2] is
 2 + (1 << 24), the constant monomial is 0, and a product of monomials is the
-sum of their ints. Keys are decoded to sorted VarId tuples, by walking their
-set bits, only to print, evaluate or substitute. One kernel, ``_mul_into``,
-adds products in place (out[ma + mb] += ca * cb) for ``*``, ``substitute``,
-``mat_mul`` and the determinant DP; sums go through ``exact._add_into``.
+sum of their ints. Keys are decoded, by walking their set bits, only to
+print, substitute or read off variables and bidegrees. One kernel,
+``_mul_into``, adds products in place (out[ma + mb] += ca * cb) for ``*``,
+``substitute``, ``mat_mul`` and the determinant DP; sums go through
+``exact._add_into``.
 Exponents stay below 2^7: every ``SparsePoly`` (so every product and
 ``mat_mul`` entry), every partial product of ``substitute`` and every DP
 minor passes through ``_checked``, which raises ValueError at the top bit of
@@ -143,12 +144,14 @@ class SparsePoly:
     A monomial is an int holding each variable's exponent in its own 8-bit
     field (see ``_slot``); the constant monomial is 0 and a product of
     monomials is a sum of keys. Coefficients are int or Fraction and never
-    zero; the zero polynomial has an empty dict. The constructor checks the
-    dict it is given and keeps a copy: a negative or non-int key, an
-    exponent of 2^7 or more or a zero coefficient raises ValueError, so no
-    field ever carries into the next one. ``terms`` is a read-only view of
-    that copy, so a polynomial never changes once built. Mixed arithmetic
-    with ints and Fractions is supported; a float raises TypeError.
+    zero; the zero polynomial ``SparsePoly()`` has an empty dict and is the
+    only false one. The constructor checks the dict it is given and keeps a
+    copy: a negative or non-int key, an exponent of 2^7 or more or a zero
+    coefficient raises ValueError, so no field ever carries into the next
+    one. ``terms`` is a read-only view of that copy, so a polynomial never
+    changes once built. Mixed arithmetic with ints and Fractions is
+    supported; a float raises TypeError. ``substitute`` also evaluates: at a
+    point of scalars its result is the value as a constant polynomial.
     """
 
     __slots__ = ("terms",)
@@ -163,10 +166,6 @@ class SparsePoly:
         self.terms: Mapping[int, Scalar] = MappingProxyType(_checked(terms))
 
     @classmethod
-    def zero(cls) -> "SparsePoly":
-        return cls()
-
-    @classmethod
     def constant(cls, c: Scalar) -> "SparsePoly":
         return cls({0: c} if _exact(c) else {})
 
@@ -178,10 +177,6 @@ class SparsePoly:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __add__(self, other: Union["SparsePoly", Scalar]) -> "SparsePoly":
         out = dict(self.terms)
@@ -205,7 +200,7 @@ class SparsePoly:
             _mul_into(out, self.terms, other.terms)
             return SparsePoly(out)
         if not _exact(other):
-            return SparsePoly.zero()
+            return SparsePoly()
         return SparsePoly({mono: c * other for mono, c in self.terms.items()})
 
     __rmul__ = __mul__
@@ -260,20 +255,6 @@ class SparsePoly:
                 _checked(acc)
             _add_into(out, acc)
         return SparsePoly(out)
-
-    def evaluate(self, assignment: Mapping[VarId, Scalar]) -> Scalar:
-        """Exact value at a scalar point covering every variable."""
-        values = {_slot(v): _exact(x) for v, x in assignment.items()}
-        total: Scalar = 0
-        try:
-            for key, coeff in self.terms.items():
-                v: Scalar = coeff
-                for s in _decode(key):
-                    v *= values[s]
-                total += v
-        except KeyError as err:
-            raise ValueError(f"missing variable in substitution: {_var(err.args[0])}") from None
-        return total
 
     def canonical(self) -> tuple[tuple[int, Scalar], ...]:
         """Hashable sorted form, for set comparisons."""

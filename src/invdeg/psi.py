@@ -5,7 +5,9 @@ from {1..n}: the empty sequence gives 1, singletons give powers of two, pairs
 give binomial partial sums, and longer sequences give the Pfaffian of the
 skew matrix of pair values (bordered by the singleton values when the length
 is odd). ``p_alpha`` evaluates the complement inside {1..n}, which is a
-polynomial in n of degree equal to the weight of alpha.
+polynomial in n of degree equal to the weight of alpha. Both take a sequence
+as any iterable of ints; every entry goes through ``operator.index``, so a
+float raises TypeError instead of being truncated.
 
 ``psi_table`` builds every pair value up to n by the Pascal recurrence
 psi(i, j+1) = 2 psi(i, j) + C(i+j-1, i-1): O(n^2) big-integer operations,
@@ -17,7 +19,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from operator import index
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .exact import SkewMatrix, binomial, pfaffian
 
@@ -36,46 +39,6 @@ def psi_pair(i: int, j: int) -> int:
     if i >= j:
         raise ValueError("psi_pair requires i < j")
     return sum(binomial(i + j - 2, k) for k in range(i, j))
-
-
-class _SubsequenceFields(NamedTuple):
-    entries: tuple[int, ...]
-    n: int
-
-
-class Subsequence(_SubsequenceFields):
-    """Strictly increasing tuple of indices inside the ambient set {1..n}."""
-
-    __slots__ = ()
-
-    def __new__(cls, entries: tuple[int, ...], n: int) -> "Subsequence":
-        if n < 0:
-            raise ValueError(f"ambient bound must be >= 0, got {n}")
-        prev = 0
-        for e in entries:
-            if e <= prev:
-                raise ValueError(f"entries must be strictly increasing in [1, n], got {entries}")
-            prev = e
-        if entries and entries[-1] > n:
-            raise ValueError(f"entry {entries[-1]} exceeds ambient bound {n}")
-        return super().__new__(cls, entries, n)
-
-    @classmethod
-    def _make(cls, fields) -> "Subsequence":  # _replace and _make validate too
-        return cls(*fields)
-
-    @property
-    def length(self) -> int:
-        return len(self.entries)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.entries)
-
-    def complement(self) -> "Subsequence":
-        """The increasing sequence of elements of {1..n} not in this one."""
-        inside = set(self.entries)
-        return Subsequence(tuple(e for e in range(1, self.n + 1) if e not in inside), self.n)
 
 
 class PsiTable(NamedTuple):
@@ -129,11 +92,8 @@ def psi_table(n: int) -> PsiTable:
     return PsiTable(n, singles, pairs)
 
 
-SequenceLike = Union[Subsequence, Iterable[int]]
-
-
-def _as_entries(alpha: SequenceLike) -> tuple[int, ...]:
-    entries = tuple(alpha.entries if isinstance(alpha, Subsequence) else alpha)
+def _as_entries(alpha: Iterable[int]) -> tuple[int, ...]:
+    entries = tuple(map(index, alpha))
     prev = 0
     for e in entries:
         if e <= prev:
@@ -142,7 +102,7 @@ def _as_entries(alpha: SequenceLike) -> tuple[int, ...]:
     return entries
 
 
-def psi_seq(alpha: SequenceLike, table: Optional[PsiTable] = None) -> int:
+def psi_seq(alpha: Iterable[int], table: Optional[PsiTable] = None) -> int:
     """psi of an increasing sequence: Pfaffian of its pair matrix.
 
     Even length r uses the r x r matrix of pair values; odd length borders it
@@ -170,7 +130,7 @@ def psi_seq(alpha: SequenceLike, table: Optional[PsiTable] = None) -> int:
     return pfaffian(skew)
 
 
-def p_alpha(alpha: SequenceLike, n: int) -> int:
+def p_alpha(alpha: Iterable[int], n: int) -> int:
     """psi of the complement of alpha inside {1..n}; 0 if alpha is not contained."""
     if n < 0:
         raise ValueError(f"p_alpha requires n >= 0, got {n}")

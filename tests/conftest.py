@@ -6,8 +6,7 @@ from invdeg.poly import xvar, yvar
 @pytest.fixture
 def pair_assignment():
     """X[i,j] -> m[i][j] and Y[i,j] -> y[i][j] on the upper triangle: the
-    point (m, y) as an assignment for ``SparsePoly.substitute`` and
-    ``SparsePoly.evaluate``."""
+    point (m, y) as an assignment for ``SparsePoly.substitute``."""
 
     def assign(m, y):
         n = len(m)

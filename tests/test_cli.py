@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
 
@@ -188,6 +189,46 @@ def test_mldeg_poly(capsys):
     assert "\\varphi_{2}(n) = n - 1" in out
 
 
+@pytest.mark.parametrize("coeffs, text", [
+    ((0, 0, -1), "-n^{2}"),
+    ((1, -1, 3), "3 n^{2} - n + 1"),
+    ((0, 1, -2), "-2 n^{2} + n"),
+    ((-1, 1), "n - 1"),
+    ((-1, -1, -1), "-n^{2} - n - 1"),
+    ((Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6)), r"\tfrac{5}{6} n^{2} - \tfrac{3}{4} n + \tfrac{1}{2}"),
+    ((0, Fraction(-1, 2)), r"-\tfrac{1}{2} n"),
+    ((Fraction(-5, 3), 0, Fraction(1, 6), Fraction(-1, 6)), r"-\tfrac{1}{6} n^{3} + \tfrac{1}{6} n^{2} - \tfrac{5}{3}"),
+    ((7,), "7"),
+    ((-7,), "-7"),
+    ((1,), "1"),
+    ((-1,), "-1"),
+    ((0, 0, 0), "0"),
+    ((), "0"),
+    ((0, 0, 2, 1), "n^{3} + 2 n^{2}"),
+    ((1, 2, 0, 0), "2 n + 1"),
+    ((0, 0, Fraction(1, 3), 0), r"\tfrac{1}{3} n^{2}"),
+])
+def test_latex_poly_in_n_output_is_pinned(coeffs, text):
+    assert cli._latex_poly_in_n(tuple(map(Fraction, coeffs))) == text
+
+
+@pytest.mark.parametrize("coeffs, m, text", [
+    ([1, 1], 1, "t_1 + t_2"),
+    ([0, 1], 1, "t_2"),
+    ([1, 0], 1, "t_1"),
+    ([0, 0], 1, "0"),
+    ([1, 0, 1], 2, "t_1^{2} + t_2^{2}"),
+    ([2, 1, 0], 2, "2 t_1^{2} + t_1 t_2"),
+    ([0, 0, 0], 2, "0"),
+    ([1, 3, 3, 1], 3, "t_1^{3} + 3 t_1^{2} t_2 + 3 t_1 t_2^{2} + t_2^{3}"),
+    ([0, 5, 1, 0], 3, "5 t_1^{2} t_2 + t_1 t_2^{2}"),
+    ([1, 0, 0, 12], 3, "t_1^{3} + 12 t_2^{3}"),
+    ([4, 1, 1, 4], 3, "4 t_1^{3} + t_1^{2} t_2 + t_1 t_2^{2} + 4 t_2^{3}"),
+])
+def test_latex_bipoly_output_is_pinned(coeffs, m, text):
+    assert cli._latex_bipoly(coeffs, m) == text
+
+
 def test_mldeg_differences(capsys):
     code, out, _ = run_cli(capsys, ["mldeg", "--d", "3"])
     assert code == 0
@@ -361,7 +402,7 @@ def test_verify_numeric_fails_both_checks_on_a_wrong_adjugate(capsys, monkeypatc
             for t in range(4)
             for m, _, adj in [changed(random.Random(t), 3)]
             for g in gens
-            if g.evaluate(pair_assignment(m, adj))
+            if g.substitute(pair_assignment(m, adj))
         )
         assert checks["graph_vanishing"][1] == "graph generator does not vanish on inverse pairs: " + next(residuals)
 

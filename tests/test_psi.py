@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ import invdeg.psi as psi
 from invdeg.exact import SkewMatrix, binomial, pfaffian_reference
 from invdeg.mldegree import ml_table
 from invdeg.multidegree import _pair_matrix
-from invdeg.psi import PsiTable, Subsequence, p_alpha, psi_pair, psi_seq, psi_single, psi_table
+from invdeg.psi import PsiTable, p_alpha, psi_pair, psi_seq, psi_single, psi_table
 
 
 def test_psi_single_values():
@@ -114,21 +115,6 @@ def test_pair_builders_make_no_psi_pair_call(monkeypatch):
     assert calls == []
 
 
-def test_subsequence_validation():
-    s = Subsequence((1, 3), 4)
-    assert s.length == 2 and s.weight == 4
-    assert s.complement().entries == (2, 4)
-    assert Subsequence((), 3).complement().entries == (1, 2, 3)
-    with pytest.raises(ValueError):
-        Subsequence((3, 1), 4)
-    with pytest.raises(ValueError):
-        Subsequence((1, 1), 4)
-    with pytest.raises(ValueError):
-        Subsequence((5,), 4)
-    with pytest.raises(ValueError):
-        Subsequence((), -1)
-
-
 def test_psi_seq_small_values():
     assert psi_seq(()) == 1
     assert psi_seq((1,)) == 1
@@ -144,7 +130,7 @@ def test_psi_seq_full_sequence_is_one():
 
 def test_psi_seq_accepts_subsequence_and_table():
     table = psi_table(6)
-    assert psi_seq(Subsequence((2, 5), 6), table) == psi_pair(2, 5)
+    assert psi_seq((2, 5), table) == psi_pair(2, 5)
     assert psi_seq((2, 5), table) == psi_seq((2, 5))
     with pytest.raises(ValueError):
         psi_seq((2, 7), table)
@@ -179,6 +165,16 @@ def test_p_alpha_values():
         assert p_alpha((), n) == 1
     with pytest.raises(ValueError):
         p_alpha((1,), -1)
+
+
+@pytest.mark.parametrize("alpha", [(1.5,), (1.0,), (1, 2.0), (Fraction(2),)])
+def test_non_integer_indices_raise_type_error(alpha):
+    # the complement of (1.5,) in {1, 2, 3} would be all of it, and 1.0 and
+    # Fraction(2) would pass for 1 and 2
+    with pytest.raises(TypeError):
+        p_alpha(alpha, 3)
+    with pytest.raises(TypeError):
+        psi_seq(alpha, psi_table(3))
 
 
 def test_p_alpha_counts_linear_sequence():

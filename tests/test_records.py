@@ -1,4 +1,4 @@
-"""The public records are immutable NamedTuples: the four that validate do so
+"""The public records are immutable NamedTuples: the three that validate do so
 on every way of building one, no field can be assigned, and each repr reads
 as it did when they were frozen dataclasses."""
 
@@ -14,7 +14,7 @@ from invdeg.multidegree import (
     MultidegreeTable,
     multidegree_table,
 )
-from invdeg.psi import PsiTable, Subsequence, psi_table
+from invdeg.psi import PsiTable, psi_table
 from invdeg.poly import SparsePoly, SymbolicMatrix, VarId, generic_sym_matrix, xvar
 from invdeg.symbolic import RationalSymMatrix, VanishingReport, verify_graph_vanishing
 
@@ -28,9 +28,6 @@ VALIDATING = {
     "SkewMatrix": (SkewMatrix(((0, 1), (-1, 0))), "rows", ((0, 1), (1, 0))),
     "SkewMatrix-diagonal": (SkewMatrix(((0, 1), (-1, 0))), "rows", ((1, 1), (-1, 0))),
     "SkewMatrix-square": (SkewMatrix(((0, 1), (-1, 0))), "rows", ((0, 1),)),
-    "Subsequence": (Subsequence((1, 3), 4), "entries", (3, 1)),
-    "Subsequence-bound": (Subsequence((1, 3), 4), "n", 2),
-    "Subsequence-negative": (Subsequence((), 0), "n", -1),
     "SymbolicMatrix": (SymbolicMatrix(1, ((_x11(),),)), "n", 2),
     "RationalSymMatrix": (
         RationalSymMatrix.from_rows([[1, 2], [2, 0]]), "rows", ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(0)))
@@ -60,7 +57,6 @@ def _records():
     table = multidegree_table(2)
     return [
         SkewMatrix(((0, 1), (-1, 0))),
-        Subsequence((1, 3), 4),
         psi_table(3),
         table,
         table.identity,
@@ -77,7 +73,7 @@ def _records():
 def test_every_public_record_is_immutable():
     kinds = {type(r) for r in _records()}
     assert kinds == {
-        SkewMatrix, Subsequence, PsiTable, MultidegreeTable, MultidegreeIdentityReport,
+        SkewMatrix, PsiTable, MultidegreeTable, MultidegreeIdentityReport,
         IdentityCoefficient, MLPolynomial, DifferenceReport, SymbolicMatrix,
         VanishingReport, RationalSymMatrix, VarId,
     }
@@ -91,9 +87,8 @@ def test_every_public_record_is_immutable():
 
 def test_record_reprs_match_the_dataclass_reprs():
     # Strings printed by the frozen-dataclass versions of these records.
-    assert repr(SkewMatrix.from_rows([[0, 1], [-1, 0]])) == "SkewMatrix(rows=((0, 1), (-1, 0)))"
+    assert repr(SkewMatrix([[0, 1], [-1, 0]])) == "SkewMatrix(rows=((0, 1), (-1, 0)))"
     assert repr(psi_table(3)) == "PsiTable(n=3, singles=(1, 2, 4), pairs=((0, 1, 3), (0, 0, 3), (0, 0, 0)))"
-    assert repr(Subsequence((1, 3), 4)) == "Subsequence(entries=(1, 3), n=4)"
     assert repr(multidegree_table(2)) == (
         "MultidegreeTable(n=2, m=3, beta=(1, 2, 2, 1), gamma_degs=(1, 1, 1), sigma_coeffs=(2, 2), "
         "identity=MultidegreeIdentityReport(n=2, m=3, coefficients=(IdentityCoefficient(d=0, lhs=1, rhs=1), "
