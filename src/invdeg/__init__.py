@@ -67,7 +67,6 @@ _PUBLIC = {
         "VanishingReport",
         "adjugate",
         "adjugate_identity_holds",
-        "adjugate_sym",
         "graph_ideal_generators",
         "product_entries",
         "product_matrix",

@@ -11,7 +11,7 @@ float raises TypeError instead of being truncated.
 
 ``psi_table`` builds every pair value up to n by the Pascal recurrence
 psi(i, j+1) = 2 psi(i, j) + C(i+j-1, i-1): O(n^2) big-integer operations,
-where summing ``psi_pair`` (the closed-form binomial sum, kept as the
+where summing ``psi_pair`` (the closed-form binomial sum, left as the
 independent check) entry by entry costs O(n^3) binomials.
 """
 

@@ -21,13 +21,11 @@ the determinant live in ``poly``.
 Graph vanishing and the adjugate identity are read off the entries of one
 P per mode, ``symbolic_checks`` and ``numeric_checks``. Symbolically,
 adj(X) is read off the partial derivatives of det(X). S_n acts by
-X[i,j] -> X[sigma i, sigma j]; when det(X) is fixed by the generators
-(1 2) and (1 2 ... n), P = X * adj(X) commutes with the action, and S_n is
-2-transitive, so P = det(X) * Id follows from P[1,1] = det(X) and
-P[1,2] = 0, the only entries formed. Otherwise, and for a given adjugate,
-P is formed one entry at a time from one column of adj(X); each entry is
-compared with 0 or det(X) and dropped, so neither the whole adjugate nor
-the whole P is held. Substitution is a ring map that fixes X, so each
+X[i,j] -> X[sigma i, sigma j]; det(X) must be fixed by the generators
+(1 2) and (1 2 ... n), and then P = X * adj(X) commutes with the action.
+S_n is 2-transitive, so P[1,1] and P[1,2], the only entries formed, each
+reduced to a class (zero, det(X) or other) and dropped, decide every
+verdict on P. Substitution is a ring map that fixes X, so each
 generator of X*Y goes under Y -> adj(X) to the entry of P at its place, and
 nothing is substituted. Numerically, each sample is one random nonsingular
 integer M with det M and adj M, and P = M * adj M formed once; a
@@ -52,10 +50,10 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .exact import InvariantViolation, Scalar, _eliminate, _exact, _rank_mod, _reduce_into, matrix_rank, sparse_rank
-from .poly import Entry, SparsePoly, SymbolicMatrix, _adjugate_columns, _as_poly, _fixed_by, _monomial
+from .poly import Entry, SparsePoly, SymbolicMatrix, _adjugate_columns, _fixed_by, _monomial
 from .poly import _mul_into, det_sym, determinant, generic_sym_matrix, mat_mul, swap_sides, xvar
 
 if TYPE_CHECKING:
@@ -79,19 +77,13 @@ def adjugate(rows: Sequence[Sequence[Entry]]) -> list[list]:
     return out
 
 
-def adjugate_sym(a: SymbolicMatrix) -> SymbolicMatrix:
-    """Adjugate as a polynomial matrix."""
-    adj = adjugate(a.entries)
-    return SymbolicMatrix(a.n, tuple(tuple(_as_poly(e) for e in row) for row in adj))
-
-
 # ------------------------------------------------------------------- generators
 
 @lru_cache(maxsize=1)
 def product_matrix(n: int) -> SymbolicMatrix:
-    """X * Y for generic symmetric X and Y; the last one built is kept, so
+    """X * Y for generic symmetric X and Y; the last one built is cached, so
     every check of a run reads one X * Y. Polynomials are read-only, so no
-    caller can change the kept one."""
+    caller can change the cached one."""
     return mat_mul(generic_sym_matrix(n, "X"), generic_sym_matrix(n, "Y"))
 
 
@@ -185,99 +177,58 @@ class PairChecks(NamedTuple):
 _NONZERO = "graph generator does not vanish on inverse pairs: "
 
 
-def _two_entries_suffice(n: int, x_row: Sequence[Mapping], det: Mapping[int, Scalar]) -> bool:
-    """Whether P = X * adj(X), adj read off the derivatives of det (a terms
-    dict), equals det * Id by the action of S_n; False leaves it undecided.
-
-    S_n acts on the variables by X[i,j] -> X[sigma i, sigma j]. If det is
-    fixed by the transposition (1 2) and the cycle (1 2 ... n), which
-    generate S_n, it is fixed by all of S_n. Relabelling commutes with
-    taking derivatives, so the adjugate read off det satisfies
-    adj[sigma k][sigma j] = sigma(adj[k][j]), and P[sigma i][sigma j] =
-    sigma(P[i][j]). S_n is 2-transitive, so every diagonal entry of P is an
-    image of P[1,1] and every off-diagonal one an image of P[1,2]: P = det *
-    Id exactly when P[1,1] = det and P[1,2] = 0. The off-diagonal variables
-    form one orbit, so an odd derivative, if any, is one at X[1,2], the
-    first that the whole stream of ``_adjugate_columns`` reaches; reading
-    the first two columns of that stream raises the same
-    InvariantViolation, and scans det 2n - 1 times. ``x_row`` is row 1 of
-    X; one adjugate entry is held at a time.
-    """
-    generators = ([1, 0, *range(2, n)], [*range(1, n), 0]) if n > 1 else ()
-    if not all(_fixed_by(det, n, sigma) for sigma in generators):
-        return False
-    # the wanted entries come first, so zip stops before it draws a third column
-    for want, column in zip((det, {}), _adjugate_columns(n, det)):
-        entry: dict[int, Scalar] = {}
-        for x_1k, adj_kj in zip(x_row, column):
-            _mul_into(entry, x_1k, adj_kj)
-        if entry != want:
-            return False
-    return True
-
-
-def symbolic_checks(n: int, *, adj_x: Optional[SymbolicMatrix] = None) -> PairChecks:
-    """Both symbolic checks off the entries of P = X * adj(X), one at a time.
+def symbolic_checks(n: int) -> PairChecks:
+    """Both symbolic checks off P = X * adj(X), adj(X) read off the
+    derivatives of det(X), from its entries P[1,1] and P[1,2].
 
     Y -> adj(X) is a ring map that fixes X, so each generator of X * Y
     goes to the entry of P at its place; graph vanishing demands that every
-    such entry is the zero polynomial. It needs a symmetric adjugate, Y
-    being symmetric. The adjugate identity asks for P = det(X) * Id, a
-    symmetric adjugate and coefficient 1 for X[1,1]*...*X[n,n] in det(X).
+    such entry is the zero polynomial. The adjugate identity asks for
+    P = det(X) * Id and coefficient 1 for X[1,1]*...*X[n,n] in det(X).
+    Read off the derivatives of any f, the adjugate gives X * adj = f * Id
+    only for f a constant times det(X), and the coefficient check pins the
+    constant to 1, so a zero or scaled determinant fails the identity.
 
-    ``adj_x`` is the adjugate under test; when None it is read off the
-    derivatives of det(X). Read off the derivatives of any f, it gives
-    X * adj = f * Id only for f a constant times det(X), and the
-    coefficient check pins the constant to 1, so a zero or scaled
-    determinant fails the identity. The derivative adjugate is first tried
-    by the S_n action (``_two_entries_suffice``): when det(X) is invariant
-    and P[1,1] = det(X), P[1,2] = 0, then P = det(X) * Id without forming
-    the other n^2 - 2 entries, and a passing run holds det(X) and at most
-    one derived adjugate entry at a time.
-
-    Otherwise, and for a given ``adj_x``, every entry of P is formed, one
-    column of the adjugate at a time, and compared with 0 and det(X) as
-    soon as it is formed and then dropped, so the run holds det(X), one
-    column of the adjugate and one entry of P. An entry that is neither is
-    kept, so that the diagonal differences are still decided exactly and a
-    failing run names the same first generator either way. The generators
-    are asked for last, so X * Y is not held while det(X) is formed.
+    S_n acts by X[i,j] -> X[sigma i, sigma j]. det(X) must be fixed by
+    (1 2) and (1 2 ... n), which generate S_n; else InvariantViolation.
+    Relabelling commutes with taking derivatives, so P[sigma i][sigma j] =
+    sigma(P[i][j]), and S_n is 2-transitive. So every off-diagonal entry
+    has the class of P[1,2] (zero, det(X) or other). P[1,1] is fixed by
+    the stabiliser of 1, which generates S_n with (1 2): the diagonal
+    entries are all equal exactly when (1 2) fixes P[1,1], and otherwise
+    every consecutive pair differs, (i i+1) being conjugate to (1 2). The
+    classes fill a small shadow of P, whose generator places give the
+    residual. Each entry is reduced to its class and dropped before the
+    next is formed. The off-diagonal variables form one orbit, so an odd
+    derivative, if any, is one at X[1,2], where the stream raises. The
+    generators are asked for last, so X * Y is not held while det(X) is
+    formed.
     """
-    if adj_x is not None:
-        if adj_x.n != n:
-            raise ValueError(f"size mismatch: {n} vs {adj_x.n}")
-        if not _is_symmetric(adj_x.entries):
-            why = "Y -> adj(X) needs a symmetric adjugate; the one given is not"
-            return PairChecks(len(graph_ideal_generators(n)), why, False)
     xm = generic_sym_matrix(n, "X")
-    x = [[e.terms for e in row] for row in xm.entries]
+    x_row = [e.terms for e in xm.entries[0]]
     det = det_sym(xm).terms
-    unit = [[int(i == j) for j in range(n)] for i in range(n)]  # P = det(X) * Id, in small
-    if adj_x is None and _two_entries_suffice(n, x[0], det):
-        shadow = unit
-    else:
-        if adj_x is None:
-            columns: Iterable[Iterable] = _adjugate_columns(n, det)
-        else:
-            columns = ([row[j].terms for row in adj_x.entries] for j in range(n))
-        # each entry becomes its place among the distinct values of P met so
-        # far, which start with 0 and det(X); two entries get the same int
-        # exactly when they are equal, and a passing run keeps no entry
-        kept: list[dict] = [{}, det]
-        shadow = [[0] * n for _ in range(n)]
-        for j, column in enumerate(map(list, columns)):
-            for i in range(n):
-                entry: dict[int, Scalar] = {}
-                for x_ik, adj_kj in zip(x[i], column):
-                    _mul_into(entry, x_ik, adj_kj)
-                if entry not in kept:
-                    kept.append(entry)
-                shadow[i][j] = kept.index(entry)
+    swap = [1, 0, *range(2, n)]
+    if n > 1 and not (_fixed_by(det, n, swap) and _fixed_by(det, n, [*range(1, n), 0])):
+        raise InvariantViolation("det(X) is not fixed by relabelling the indices of X")
+
+    def entry_class(column: Iterable[dict]) -> int:
+        """The entry of row 1 of X times the column: 0 if it is zero, 1 if
+        it is det(X), else 2 if (1 2) fixes it and 3 if not."""
+        entry: dict[int, Scalar] = {}
+        for x_1k, adj_kj in zip(x_row, column):
+            _mul_into(entry, x_1k, adj_kj)
+        if not entry or entry == det:
+            return int(bool(entry))
+        return 3 if n > 1 and not _fixed_by(entry, n, swap) else 2
+
+    columns = _adjugate_columns(n, det)
+    p11 = entry_class(next(columns))  # and dropped before P[1,2] is formed
+    p12 = entry_class(next(columns)) if n > 1 else 0
+    shadow = [[(p11 if p11 < 3 else 3 + i) if i == j else p12 for j in range(n)] for i in range(n)]
     gens = graph_ideal_generators(n)
     residual = next((_NONZERO + str(g) for g, v in zip(gens, _at_generator_places(shadow)) if v), None)
     diagonal = _monomial(xvar(i, i) for i in range(1, n + 1))
-    identity = det.get(diagonal) == 1 and shadow == unit
-    return PairChecks(len(gens), residual, identity)
+    return PairChecks(len(gens), residual, det.get(diagonal) == 1 and (p11, p12) == (1, 0))
 
 
 def numeric_checks(n: int, trials: int, seed: int) -> PairChecks:
@@ -316,14 +267,12 @@ def verify_graph_vanishing(
     trials: int = 100,
     seed: int = 0,
     symbolic_cap: int = 4,
-    adj_x: Optional[SymbolicMatrix] = None,
 ) -> VanishingReport:
     """Certify that every graph generator vanishes on pairs (M, adj M): the
     graph half of ``symbolic_checks`` or of ``numeric_checks``.
 
     Symbolic mode is exponential in n and refuses to run past
-    ``symbolic_cap`` unless the cap is raised; ``adj_x``, when given, is
-    the adjugate of the generic X under test. A nonzero residual raises
+    ``symbolic_cap`` unless the cap is raised. A nonzero residual raises
     InvariantViolation naming the offending generator.
     """
     if mode not in ("symbolic", "numeric"):
@@ -333,17 +282,17 @@ def verify_graph_vanishing(
     elif n > symbolic_cap:
         raise ValueError(f"symbolic mode is capped at n <= {symbolic_cap}; raise symbolic_cap to override")
     else:
-        checks, trials = symbolic_checks(n, adj_x=adj_x), 0
+        checks, trials = symbolic_checks(n), 0
     if checks.residual is not None:
         raise InvariantViolation(checks.residual)
     return VanishingReport(n, mode, checks.generators, trials)
 
 
-def adjugate_identity_holds(n: int, adj_x: Optional[SymbolicMatrix] = None) -> bool:
-    """Symbolic check that X * adj(X) = det(X) * Id, that adj(X) is symmetric,
-    and that X[1,1]*...*X[n,n] has coefficient 1 in det(X): the identity
-    half of ``symbolic_checks``."""
-    return symbolic_checks(n, adj_x=adj_x).identity
+def adjugate_identity_holds(n: int) -> bool:
+    """Symbolic check that X * adj(X) = det(X) * Id and that
+    X[1,1]*...*X[n,n] has coefficient 1 in det(X): the identity half of
+    ``symbolic_checks``."""
+    return symbolic_checks(n).identity
 
 
 def adjugate_identity_numeric(n: int, trials: int, seed: int) -> bool:

@@ -1,11 +1,12 @@
 """Slow, independent routes that tests check the engines against."""
 
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from itertools import combinations
+from typing import NamedTuple
 
 from invdeg import symbolic
 from invdeg.exact import InvariantViolation, matrix_rank
-from invdeg.poly import _FIELD_BITS, SparsePoly, SymbolicMatrix, _slot, generic_sym_matrix, mat_mul, xvar
+from invdeg.poly import _FIELD_BITS, SparsePoly, SymbolicMatrix, _as_poly, _slot, generic_sym_matrix, mat_mul, xvar
 from invdeg.symbolic import PairChecks, graph_ideal_generators
 
 
@@ -32,6 +33,26 @@ def lagrange_fit(points: list[tuple[int, int]]) -> tuple[Fraction, ...]:
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
+
+
+def adjugate_sym(a: SymbolicMatrix) -> SymbolicMatrix:
+    """Adjugate as a polynomial matrix, from ``symbolic.adjugate``'s minor DP."""
+    adj = symbolic.adjugate(a.entries)
+    return SymbolicMatrix(a.n, tuple(tuple(_as_poly(e) for e in row) for row in adj))
+
+
+def invariant_but_wrong(n: int, det: SparsePoly) -> SparsePoly:
+    """det + 2 * sum over i < j of X[i,j]^2 times the other diagonal entries:
+    fixed by S_n, but X * adj = f * Id fails for it."""
+    diagonal = [SparsePoly.variable(xvar(k, k)) for k in range(1, n + 1)]
+    extra = SparsePoly()
+    for i, j in combinations(range(1, n + 1), 2):
+        others = SparsePoly.constant(2)
+        for k in range(1, n + 1):
+            if k not in (i, j):
+                others = others * diagonal[k - 1]
+        extra = extra + SparsePoly.variable(xvar(i, j)) ** 2 * others
+    return det + extra
 
 
 class InversePair(NamedTuple):
@@ -64,33 +85,27 @@ def adjugate_from_det(n: int, det: SparsePoly) -> SymbolicMatrix:
     return SymbolicMatrix(n, tuple(map(tuple, rows)))
 
 
-def inverse_pair(n: int, adj_x: Optional[SymbolicMatrix] = None) -> InversePair:
-    """X, det(X) from ``symbolic.det_sym``, adj and P = X * adj from one
-    ``mat_mul``; adj is ``adj_x`` when given, else read off the derivatives
-    of det(X)."""
+def inverse_pair(n: int) -> InversePair:
+    """X, det(X) from ``symbolic.det_sym``, adj read off the derivatives of
+    det(X) and P = X * adj from one ``mat_mul``."""
     x = generic_sym_matrix(n, "X")
     det = symbolic.det_sym(x)
-    adj = adjugate_from_det(n, det) if adj_x is None else adj_x
+    adj = adjugate_from_det(n, det)
     return InversePair(x, det, adj, mat_mul(x, adj))
 
 
-def materialized_checks(n: int, adj_x: Optional[SymbolicMatrix] = None) -> PairChecks:
-    """``symbolic.symbolic_checks`` read off a whole ``inverse_pair``: the
-    route that held adj(X) and P = X * adj(X) at once."""
+def materialized_checks(n: int) -> PairChecks:
+    """``symbolic.symbolic_checks`` read off a whole ``inverse_pair``: every
+    entry of P = X * adj(X) formed and held at once, with no use of the
+    S_n action."""
     gens = graph_ideal_generators(n)
-    pair = inverse_pair(n, adj_x)
+    pair = inverse_pair(n)
     det, p = pair.det, pair.prod.entries
-    symmetric = all(pair.adj.entries[i][j] == pair.adj.entries[j][i] for i in range(n) for j in range(i))
-    if not symmetric:
-        residual = "Y -> adj(X) needs a symmetric adjugate; the one given is not"
-    else:
-        places = symbolic._at_generator_places(p)
-        residual = next((symbolic._NONZERO + str(g) for g, v in zip(gens, places) if v), None)
+    places = symbolic._at_generator_places(p)
+    residual = next((symbolic._NONZERO + str(g) for g, v in zip(gens, places) if v), None)
     diagonal = sum(1 << _FIELD_BITS * _slot(xvar(i, i)) for i in range(1, n + 1))
-    identity = (
-        symmetric
-        and det.terms.get(diagonal) == 1
-        and all(p[i][j] == (det if i == j else 0) for i in range(n) for j in range(n))
+    identity = det.terms.get(diagonal) == 1 and all(
+        p[i][j] == (det if i == j else 0) for i in range(n) for j in range(n)
     )
     return PairChecks(len(gens), residual, identity)
 

@@ -13,6 +13,8 @@ import invdeg.symbolic as symbolic
 from invdeg.cli import main
 from invdeg.mldegree import finite_difference_check
 from invdeg.multidegree import multidegree_table
+from invdeg.poly import det_sym
+from oracles import invariant_but_wrong
 
 GOLDENS = [
     ("psi --n 1 --format json", "d0b097163d46c6110a47ee6d2e5a06a633d88aedc0fbbb28421faf22f036b626"),
@@ -84,9 +86,12 @@ def _nonzero_difference(d, window):
 
 # A failed check exits 2 and still prints the whole report. The CLI imports
 # each engine function when its command runs, so the fake replaces it in the
-# engine module.
+# engine module. The two symbolic determinants are fixed by S_n: det + 1
+# fails the adjugate identity alone, the other graph vanishing as well.
 FAILURE_FAKES = {
     "verify --n 2": (symbolic, "swap_symmetry_holds", lambda n: False),
+    "verify --n 3": (symbolic, "det_sym", lambda a: det_sym(a) + 1),
+    "verify --mode symbolic --n 3": (symbolic, "det_sym", lambda a: invariant_but_wrong(a.n, det_sym(a))),
     "mldeg --d 2": (mldegree, "finite_difference_check", _nonzero_difference),
     "multidegree --n 3": (multidegree, "multidegree_table", _wrong_identity_coefficient),
 }
@@ -95,6 +100,13 @@ FAILURE_GOLDENS = [
     ("verify --n 2 --format json", "84dc75be199b575008179b387bc883170a009e782baba0750f322edbf882e2c6"),
     ("verify --n 2 --format csv", "8555092650d5db31997d530ff91c4258bd538328d639d11de3249e1d427ee26c"),
     ("verify --n 2 --format latex", "193d4fefcbb9cd9717ff5725560d2afdb9268d8ab1b998968ea07d5e29db7f56"),
+    # recorded when a failing determinant still had P formed in full, entry by entry
+    ("verify --n 3 --format json", "f9333b41580832ac48052cb4acc4bd846f9fbb80d93ef09f676d957fa9454658"),
+    ("verify --n 3 --format csv", "7421901136a3028b2cae76e74234074df771350ec40bec0e56baa8c65ab26d4e"),
+    ("verify --n 3 --format latex", "17af8842a1b6e386c1fa7841f3ffa87cd6100a89903bef90ccd798ff03de11f8"),
+    ("verify --mode symbolic --n 3 --format json", "b6622dc7393585a93f826179ab4d646f4704eb7b98370cbb7d7cc4a07ea4a90b"),
+    ("verify --mode symbolic --n 3 --format csv", "d231dee2ee57aa5005eff884740edda89a2b6546f4c31baa90095641eaea3711"),
+    ("verify --mode symbolic --n 3 --format latex", "1d60aa2db64c18e4770f2d0145c18743ad4bc05d6c5655e17ec32a9e183f97d9"),
     ("mldeg --d 2 --format json", "e0068434967b7006f4f644e67d601603f6582bafb0ec720ebf64bc1b35d5838b"),
     ("mldeg --d 2 --format csv", "4fe9c79adda31ec04000a445e9f7d55c9d8516f3ce6d1d34e9753d0d67604400"),
     ("mldeg --d 2 --format latex", "070cab424f4bf41a25ca717a36559ac6d65d27c5cafdf8b29cfb557700050542"),

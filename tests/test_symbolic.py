@@ -4,7 +4,7 @@ from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations, product
 from math import lcm
 
 import pytest
@@ -32,7 +32,6 @@ from invdeg.symbolic import (
     adjugate,
     adjugate_identity_holds,
     adjugate_identity_numeric,
-    adjugate_sym,
     graph_ideal_generators,
     product_entries,
     product_matrix,
@@ -43,7 +42,15 @@ from invdeg.symbolic import (
     witness_pair_valid,
     witness_rank_pair,
 )
-from oracles import InversePair, adjugate_from_det, exact_witness_verdict, inverse_pair, materialized_checks
+from oracles import (
+    InversePair,
+    adjugate_from_det,
+    adjugate_sym,
+    exact_witness_verdict,
+    invariant_but_wrong,
+    inverse_pair,
+    materialized_checks,
+)
 
 
 def det_fraction(rows):
@@ -657,17 +664,6 @@ def test_adjugate_identity_symbolic():
         assert adjugate_identity_holds(n)
 
 
-def test_adjugate_identity_checks_the_given_adjugate():
-    n = 3
-    adj = adjugate_sym(generic_sym_matrix(n, "X"))
-    assert adjugate_identity_holds(n, adj)
-    zero = SymbolicMatrix(n, tuple(tuple(SparsePoly() for _ in range(n)) for _ in range(n)))
-    assert not adjugate_identity_holds(n, zero)
-    assert verify_graph_vanishing(n, mode="symbolic", adj_x=adj).generators == len(graph_ideal_generators(n))
-    with pytest.raises(InvariantViolation, match="does not vanish"):
-        verify_graph_vanishing(n, mode="symbolic", adj_x=generic_sym_matrix(n, "X"))
-
-
 def test_symbolic_verify_builds_one_adjugate(capsys, monkeypatch):
     calls = {"adjugate": 0, "det_sym": 0}
 
@@ -801,68 +797,44 @@ def test_adjugate_identity_fails_on_a_scaled_determinant(monkeypatch, scale):
         assert not adjugate_identity_holds(n), n
 
 
-PERTURBED_CELLS = [[(0, 0)], [(0, 1)], [(1, 0)], [(0, 2), (2, 0)], [(2, 2)]]
-
-
-@pytest.mark.parametrize("cells", PERTURBED_CELLS)
-def test_perturbed_adjugate_fails_both_checks(cells):
-    n = 3
-    rows = [list(row) for row in inverse_pair(n).adj.entries]
-    for i, j in cells:
-        rows[i][j] = rows[i][j] + var(xvar(1, 1))
-    adj = SymbolicMatrix(n, tuple(map(tuple, rows)))
-    assert not adjugate_identity_holds(n, adj)
-    symmetric = all(rows[i][j] == rows[j][i] for i in range(n) for j in range(n))
-    with pytest.raises(InvariantViolation, match="does not vanish" if symmetric else "needs a symmetric adjugate"):
-        verify_graph_vanishing(n, mode="symbolic", adj_x=adj)
-
-
-def _adjugates_under_test(n):
-    """Every adjugate the differential test runs: the derivative adjugate
-    (None), the minor DP, zero, X itself and the perturbed ones."""
-    x = generic_sym_matrix(n, "X")
-    zero = SymbolicMatrix(n, tuple(tuple(SparsePoly() for _ in range(n)) for _ in range(n)))
-    out = {"derivative": None, "adjugate_sym": adjugate_sym(x), "zero": zero, "generic X": x}
-    for cells in PERTURBED_CELLS:
-        if all(max(cell) < n for cell in cells):
-            rows = [list(row) for row in inverse_pair(n).adj.entries]
-            for i, j in cells:
-                rows[i][j] = rows[i][j] + var(xvar(1, 1))
-            out[f"perturbed {cells}"] = SymbolicMatrix(n, tuple(map(tuple, rows)))
-    return out
-
-
 @pytest.mark.parametrize("n", range(1, 6))
 def test_streamed_checks_match_the_materialized_product(n):
-    for name, adj in _adjugates_under_test(n).items():
-        assert symbolic.symbolic_checks(n, adj_x=adj) == materialized_checks(n, adj), (n, name)
+    assert symbolic.symbolic_checks(n) == materialized_checks(n), n
 
 
 @pytest.mark.parametrize("scale", [0, 2])
 def test_streamed_checks_match_the_materialized_product_on_a_scaled_determinant(monkeypatch, scale):
     monkeypatch.setattr(symbolic, "det_sym", lambda a: scale * det_sym(a))
     for n in range(1, 6):
-        for name in ("derivative", "adjugate_sym"):
-            adj = _adjugates_under_test(n)[name]
-            assert symbolic.symbolic_checks(n, adj_x=adj) == materialized_checks(n, adj), (n, name)
+        assert symbolic.symbolic_checks(n) == materialized_checks(n), n
+
+
+def _verdict(checks, n):
+    """The checks' result, or the text of the InvariantViolation they raise."""
+    try:
+        return checks(n)
+    except InvariantViolation as exc:
+        return str(exc)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_streamed_checks_match_the_materialized_product_on_random_changes(data):
-    # random terms added to random cells of the derivative adjugate, mirrored
-    # or not, so that off-diagonal, diagonal and symmetry failures all occur
+    # det(X) plus a random monomial summed over its S_n images: the sum is
+    # invariant, so the two entries decide, and its derivatives move P[1,1]
+    # and P[1,2] into every class; an odd off-diagonal coefficient raises
     n = data.draw(st.integers(1, 4))
-    rows = [list(row) for row in inverse_pair(n).adj.entries]
-    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    for i, j in data.draw(st.lists(cell, max_size=3)):
-        v = xvar(data.draw(st.integers(1, n)), data.draw(st.integers(1, n)))
-        change = data.draw(st.sampled_from([-2, -1, 1, 3])) * var(v) ** data.draw(st.integers(0, 2))
-        rows[i][j] = rows[i][j] + change
-        if data.draw(st.booleans()):
-            rows[j][i] = rows[i][j]
-    adj = SymbolicMatrix(n, tuple(map(tuple, rows)))
-    assert symbolic.symbolic_checks(n, adj_x=adj) == materialized_checks(n, adj)
+    exponents = data.draw(st.lists(st.integers(0, 2), min_size=n * n, max_size=n * n))
+    coefficient = data.draw(st.sampled_from([-2, -1, 1, 2, 3]))
+    images = SparsePoly()
+    for sigma in permutations(range(n)):
+        term = SparsePoly.constant(coefficient)
+        for (i, j), e in zip(product(range(n), repeat=2), exponents):
+            term = term * var(xvar(sigma[i] + 1, sigma[j] + 1)) ** e
+        images = images + term
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symbolic, "det_sym", lambda a: det_sym(a) + images)
+        assert _verdict(symbolic.symbolic_checks, n) == _verdict(materialized_checks, n)
 
 
 def test_symbolic_checks_hold_no_whole_product(monkeypatch):
@@ -870,7 +842,7 @@ def test_symbolic_checks_hold_no_whole_product(monkeypatch):
     # and X * Y is built before counting starts
     product_matrix(5)
     calls = Counter()
-    for name in ("mat_mul", "adjugate", "adjugate_sym"):
+    for name in ("mat_mul", "adjugate"):
         fn = getattr(symbolic, name)
         monkeypatch.setattr(symbolic, name, lambda *a, fn=fn, name=name: calls.update([name]) or fn(*a))
     assert symbolic.symbolic_checks(5) == PairChecks(24, None, True)
@@ -898,18 +870,17 @@ def test_passing_run_forms_only_p11_and_p12(monkeypatch, n):
     assert calls == [()] and len(drawn) == min(n, 2)
 
 
-def _invariant_but_wrong(n, det):
-    """det + 2 * sum over i < j of X[i,j]^2 times the other diagonal entries:
-    fixed by S_n, but X * adj = f * Id fails for it."""
-    diagonal = [var(xvar(k, k)) for k in range(1, n + 1)]
-    extra = SparsePoly()
-    for i, j in combinations(range(1, n + 1), 2):
-        others = SparsePoly.constant(2)
-        for k in range(1, n + 1):
-            if k not in (i, j):
-                others = others * diagonal[k - 1]
-        extra = extra + var(xvar(i, j)) ** 2 * others
-    return det + extra
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_the_transposition_decides_the_diagonal_differences(monkeypatch, n):
+    # with the derivative adjugate of an invariant det, P[1,2] = 0 forces
+    # equal diagonal entries (the sl_n-invariants of a symmetric form are
+    # polynomials in det), so streamed columns stand in: P[1,2] = 0 and
+    # P[1,1] = X[1,1] or X[1,1]*X[2,2], which (1 2) moves or fixes
+    gens = graph_ideal_generators(n)
+    for p11, residual in ((SparsePoly({0: 1}), symbolic._NONZERO + str(gens[n * (n - 1)])), (var(xvar(2, 2)), None)):
+        first = [p11.terms] + [{}] * (n - 1)
+        monkeypatch.setattr(symbolic, "_adjugate_columns", lambda n, det: iter([first, [{}] * n]))
+        assert symbolic.symbolic_checks(n) == PairChecks(len(gens), residual, False), (n, residual)
 
 
 def _fixed_by_the_transposition_only(n, det):
@@ -921,34 +892,45 @@ def _fixed_by_the_transposition_only(n, det):
 
 CHANGED_DETERMINANTS = {
     "det + 1": (lambda n, det: det + 1, range(1, 6)),
-    "S_n-invariant": (_invariant_but_wrong, range(2, 6)),
+    "S_n-invariant": (invariant_but_wrong, range(2, 6)),
     "(1 2)-invariant": (_fixed_by_the_transposition_only, range(4, 6)),
 }
 
 
 @pytest.mark.parametrize("name", CHANGED_DETERMINANTS)
-def test_fast_path_falls_back_to_the_materialized_verdict(monkeypatch, name):
+def test_fast_path_falls_back_to_the_materialized_verdict(monkeypatch, capsys, name):
+    # an invariant determinant gets the materialized verdict from two entries;
+    # one that the n-cycle moves is refused, and the CLI exits 3 printing nothing
     change, sizes = CHANGED_DETERMINANTS[name]
     monkeypatch.setattr(symbolic, "det_sym", lambda a: change(a.n, det_sym(a)))
     for n in sizes:
+        if name == "(1 2)-invariant":
+            with pytest.raises(InvariantViolation, match="not fixed by relabelling"):
+                symbolic.symbolic_checks(n)
+            continue
         got = symbolic.symbolic_checks(n)
         assert got == materialized_checks(n), (n, name)
         assert not got.identity, (n, name)
+    if name == "(1 2)-invariant":
+        assert main(["verify", "--n", "4", "--symbolic-cap", "4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not fixed by relabelling" in captured.err
 
 
 def test_fast_path_itself_rejects_an_invariant_wrong_determinant():
     for n in range(2, 6):
-        x = [e.terms for e in generic_sym_matrix(n, "X").entries[0]]
-        f = _invariant_but_wrong(n, det_sym(generic_sym_matrix(n, "X"))).terms
-        assert poly._fixed_by(f, n, [1, 0, *range(2, n)]) and poly._fixed_by(f, n, [*range(1, n), 0]), n
-        assert not symbolic._two_entries_suffice(n, x, f), n
+        f = invariant_but_wrong(n, det_sym(generic_sym_matrix(n, "X")))
+        assert poly._fixed_by(f.terms, n, [1, 0, *range(2, n)]) and poly._fixed_by(f.terms, n, [*range(1, n), 0]), n
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(symbolic, "det_sym", lambda a: f)
+            assert not symbolic.symbolic_checks(n).identity, n
         if n >= 4:
             g = _fixed_by_the_transposition_only(n, det_sym(generic_sym_matrix(n, "X"))).terms
             assert poly._fixed_by(g, n, [1, 0, *range(2, n)]) and not poly._fixed_by(g, n, [*range(1, n), 0]), n
 
 
 def test_symbolic_checks_take_the_adjugate_by_keyword_only():
-    # a stale call that still passes X * Y in the old ``prod`` place must not run as adj_x
+    # symbolic_checks takes n alone: a stale call that passes X * Y or an adjugate raises
     with pytest.raises(TypeError):
         symbolic.symbolic_checks(3, product_matrix(3))
 
@@ -966,15 +948,6 @@ def test_inverse_pair_oracle_is_an_immutable_record():
         "InversePair(x=SymbolicMatrix(n=1, entries=((X[1,1],),)), det=X[1,1], "
         "adj=SymbolicMatrix(n=1, entries=((1,),)), prod=SymbolicMatrix(n=1, entries=((X[1,1],),)))"
     )
-
-
-def test_inverse_pair_size_must_match():
-    adj = inverse_pair(3).adj
-    assert adjugate_identity_holds(3, adj)
-    with pytest.raises(ValueError, match="size mismatch"):
-        adjugate_identity_holds(4, adj)
-    with pytest.raises(ValueError, match="size mismatch"):
-        verify_graph_vanishing(4, mode="symbolic", adj_x=adj)
 
 
 def test_adjugate_identity_numeric_checker():
