@@ -24,16 +24,15 @@ unseen, and the exact result is returned.
 Polynomial entries cannot be divided, so ``determinant`` runs a
 division-free DP over column subsets, O(2^k * k) ring operations, which
 serves only the small symbolic sizes; it holds two popcount levels of minors
-at a time. The adjugate of the generic symmetric X is read off the partial
-derivatives of det(X), one entry at a time, column by column
-(``_adjugate_columns``). ``_fixed_by`` tells whether relabelling
-the variables of X by a permutation of the indices fixes a polynomial.
+at a time. ``_p11_p12`` reads two entries of X * adj(X) off det(X), one
+linear pass each. ``_fixed_by`` tells whether relabelling the variables of
+X by a permutation of the indices fixes a polynomial.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations, repeat
+from itertools import combinations
 from math import isqrt
 from operator import or_
 from types import MappingProxyType
@@ -375,35 +374,41 @@ def _fixed_by(det: Mapping[int, Scalar], n: int, sigma: Sequence[int]) -> bool:
     return True
 
 
-def _adjugate_columns(n: int, det: Mapping[int, Scalar]) -> Iterator[Iterator[dict]]:
-    """The columns of adj(X) for the generic symmetric X, one at a time, read
-    off the partial derivatives of det (a terms dict): X[i,j] fills (i, j)
-    and (j, i) and the cofactors are symmetric, so d det/d X[i,i] =
-    adj[i][i] and d det/d X[i,j] = 2 adj[i][j] for i != j. Each column is
-    an iterator that derives its entries one at a time, row by row.
-
-    The first entry that needs a variable scans det once to list the keys
-    that hold it, so each derivative then costs its own size, and the first
-    k columns scan det once per variable they hold. Column j first needs
-    X[j,j], .., X[j,n], so the scans run row by row over the upper triangle
-    and raise InvariantViolation at the first off-diagonal derivative with
-    an odd coefficient.
+def _p11_p12(n: int, det: Mapping[int, Scalar]) -> Iterator[dict]:
+    """P[1,1], then P[1,2] if n > 1, of P = X * adj(X) for the generic
+    symmetric X, with adj[i][i] = d det/d X[i,i] and adj[i][j] = d det/d
+    X[i,j] / 2 read off det (a terms dict fixed by S_n). So P[1,j] = sum_k
+    X[1,k] d det/d X[k,j], halved for k != j: one pass over det, no product.
+    X[1,k] d/d X[1,k] scales a term by its exponent e_1k, so P[1,1] keeps
+    det's keys, each coefficient times (2 e_11 + sum_{k>1} e_1k) / 2, that
+    sum being the key's row-1 off-diagonal bytes mod 255 (det has degree
+    below 255). P[1,2] moves one power of X[2,k] to X[1,k]: at most n keys
+    a term, with cancellation. The off-diagonal variables are one S_n-orbit,
+    so an odd derivative is sought at X[1,2] alone and raises InvariantViolation.
     """
-    holding: dict[int, list[int]] = {}  # field shift of X[i,j] -> the keys of det that hold it
-
-    def entry(i: int, j: int) -> dict:
-        v = xvar(i + 1, j + 1)
-        shift = _FIELD_BITS * _slot(v)
-        keys = holding.get(shift)
-        if keys is None:
-            field = 0xFF << shift
-            keys = holding[shift] = [key for key in det if key & field]
-            if i != j and any(det[key] * (key >> shift & 0xFF) % 2 for key in keys):
-                raise InvariantViolation(f"d det/d {v} has an odd coefficient")
-        unit, halve = 1 << shift, int(i != j)
-        return {key - unit: det[key] * (key >> shift & 0xFF) >> halve for key in keys}
-
-    return (map(entry, range(n), repeat(j)) for j in range(n))
+    x12 = _FIELD_BITS * _slot(xvar(1, 2))
+    if n > 1 and any(c * (key >> x12 & 0xFF) % 2 for key, c in det.items()):
+        raise InvariantViolation(f"d det/d {xvar(1, 2)} has an odd coefficient")
+    units = [_monomial((xvar(1, k),)) for k in range(1, n + 1)]
+    off = 0xFF * sum(units[1:])  # the fields of X[1,2], .., X[1,n]; X[1,1] owns the lowest one
+    yield {key: c * (2 * (key & 0xFF) + (key & off) % 255) >> 1 for key, c in det.items() if key & (0xFF | off)}
+    if n == 1:
+        return
+    # (field shift of X[2,k], key change from X[2,k] to X[1,k], halve)
+    moves = [(_FIELD_BITS * _slot(xvar(2, k)), unit - _monomial((xvar(2, k),)), int(k != 2))
+             for k, unit in enumerate(units, 1)]
+    out: dict[int, Scalar] = {}
+    get = out.get
+    for key, c in det.items():
+        for shift, change, halve in moves:
+            e = key >> shift & 0xFF
+            if e:
+                v = get(key + change, 0) + (c * e >> halve)
+                if v:
+                    out[key + change] = v
+                else:
+                    del out[key + change]
+    yield out
 
 
 # ------------------------------------------------------------ symbolic matrices

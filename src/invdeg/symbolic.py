@@ -24,9 +24,9 @@ adj(X) is read off the partial derivatives of det(X). S_n acts by
 X[i,j] -> X[sigma i, sigma j]; det(X) must be fixed by the generators
 (1 2) and (1 2 ... n), and then P = X * adj(X) commutes with the action.
 S_n is 2-transitive, so P[1,1] and P[1,2], the only entries formed, each
-reduced to a class (zero, det(X) or other) and dropped, decide every
-verdict on P. Substitution is a ring map that fixes X, so each
-generator of X*Y goes under Y -> adj(X) to the entry of P at its place, and
+one linear pass over det(X), reduced to a class (zero, det(X) or other)
+and dropped, decide every verdict on P. Substitution is a ring map that
+fixes X, so each generator of X*Y goes under Y -> adj(X) to the entry of P at its place, and
 nothing is substituted. Numerically, each sample is one random nonsingular
 integer M with det M and adj M, and P = M * adj M formed once; a
 generator's value at (M, adj M) is the entry of P at its place. Either way
@@ -50,11 +50,11 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .exact import InvariantViolation, Scalar, _eliminate, _exact, _rank_mod, _reduce_into, matrix_rank, sparse_rank
-from .poly import Entry, SparsePoly, SymbolicMatrix, _adjugate_columns, _fixed_by, _monomial
-from .poly import _mul_into, det_sym, determinant, generic_sym_matrix, mat_mul, swap_sides, xvar
+from .poly import Entry, SparsePoly, SymbolicMatrix, _fixed_by, _monomial, _p11_p12
+from .poly import det_sym, determinant, generic_sym_matrix, mat_mul, swap_sides, xvar
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -198,32 +198,26 @@ def symbolic_checks(n: int) -> PairChecks:
     entries are all equal exactly when (1 2) fixes P[1,1], and otherwise
     every consecutive pair differs, (i i+1) being conjugate to (1 2). The
     classes fill a small shadow of P, whose generator places give the
-    residual. Each entry is reduced to its class and dropped before the
-    next is formed. The off-diagonal variables form one orbit, so an odd
-    derivative, if any, is one at X[1,2], where the stream raises. The
-    generators are asked for last, so X * Y is not held while det(X) is
-    formed.
+    residual. Each entry is one pass over det(X) (``poly._p11_p12``),
+    reduced to its class and dropped before the next is formed. The
+    off-diagonal variables form one orbit, so an odd derivative, if any, is
+    one at X[1,2], sought once, after the invariance check. The generators
+    are asked for last, so X * Y is not held while det(X) is formed.
     """
-    xm = generic_sym_matrix(n, "X")
-    x_row = [e.terms for e in xm.entries[0]]
-    det = det_sym(xm).terms
+    det = det_sym(generic_sym_matrix(n, "X")).terms
     swap = [1, 0, *range(2, n)]
     if n > 1 and not (_fixed_by(det, n, swap) and _fixed_by(det, n, [*range(1, n), 0])):
         raise InvariantViolation("det(X) is not fixed by relabelling the indices of X")
 
-    def entry_class(column: Iterable[dict]) -> int:
-        """The entry of row 1 of X times the column: 0 if it is zero, 1 if
-        it is det(X), else 2 if (1 2) fixes it and 3 if not."""
-        entry: dict[int, Scalar] = {}
-        for x_1k, adj_kj in zip(x_row, column):
-            _mul_into(entry, x_1k, adj_kj)
+    def entry_class(entry: dict) -> int:
+        """0 if zero, 1 if det(X), else 2 if (1 2) fixes the entry, 3 if not."""
         if not entry or entry == det:
             return int(bool(entry))
         return 3 if n > 1 and not _fixed_by(entry, n, swap) else 2
 
-    columns = _adjugate_columns(n, det)
-    p11 = entry_class(next(columns))  # and dropped before P[1,2] is formed
-    p12 = entry_class(next(columns)) if n > 1 else 0
+    entries = _p11_p12(n, det)
+    p11 = entry_class(next(entries))  # and dropped before P[1,2] is formed
+    p12 = entry_class(next(entries)) if n > 1 else 0
     shadow = [[(p11 if p11 < 3 else 3 + i) if i == j else p12 for j in range(n)] for i in range(n)]
     gens = graph_ideal_generators(n)
     residual = next((_NONZERO + str(g) for g, v in zip(gens, _at_generator_places(shadow)) if v), None)

@@ -1,10 +1,9 @@
 import hashlib
 import random
 from collections import Counter
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice, permutations, product
+from itertools import combinations, permutations, product
 from math import lcm
 
 import pytest
@@ -708,26 +707,51 @@ def test_adjugate_from_det_matches_the_minor_dp():
         pair = inverse_pair(n)
         assert pair.det == det_sym(pair.x)
         assert pair.adj == adjugate_sym(pair.x), n
-        # the streamed columns are the columns of the whole adjugate
-        columns = [list(column) for column in poly._adjugate_columns(n, pair.det.terms)]
-        assert [[SparsePoly(columns[j][i]) for j in range(n)] for i in range(n)] == list(map(list, pair.adj.entries)), n
         if n in DET_ADJ_STR_SHA256:
             adj = "\n".join(str(e) for row in pair.adj.entries for e in row)
             assert hashlib.sha256(adj.encode()).hexdigest() == DET_ADJ_STR_SHA256[n][1], n
 
 
 def test_adjugate_from_det_rejects_an_odd_derivative(monkeypatch, capsys):
-    # d/dX[1,2] of X[1,1]*X[2,2] - X[1,2] is -1, which is not twice a cofactor
-    f = var(xvar(1, 1)) * var(xvar(2, 2)) - var(xvar(1, 2))
-    with pytest.raises(InvariantViolation, match=r"d det/d X\[1,2\] has an odd coefficient"):
-        adjugate_from_det(2, f)
-    with pytest.raises(InvariantViolation, match=r"d det/d X\[1,2\] has an odd coefficient"):
-        [list(column) for column in poly._adjugate_columns(2, f.terms)]
-    monkeypatch.setattr(symbolic, "det_sym", lambda a: f)
-    with pytest.raises(InvariantViolation, match=r"d det/d X\[1,2\] has an odd coefficient"):
-        symbolic.symbolic_checks(2)
-    assert main(["verify", "--n", "2", "--mode", "symbolic", "--format", "csv"]) == 3
-    assert "odd coefficient" in capsys.readouterr().err
+    # d/dX[1,2] of X[1,1]*X[2,2] - X[1,2] is -1, which is not twice a cofactor;
+    # det(X) plus every off-diagonal variable is fixed by S_n, and each
+    # off-diagonal derivative gains the odd constant 1, sought at X[1,2] alone
+    message = r"^d det/d X\[1,2\] has an odd coefficient$"
+    odd = {2: var(xvar(1, 1)) * var(xvar(2, 2)) - var(xvar(1, 2))}
+    for n in (3, 4):
+        odd[n] = det_sym(generic_sym_matrix(n, "X"))
+        for i, j in combinations(range(1, n + 1), 2):
+            odd[n] = odd[n] + var(xvar(i, j))
+    for n, f in odd.items():
+        with pytest.raises(InvariantViolation, match=message):
+            adjugate_from_det(n, f)
+        with pytest.raises(InvariantViolation, match=message):
+            next(poly._p11_p12(n, f.terms))
+        monkeypatch.setattr(symbolic, "det_sym", lambda a, f=f: f)
+        with pytest.raises(InvariantViolation, match=message):
+            symbolic.symbolic_checks(n)
+        assert main(["verify", "--n", str(n), "--mode", "symbolic", "--format", "csv"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "odd coefficient" in captured.err, n
+
+
+ORACLE_DETERMINANTS = {
+    "det": lambda n, det: det,
+    "2 det": lambda n, det: 2 * det,
+    "0 det": lambda n, det: 0 * det,
+    "det + 1": lambda n, det: det + 1,
+    "S_n-invariant": invariant_but_wrong,
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_DETERMINANTS)
+def test_p11_p12_are_entries_of_x_times_the_oracle_adjugate(name):
+    # the two linear passes against X * adj, adj read off every derivative at once
+    for n in range(1, 7):
+        x = generic_sym_matrix(n, "X")
+        f = ORACLE_DETERMINANTS[name](n, det_sym(x))
+        p = mat_mul(x, adjugate_from_det(n, f)).entries
+        assert [SparsePoly(e) for e in poly._p11_p12(n, f.terms)] == list(p[0][:2]), (n, name)
 
 
 def test_odd_derivatives_are_named_in_row_major_order():
@@ -736,38 +760,6 @@ def test_odd_derivatives_are_named_in_row_major_order():
     f = var(xvar(1, 1)) * var(xvar(2, 2)) * var(xvar(3, 3)) * var(xvar(4, 4)) + var(xvar(2, 3)) + var(xvar(1, 4))
     with pytest.raises(InvariantViolation, match=r"X\[1,4\]"):
         adjugate_from_det(4, f)
-    with pytest.raises(InvariantViolation, match=r"X\[1,4\]"):
-        [list(column) for column in poly._adjugate_columns(4, f.terms)]
-
-
-class _CountedScans(Mapping):
-    """A read-only terms dict that counts the scans of its keys."""
-
-    def __init__(self, terms):
-        self.terms, self.scans = terms, 0
-
-    def __getitem__(self, key):
-        return self.terms[key]
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __iter__(self):
-        self.scans += 1
-        return iter(self.terms)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 5])
-def test_adjugate_columns_scan_det_once_per_variable_they_need(n):
-    # columns 1 and 2 hold 2n - 1 variables, all n columns n(n + 1) / 2
-    det = det_sym(generic_sym_matrix(n, "X")).terms
-    counted = _CountedScans(det)
-    stream = poly._adjugate_columns(n, counted)
-    first = [list(column) for column in islice(stream, 2)]
-    assert counted.scans == 2 * n - 1
-    rest = [list(column) for column in stream]
-    assert counted.scans == n * (n + 1) // 2
-    assert first + rest == [list(column) for column in poly._adjugate_columns(n, det)]
 
 
 def test_graph_images_from_the_product_equal_substitution(monkeypatch, pair_assignment):
@@ -854,19 +846,22 @@ def test_passing_run_forms_only_p11_and_p12(monkeypatch, n):
     # n = 1 has no P[1,2] and no generator of S_n; at n = 2 the cycle is the transposition
     product_matrix(n)
     products, calls, drawn = [], [], []
-    mul_into, columns = symbolic._mul_into, symbolic._adjugate_columns
+    mul_into, entries = poly._mul_into, symbolic._p11_p12
 
-    def counted_columns(*args):
+    def counted_entries(*args):
         calls.append(args[2:])
-        for column in columns(*args):
+        products.clear()  # det(X) is formed before the entries are asked for
+        for entry in entries(*args):
             drawn.append(1)
-            yield column
+            yield entry
 
-    monkeypatch.setattr(symbolic, "_mul_into", lambda *a: products.append(1) or mul_into(*a))
-    monkeypatch.setattr(symbolic, "_adjugate_columns", counted_columns)
-    assert symbolic.symbolic_checks(n) == materialized_checks(n) == PairChecks(n * (n - 1) + n - 1, None, True)
-    assert len(products) <= 2 * n
-    # one stream, no column selector, and only its first two columns drawn
+    monkeypatch.setattr(poly, "_mul_into", lambda *a: products.append(1) or mul_into(*a))
+    monkeypatch.setattr(symbolic, "mat_mul", lambda *a: products.append(1) or mat_mul(*a))
+    monkeypatch.setattr(symbolic, "_p11_p12", counted_entries)
+    got = symbolic.symbolic_checks(n)
+    assert products == []
+    assert got == materialized_checks(n) == PairChecks(n * (n - 1) + n - 1, None, True)
+    # one helper call, and only its two entries drawn
     assert calls == [()] and len(drawn) == min(n, 2)
 
 
@@ -874,12 +869,12 @@ def test_passing_run_forms_only_p11_and_p12(monkeypatch, n):
 def test_the_transposition_decides_the_diagonal_differences(monkeypatch, n):
     # with the derivative adjugate of an invariant det, P[1,2] = 0 forces
     # equal diagonal entries (the sl_n-invariants of a symmetric form are
-    # polynomials in det), so streamed columns stand in: P[1,2] = 0 and
+    # polynomials in det), so substituted entries stand in: P[1,2] = 0 and
     # P[1,1] = X[1,1] or X[1,1]*X[2,2], which (1 2) moves or fixes
     gens = graph_ideal_generators(n)
-    for p11, residual in ((SparsePoly({0: 1}), symbolic._NONZERO + str(gens[n * (n - 1)])), (var(xvar(2, 2)), None)):
-        first = [p11.terms] + [{}] * (n - 1)
-        monkeypatch.setattr(symbolic, "_adjugate_columns", lambda n, det: iter([first, [{}] * n]))
+    x11 = var(xvar(1, 1))
+    for p11, residual in ((x11, symbolic._NONZERO + str(gens[n * (n - 1)])), (x11 * var(xvar(2, 2)), None)):
+        monkeypatch.setattr(symbolic, "_p11_p12", lambda n, det: iter([p11.terms, {}]))
         assert symbolic.symbolic_checks(n) == PairChecks(len(gens), residual, False), (n, residual)
 
 
@@ -898,7 +893,7 @@ CHANGED_DETERMINANTS = {
 
 
 @pytest.mark.parametrize("name", CHANGED_DETERMINANTS)
-def test_fast_path_falls_back_to_the_materialized_verdict(monkeypatch, capsys, name):
+def test_changed_determinants_get_the_materialized_verdict_or_exit_3(monkeypatch, capsys, name):
     # an invariant determinant gets the materialized verdict from two entries;
     # one that the n-cycle moves is refused, and the CLI exits 3 printing nothing
     change, sizes = CHANGED_DETERMINANTS[name]
@@ -929,7 +924,7 @@ def test_fast_path_itself_rejects_an_invariant_wrong_determinant():
             assert poly._fixed_by(g, n, [1, 0, *range(2, n)]) and not poly._fixed_by(g, n, [*range(1, n), 0]), n
 
 
-def test_symbolic_checks_take_the_adjugate_by_keyword_only():
+def test_symbolic_checks_take_n_alone():
     # symbolic_checks takes n alone: a stale call that passes X * Y or an adjugate raises
     with pytest.raises(TypeError):
         symbolic.symbolic_checks(3, product_matrix(3))
