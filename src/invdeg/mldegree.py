@@ -12,7 +12,8 @@ out-of-sample validation. All samples of one d, there and in
 (``multidegree._light_psi``): one psi expansion and one chain of nested
 inverses of the bordered pair matrix for every n. ``ml_table`` lists
 whole rows, the generating Pfaffians of ``gamma_degrees`` for every n at once
-(see ``multidegree._generating_values``).
+from one elimination at t = 1 and one at t = 2^K (see
+``multidegree._generating_values``).
 """
 
 from __future__ import annotations

@@ -13,13 +13,14 @@ Every whole coefficient list (``beta_vector`` and all built on it, the
 rows of ``mldegree.ml_table``, the rank table of ``sdp_degree``) is read
 off G(t, s) = sum over subsets a of s^|a| t^weight(a) psi(a) psi(complement),
 one Pfaffian of size n + 1 or n + 2 by minor summation. Pair values do not
-depend on n, so ``_generating_values`` reads G of every n off the pivots of
-one elimination per parity, and ``_expansions`` decodes the base-2^K digits
-of G(2^K, s), s = 1 or, for ``sdp_degree``, a power of 2^K that keeps the
-subset sizes apart. ``gamma_prefix`` needs only beta(n, 0..k-1) and
-visits the subsets of weight below k (see ``_light_psi``); psi of each
-complement comes from the integral inverse of a leading block of the
-bordered pair matrix. One pass serves many n: the psi expansion is shared,
+depend on n, so ``_generating_values`` reads G of every n off one
+elimination, even n at its pivots and, when both parities are asked for,
+odd n in the column of one extra index, and ``_expansions`` decodes the
+base-2^K digits of G(2^K, s), s = 1 or, for ``sdp_degree``, a power of
+2^K that keeps the subset sizes apart. ``gamma_prefix`` needs only
+beta(n, 0..k-1) and visits the subsets of weight below k (see
+``_light_psi``); psi of each complement comes from the integral inverse of
+a leading block of the bordered pair matrix. One pass serves many n: the psi expansion is shared,
 and the inverses of all the nested blocks come from one bordering chain
 (``_nested_inverses``), O(s^2) integer work per step. Neither engine stores
 a 2**n table; the public ``psi.psi_seq`` route stays independent to check
@@ -32,7 +33,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .exact import InvariantViolation, SkewMatrix, leading_pfaffians
+from .exact import InvariantViolation, SkewMatrix, _closed_leading_pfaffians, leading_pfaffians
 from .psi import psi_table
 
 
@@ -90,7 +91,7 @@ def _expand_pfaffians(w: list[list[int]], masks: Iterable[int]) -> dict[int, int
     return pf
 
 
-def _generating_matrix(n: int, t: int, s: int = 1) -> SkewMatrix:
+def _generating_matrix(n: int, t: int, s: int = 1, closed: bool = False) -> SkewMatrix:
     """The skew matrix whose Pfaffian is G(t, s) = sum of s^|a| t^weight(a)
     psi(a) psi(complement of a) over subsets a of {1..n}, at integers t and s,
     by minor summation (Ishikawa-Wakayama): Pf(A + B) = sum_I eps(I) Pf(A_I)
@@ -104,36 +105,49 @@ def _generating_matrix(n: int, t: int, s: int = 1) -> SkewMatrix:
     Pfaffian on (A0, B0, 1..n) with 1 at (A0, B0): row A0 expands to Pf(1..n)
     plus the Pfaffian with 0 there, -Pf(A0, 1..n, B0), since moving B0 past n
     labels is even and shifting the labels by one negates row A0.
+
+    ``closed`` takes the even layout for either parity and appends an index
+    X joined to A0 and B0 by 1 each. Expanding along X, Pf(A0, B0, 1..n, X)
+    is Pf(B0, 1..n) - Pf(A0, 1..n), and the A0 entries carry the opposite
+    sign to the shared border's, every label sitting one place further on,
+    so for odd n this is G(t, s) with the shared border split in two.
     """
     w = _pair_matrix(n)
     # point: (row of w, scale of its A entries (0 if outside A), 1 if in B else 0)
-    border = [(0, 1, 1)] if n & 1 else [(0, 1, 0), (0, 0, 1)]
+    border = [(0, 1, 1)] if n & 1 and not closed else [(0, 1, 0), (0, 0, 1)]
     points = border + [(label, t ** label * s, 1) for label in range(1, n + 1)]
 
     def upper(p: int, q: int) -> int:
+        if q == len(points):  # X, joined to the two borders only
+            return int(p < 2)
         (lp, ap, bp), (lq, aq, bq) = points[p], points[q]
-        # the last term is the 1 at (A0, B0), where w is 0; even n only
+        # the last term is the 1 at (A0, B0), where w is 0; even layout only
         return w[lp][lq] * (bp * bq + (ap * aq if (p + q) & 1 else -ap * aq)) + (q < len(border))
 
-    return SkewMatrix.from_upper(len(points), upper)
+    return SkewMatrix.from_upper(len(points) + closed, upper)
 
 
 def _generating_values(ns: Sequence[int], t: int, s: int = 1) -> list[int]:
     """G(t, s) of ``_generating_matrix`` for each n of ``ns``, from one
-    elimination per parity.
+    elimination.
 
     The matrix of n, with its borders first, is the leading principal block
     of size n + 1 (odd n) or n + 2 (even n) of the matrix of every larger n
-    of the same parity, so G(t, s) is a pivot of the elimination of the
-    largest n of that parity in ``ns``. At t, s >= 1 every leading Pfaffian
-    is a sum of positive terms, so no pivot is zero and no swap is needed.
+    of the same parity, so when ``ns`` holds one parity, G(t, s) is a pivot
+    of the elimination of its largest n. When it holds both, the closed
+    matrix of its largest n serves all: even n is the pivot on (A0, B0,
+    1..n), and odd n the entry (n, X) just before the block of n is
+    eliminated, the Pfaffian on (A0, B0, 1..n, X). At t, s >= 1 every
+    leading Pfaffian is a sum of positive terms, so no pivot is zero and no
+    swap is needed.
     """
-    values = {}
-    for parity in (0, 1):
-        top = max((n for n in ns if n & 1 == parity), default=0)
-        if top:
-            for i, pf in enumerate(leading_pfaffians(_generating_matrix(top, t, s))):
-                values[2 * i + parity] = pf  # the block of size 2i + 2
+    top = max(ns)
+    if len({n & 1 for n in ns}) > 1:
+        # the closed Pfaffian on the leading n + 2 indices, (A0, B0, 1..n), is G of n
+        values = _closed_leading_pfaffians(_generating_matrix(top, t, s, closed=True))[1:]
+    else:
+        parity = top & 1
+        values = {2 * i + parity: pf for i, pf in enumerate(leading_pfaffians(_generating_matrix(top, t, s)))}
     return [values[n] for n in ns]
 
 

@@ -68,8 +68,8 @@ class PsiTable(NamedTuple):
 @lru_cache(maxsize=2)
 def psi_table(n: int) -> PsiTable:
     """Build the psi lookup table for ambient bound n. The last two tables
-    stay cached, one per parity of ``_generating_values``; a sweep over n
-    holds those two, not every table (O(n^4) bits in all).
+    stay cached; a sweep over n reads only the table of its largest n, so it
+    holds one, not every table (O(n^4) bits in all).
 
     Pascal's rule gives psi(i, j+1) = 2 psi(i, j) + C(i+j-1, i-1) from
     psi(i, i+1) = C(2i-1, i), and the binomial steps along j as C(i+j, i-1)

@@ -770,3 +770,22 @@ def test_a_reader_that_closes_early_ends_the_run_quietly_with_141():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (header, proc.wait(timeout=60), err) == (b"kind,i,j,value\n", 141, b"")
+
+
+def test_the_entry_point_freezes_the_heap_and_matches_main(capsys):
+    # cli.run freezes the heap before it exits, so an atexit handler
+    # registered first still runs, and sees the frozen objects
+    script = (
+        "import atexit, gc, sys\n"
+        "from invdeg import cli\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "sys.argv = ['invdeg', 'psi', '--n', '1']\n"
+        "cli.run()\n"
+    )
+    proc = _fresh_python("-c", script)
+    assert (proc.returncode, proc.stderr) == (0, "frozen True\n")
+    for args in (["mldeg", "--n-max", "4", "--format", "csv"], ["psi", "--n", "0"]):
+        proc = _fresh_python("-m", "invdeg", *args)
+        code, out, _ = run_cli(capsys, args)
+        assert (proc.returncode, proc.stdout) == (code, out), args
+        assert code == (1 if args[0] == "psi" else 0), args

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from invdeg.exact import (
     InvariantViolation,
     SkewMatrix,
+    _closed_leading_pfaffians,
     _eliminate,
     _rank_mod,
     binomial,
@@ -232,6 +233,27 @@ def test_leading_pfaffians_are_the_pfaffians_of_the_leading_blocks(m):
     else:
         with pytest.raises(InvariantViolation, match="leading principal Pfaffian"):
             leading_pfaffians(m)
+
+
+@st.composite
+def skew_matrices_of_any_size(draw):
+    size = draw(st.integers(1, 9))
+    vals = iter(draw(st.lists(st.integers(-9, 9), min_size=size * (size - 1) // 2, max_size=size * (size - 1) // 2)))
+    return SkewMatrix.from_upper(size, lambda i, j: next(vals))
+
+
+@given(skew_matrices_of_any_size())
+def test_closed_leading_pfaffians_close_each_odd_block_by_the_last_index(m):
+    z = m.size - 1
+    blocks = []
+    for j in range(1, m.size):
+        idx = [*range(j), z] if j % 2 else list(range(j))
+        blocks.append(pfaffian_reference([[m.rows[p][q] for q in idx] for p in idx]))
+    if all(blocks[1::2]):  # the even blocks are the pivots
+        assert _closed_leading_pfaffians(m) == blocks
+    else:
+        with pytest.raises(InvariantViolation, match="leading principal Pfaffian"):
+            _closed_leading_pfaffians(m)
 
 
 def test_leading_pfaffians_examples():

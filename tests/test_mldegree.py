@@ -49,18 +49,18 @@ def test_ml_table_equals_gamma_degrees_up_to_20():
 
 
 def test_ml_table_runs_two_eliminations_per_parity(monkeypatch):
-    sizes = []
-    real = multidegree.leading_pfaffians
-
-    def counting(matrix):
-        sizes.append(matrix.size)
-        return real(matrix)
-
-    monkeypatch.setattr(multidegree, "leading_pfaffians", counting)
-    assert ml_table(1) == [(1,)] and sizes == [2, 2]  # G(1) and G(2^K) for n = 1
-    sizes.clear()
+    calls = []
+    for name in ("leading_pfaffians", "_closed_leading_pfaffians"):
+        real = getattr(multidegree, name)
+        monkeypatch.setattr(multidegree, name, lambda matrix, real=real: calls.append(matrix) or real(matrix))
+    assert ml_table(1) == [(1,)] and [m.size for m in calls] == [2, 2]  # G(1) and G(2^K) for n = 1
+    calls.clear()
     ml_table(9)
-    assert sorted(sizes) == [10, 10, 10, 10]  # n = 9 (size 10) and n = 8 (size 8 + 2)
+    # both parities at once, (A0, B0, 1..9, X), at t = 1 and at t = 2^K;
+    # entry (A0, 1) is -t
+    t = -calls[1].rows[0][2]
+    assert [m.size for m in calls] == [12, 12] and t > 1 and t & (t - 1) == 0
+    assert calls == [multidegree._generating_matrix(9, 1, closed=True), multidegree._generating_matrix(9, t, closed=True)]
 
 
 def test_ml_table_rejects_a_zero_leading_pfaffian(monkeypatch):

@@ -232,15 +232,12 @@ def test_generating_values_of_mixed_parities_match_one_pfaffian_each():
 
 def test_generating_value_is_one_pfaffian(monkeypatch):
     sizes = []
-    real = multidegree_mod.leading_pfaffians
-
-    def counting(matrix):
-        sizes.append(matrix.size)
-        return real(matrix)
-
-    monkeypatch.setattr(multidegree_mod, "leading_pfaffians", counting)
-    # (border, 1..n) for odd n and (A0, B0, 1..n) for even n, one elimination per parity
-    for ns, layouts in (([9], [10]), ([10], [12]), ([9, 10], [10, 12])):
+    for name in ("leading_pfaffians", "_closed_leading_pfaffians"):
+        real = getattr(multidegree_mod, name)
+        monkeypatch.setattr(multidegree_mod, name, lambda matrix, real=real: sizes.append(matrix.size) or real(matrix))
+    # (border, 1..n) for odd n and (A0, B0, 1..n) for even n; both parities
+    # share one elimination on (A0, B0, 1..top, X)
+    for ns, layouts in (([9], [10]), ([10], [12]), ([9, 10], [13])):
         sizes.clear()
         _generating_values(ns, 1 << 40, 3)
         assert sorted(sizes) == layouts, (ns, sizes)

@@ -66,10 +66,10 @@ def test_psi_table_cache_holds_a_small_constant_number_of_tables():
         p_alpha((1,), n)
     info = psi_table.cache_info()
     assert 2 <= info.maxsize <= 4 and info.currsize <= info.maxsize
-    # both parities of one elimination each, at t = 1 and at t = 2^K: two builds
+    # one elimination for both parities, at t = 1 and at t = 2^K: one build
     psi_table.cache_clear()
     ml_table(12)
-    assert psi_table.cache_info().misses == 2
+    assert psi_table.cache_info().misses == 1
 
 
 def test_psi_table_matches_binomial_sum():

@@ -790,12 +790,12 @@ def test_adjugate_identity_fails_on_a_scaled_determinant(monkeypatch, scale):
 
 
 @pytest.mark.parametrize("n", range(1, 6))
-def test_streamed_checks_match_the_materialized_product(n):
+def test_checks_from_p11_and_p12_match_the_materialized_product(n):
     assert symbolic.symbolic_checks(n) == materialized_checks(n), n
 
 
 @pytest.mark.parametrize("scale", [0, 2])
-def test_streamed_checks_match_the_materialized_product_on_a_scaled_determinant(monkeypatch, scale):
+def test_checks_from_p11_and_p12_match_the_materialized_product_on_a_scaled_determinant(monkeypatch, scale):
     monkeypatch.setattr(symbolic, "det_sym", lambda a: scale * det_sym(a))
     for n in range(1, 6):
         assert symbolic.symbolic_checks(n) == materialized_checks(n), n
@@ -811,7 +811,7 @@ def _verdict(checks, n):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_streamed_checks_match_the_materialized_product_on_random_changes(data):
+def test_checks_from_p11_and_p12_match_the_materialized_product_on_random_changes(data):
     # det(X) plus a random monomial summed over its S_n images: the sum is
     # invariant, so the two entries decide, and its derivatives move P[1,1]
     # and P[1,2] into every class; an odd off-diagonal coefficient raises
