@@ -795,7 +795,7 @@ def test_checks_from_p11_and_p12_match_the_materialized_product(n):
 
 
 @pytest.mark.parametrize("scale", [0, 2])
-def test_checks_from_p11_and_p12_match_the_materialized_product_on_a_scaled_determinant(monkeypatch, scale):
+def test_checks_from_p11_and_p12_match_the_materialized_product_on_scaled_det(monkeypatch, scale):
     monkeypatch.setattr(symbolic, "det_sym", lambda a: scale * det_sym(a))
     for n in range(1, 6):
         assert symbolic.symbolic_checks(n) == materialized_checks(n), n
