@@ -128,26 +128,20 @@ def _validate(ns: argparse.Namespace) -> None:
                 raise ValueError
         except ValueError:
             raise UsageError(f"--threads must be a positive integer or 'auto', got {ns.threads!r}")
-    if ns.command in ("psi", "multidegree", "verify") and ns.n < 1:
-        raise UsageError(f"--n must be >= 1, got {ns.n}")
+    for name in ("n", "n_max", "d", "trials", "symbolic_cap"):
+        value = getattr(ns, name, None)
+        if value is not None and value < 1:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
     if ns.command == "mldeg":
         if ns.n_max is not None:
-            if ns.n_max < 1:
-                raise UsageError(f"--n-max must be >= 1, got {ns.n_max}")
             if ns.poly or ns.window is not None:
                 raise UsageError("--poly/--window require --d")
             return
-        if ns.d < 1:
-            raise UsageError(f"--d must be >= 1, got {ns.d}")
         if ns.window is None:
             ns.window = ns.d + 10
         if ns.window < ns.d + 1:
             raise UsageError(f"--window must be >= d + 1, got {ns.window}")
     elif ns.command == "verify":
-        if ns.trials < 1:
-            raise UsageError(f"--trials must be >= 1, got {ns.trials}")
-        if ns.symbolic_cap < 1:
-            raise UsageError(f"--symbolic-cap must be >= 1, got {ns.symbolic_cap}")
         if ns.mode == "symbolic" and ns.n > ns.symbolic_cap:
             raise UsageError(
                 f"symbolic mode is capped at n <= {ns.symbolic_cap}; use --mode numeric or raise --symbolic-cap"

@@ -17,14 +17,14 @@ depend on n, so ``_generating_values`` reads G of every n off one
 elimination, even n at its pivots and, when both parities are asked for,
 odd n in the column of one extra index, and ``_expansions`` decodes the
 base-2^K digits of G(2^K, s), s = 1 or, for ``sdp_degree``, a power of
-2^K that keeps the subset sizes apart. ``gamma_prefix`` needs only
+2^K that keeps the subset sizes apart. ``_gamma_prefixes`` needs only
 beta(n, 0..k-1) and visits the subsets of weight below k (see
 ``_light_psi``); psi of each complement comes from the integral inverse of
-a leading block of the bordered pair matrix. One pass serves many n: the psi expansion is shared,
-and the inverses of all the nested blocks come from one bordering chain
-(``_nested_inverses``), O(s^2) integer work per step. Neither engine stores
-a 2**n table; the public ``psi.psi_seq`` route stays independent to check
-them against.
+a leading block of the bordered pair matrix. One pass serves many n: the
+psi expansion is shared, and the inverses of all the nested blocks come
+from one bordering chain (``_nested_inverses``), O(s^2) integer work per
+step. Neither engine stores a 2**n table; the public ``psi.psi_seq`` route
+stays independent to check them against.
 """
 
 from __future__ import annotations
@@ -341,19 +341,6 @@ def _gamma_prefixes(samples: Sequence[tuple[int, int]]) -> Iterator[tuple[int, .
         for _, w, psi_a, psi_c in rows:
             betas[w] += psi_a * psi_c
         yield _gamma_from_beta(betas)
-
-
-def gamma_prefix(n: int, k: int) -> tuple[int, ...]:
-    """gamma_degrees(n)[:k], computed from beta(n, 0..k-1) alone.
-
-    Only the subsets of {1..n} of weight below k are visited (see
-    ``_light_psi``), so for fixed k the cost is polynomial in n and no
-    2**n table is built.
-    """
-    m = sym_dimension(n)
-    if not 1 <= k <= m:
-        raise ValueError(f"prefix length out of range for n: k={k}, n={n} (need 1 <= k <= {m})")
-    return next(_gamma_prefixes([(n, k)]))
 
 
 class IdentityCoefficient(NamedTuple):

@@ -426,6 +426,10 @@ class SymbolicMatrix(_SymbolicMatrixFields):
     def __new__(cls, n: int, entries: tuple[tuple[SparsePoly, ...], ...]) -> "SymbolicMatrix":
         if len(entries) != n or any(len(r) != n for r in entries):
             raise ValueError(f"expected {n} x {n} entries")
+        for row in entries:
+            for e in row:
+                if not isinstance(e, SparsePoly):
+                    raise TypeError(f"entries must be SparsePoly, got {type(e).__name__}")
         return super().__new__(cls, n, entries)
 
     @classmethod

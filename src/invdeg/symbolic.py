@@ -308,7 +308,12 @@ class RationalSymMatrix(_RationalSymMatrixFields):
 
     __slots__ = ()
 
-    def __new__(cls, n: int, rows: tuple[tuple[Fraction, ...], ...]) -> "RationalSymMatrix":
+    def __new__(cls, n: int, rows: Sequence[Sequence[Scalar]]) -> "RationalSymMatrix":
+        """Entries must be ints or Fractions: ``Fraction(0.1)`` would take the
+        float's binary value, not 1/10, so a float raises TypeError."""
+        from fractions import Fraction
+
+        rows = tuple(tuple(Fraction(_exact(x)) for x in row) for row in rows)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"expected {n} x {n} entries")
         if not _is_symmetric(rows):
@@ -321,14 +326,8 @@ class RationalSymMatrix(_RationalSymMatrixFields):
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalar]]) -> "RationalSymMatrix":
-        """Entries must be ints or Fractions: ``Fraction(0.1)`` would take the
-        float's binary value, not 1/10, so a float raises TypeError."""
-        from fractions import Fraction
-
-        return cls(len(rows), tuple(tuple(Fraction(_exact(x)) for x in row) for row in rows))
-
-    def rank(self) -> int:
-        return matrix_rank(self.rows)
+        """The matrix of ``rows``, sized by their number."""
+        return cls(len(rows), rows)
 
 
 # a seed of random.Random; the CLI names each family's stream by a str

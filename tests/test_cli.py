@@ -21,7 +21,7 @@ import invdeg.multidegree as multidegree
 import invdeg.psi as psi
 import invdeg.symbolic as symbolic
 from invdeg.cli import main
-from invdeg.multidegree import gamma_prefix, multidegree_table
+from invdeg.multidegree import multidegree_table
 
 try:
     import tomllib
@@ -88,6 +88,10 @@ def test_usage_errors_exit_1(capsys):
         (["mldeg", "--d", "3", "--window", "2", "--poly"], None),
         (["verify", "--n", "3", "--trials", "0"], "--trials must be >= 1, got 0"),
         (["verify", "--n", "3", "--symbolic-cap", "0"], "--symbolic-cap must be >= 1, got 0"),
+        # two bad values: the first in the order n, n_max, d, trials, symbolic_cap
+        (["verify", "--n", "0", "--trials", "0"], "--n must be >= 1, got 0"),
+        (["verify", "--n", "3", "--trials", "0", "--symbolic-cap", "0"], "--trials must be >= 1, got 0"),
+        (["mldeg", "--n-max", "0", "--poly"], "--n-max must be >= 1, got 0"),
         (
             ["verify", "--n", "9", "--mode", "symbolic"],
             "symbolic mode is capped at n <= 4; use --mode numeric or raise --symbolic-cap",
@@ -148,7 +152,7 @@ def test_multidegree_n24_matches_the_light_slice(capsys):
     assert payload["checks"][0]["pass"] is True
     gamma = [int(v) for v in payload["results"]["gamma"]]
     assert len(gamma) == 24 * 25 // 2
-    assert tuple(gamma[:8]) == gamma_prefix(24, 8)
+    assert tuple(gamma[:8]) == next(multidegree._gamma_prefixes([(24, 8)]))
 
 
 def test_mldeg_stderr_is_empty(capsys, monkeypatch):

@@ -14,7 +14,7 @@ from invdeg.mldegree import (
     ml_table,
     smallest_valid_n,
 )
-from invdeg.multidegree import beta, gamma_degrees, gamma_prefix, sym_dimension
+from invdeg.multidegree import beta, gamma_degrees, sym_dimension
 from invdeg.psi import p_alpha, psi_seq
 from oracles import lagrange_fit
 
@@ -48,7 +48,7 @@ def test_ml_table_equals_gamma_degrees_up_to_20():
         assert ml_table(n_max) == rows[:n_max]
 
 
-def test_ml_table_runs_two_eliminations_per_parity(monkeypatch):
+def test_ml_table_runs_one_closed_elimination_per_evaluation_point(monkeypatch):
     calls = []
     for name in ("leading_pfaffians", "_closed_leading_pfaffians"):
         real = getattr(multidegree, name)
@@ -174,11 +174,7 @@ def test_gamma_prefix_matches_mask_table():
     for n in range(1, 10):
         gam = gamma_degrees(n)
         for k in range(1, sym_dimension(n) + 1):
-            assert gamma_prefix(n, k) == gam[:k]
-    with pytest.raises(ValueError, match="prefix length out of range"):
-        gamma_prefix(3, 0)
-    with pytest.raises(ValueError, match="prefix length out of range"):
-        gamma_prefix(3, 7)
+            assert next(multidegree._gamma_prefixes([(n, k)])) == gam[:k]
 
 
 _full_gamma = lru_cache(maxsize=None)(gamma_degrees)
@@ -188,7 +184,7 @@ _full_gamma = lru_cache(maxsize=None)(gamma_degrees)
 @given(st.integers(1, 22).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, min(12, sym_dimension(n))))))
 def test_gamma_prefix_matches_full_table(nk):
     n, k = nk
-    assert gamma_prefix(n, k) == _full_gamma(n)[:k]
+    assert next(multidegree._gamma_prefixes([(n, k)])) == _full_gamma(n)[:k]
 
 
 @settings(max_examples=60, deadline=None)

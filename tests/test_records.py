@@ -53,6 +53,27 @@ def test_validating_records_reject_bad_fields_on_every_path(case):
         record._replace(**{field: bad})
 
 
+# (a valid record, the field to break, a value for it with one inexact or non-polynomial entry)
+BAD_ENTRIES = {
+    "RationalSymMatrix-float": (RationalSymMatrix.from_rows([[1, 2], [2, 0]]), "rows", ((1, 0.5), (0.5, 1))),
+    "SymbolicMatrix-int": (SymbolicMatrix(1, ((_x11(),),)), "entries", ((1,),)),
+    "SymbolicMatrix-float": (SymbolicMatrix(1, ((_x11(),),)), "entries", ((1.0,),)),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ENTRIES)
+def test_records_reject_bad_entries_on_every_path(case):
+    record, field, bad = BAD_ENTRIES[case]
+    cls = type(record)
+    fields = {**record._asdict(), field: bad}
+    with pytest.raises(TypeError):
+        cls(**fields)
+    with pytest.raises(TypeError):
+        cls._make(fields.values())
+    with pytest.raises(TypeError):
+        record._replace(**{field: bad})
+
+
 def _records():
     table = multidegree_table(2)
     return [
