@@ -8,7 +8,9 @@ variable owns an 8-bit field at a slot that does not depend on n, X and Y
 interleaved over the upper triangle column by column. So X[1,1]^2*Y[1,2] is
 2 + (1 << 24), the constant monomial is 0, and a product of monomials is the
 sum of their ints. Keys are decoded, by walking their set bits, only to
-print, substitute or read off variables and bidegrees. One kernel,
+print, substitute or read off variables and bidegrees. ``symbolic`` keeps
+X * Y as bilinear vectors, keyed by a monomial's two fields, and
+``_bilinear_poly`` packs one into a polynomial. One kernel,
 ``_mul_into``, adds products in place (out[ma + mb] += ca * cb) for ``*``,
 ``substitute``, ``mat_mul`` and the determinant DP; sums go through
 ``exact._add_into``.
@@ -83,6 +85,14 @@ def _var(slot: int) -> VarId:
     t = slot >> 1
     col = (1 + isqrt(8 * t + 1)) // 2
     return VarId("Y" if slot & 1 else "X", t - col * (col - 1) // 2 + 1, col)
+
+
+def _bilinear_poly(vec: Mapping[int, Scalar], n: int) -> "SparsePoly":
+    """The polynomial of a bilinear vector over n x n matrices, whose key
+    s * n(n+1)/2 + t stands for X's variable in field 2s times Y's in field
+    2t + 1 (``_slot``)."""
+    base, x, y = n * (n + 1) // 2, 2 * _FIELD_BITS, _FIELD_BITS
+    return SparsePoly({1 << x * (k // base) | 1 << x * (k % base) + y: c for k, c in vec.items()})
 
 
 def _monomial(variables: Iterable[VarId]) -> int:
@@ -254,17 +264,6 @@ class SparsePoly:
                 _checked(acc)
             _add_into(out, acc)
         return SparsePoly(out)
-
-    def canonical(self) -> tuple[tuple[int, Scalar], ...]:
-        """Hashable sorted form, for set comparisons."""
-        return tuple(sorted(self.terms.items()))
-
-    def sign_normalized(self) -> "SparsePoly":
-        """Self or its negative, making the lead coefficient positive."""
-        if not self.terms:
-            return self
-        lead = max(self.terms)
-        return -self if self.terms[lead] < 0 else self
 
     def __str__(self) -> str:
         if not self.terms:

@@ -31,16 +31,24 @@ nothing is substituted. Numerically, each sample is one random nonsingular
 integer M with det M and adj M, and P = M * adj M formed once; a
 generator's value at (M, adj M) is the entry of P at its place. Either way
 the adjugate identity compares P with det * Id. X * Y depends on n alone,
-so ``product_matrix`` keeps the last one it built for every check of a run.
+so ``_product_vectors`` keeps the last one it built for every check of a
+run, as bilinear vectors: a monomial X[i,k] * Y[k,j] is keyed by its two
+variables' slots, and only a failing generator's text, or a public
+function, packs one into a ``SparsePoly``. The swap X <-> Y exchanges the
+two slots of a key.
 
 Matrices of numbers get determinant and adjugate from the one fraction-free
-Bareiss Gauss-Jordan elimination in ``exact``, O(k^3). Every rank over Q
-comes from the one fraction-free sparse reduction in ``exact``
-(``_reduce_into``): the span comparison ranks coefficient vectors with it,
-and witness ranks take it (``matrix_rank``) only when both bounds mod p
-fall short. Those bounds come from ``exact._rank_mod``, Gaussian
-elimination on residues mod ``_PRIME``, of a principal block first and of
-the whole matrix when the block is singular mod p.
+Bareiss Gauss-Jordan elimination in ``exact``, O(k^3), and every exact
+product of them, M * adj M and M * W, from one kernel of packed rows
+(``_product_rows``): a row of the product is one int, whose balanced fields
+are its entries. Every rank over Q comes from the one fraction-free sparse
+reduction in ``exact`` (``_reduce_into``). The span comparison splits the
+vectors over the weight classes of the torus action and ranks only the
+weight-0 class, the diagonal entries of X * Y, with it; witness ranks take
+it (``matrix_rank``) only when both bounds mod p fall short. Those bounds
+come from ``exact._rank_mod``, Gaussian elimination on residues mod
+``_PRIME``, of a principal block first and of the whole matrix when the
+block is singular mod p.
 ``adjugate`` runs the determinant DP of ``poly`` once per minor; it is the
 oracle that the derivative adjugate is tested against.
 """
@@ -49,12 +57,13 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from operator import mul
+from itertools import chain
+from operator import lshift, mul
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .exact import InvariantViolation, Scalar, _eliminate, _exact, _rank_mod, _reduce_into, matrix_rank, sparse_rank
-from .poly import Entry, SparsePoly, SymbolicMatrix, _fixed_by, _monomial, _p11_p12
-from .poly import det_sym, determinant, generic_sym_matrix, mat_mul, swap_sides, xvar
+from .exact import InvariantViolation, Scalar, _add_into, _eliminate, _exact, _rank_mod, _reduce_into, matrix_rank
+from .poly import Entry, SparsePoly, SymbolicMatrix, _bilinear_poly, _fixed_by, _monomial, _p11_p12, _slot, _var
+from .poly import det_sym, determinant, generic_sym_matrix, xvar
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -80,11 +89,20 @@ def adjugate(rows: Sequence[Sequence[Entry]]) -> list[list]:
 # ------------------------------------------------------------------- generators
 
 @lru_cache(maxsize=1)
+def _product_vectors(n: int) -> list[list[dict]]:
+    """X * Y for generic symmetric X and Y as bilinear vectors: entry (i, j)
+    maps the key s * V + t of each monomial X[i,k] * Y[k,j] to its
+    coefficient 1, s and t the variables' fields in ``poly`` over two and
+    V = n(n+1)/2 (``poly._bilinear_poly``). The last one built is cached, so
+    every check of a run reads one X * Y."""
+    v = n * (n + 1) // 2
+    slot = [[_slot(xvar(i + 1, k + 1)) >> 1 for k in range(n)] for i in range(n)]
+    return [[{slot[i][k] * v + slot[k][j]: 1 for k in range(n)} for j in range(n)] for i in range(n)]
+
+
 def product_matrix(n: int) -> SymbolicMatrix:
-    """X * Y for generic symmetric X and Y; the last one built is cached, so
-    every check of a run reads one X * Y. Polynomials are read-only, so no
-    caller can change the cached one."""
-    return mat_mul(generic_sym_matrix(n, "X"), generic_sym_matrix(n, "Y"))
+    """X * Y for generic symmetric X and Y, packed from ``_product_vectors``."""
+    return SymbolicMatrix(n, tuple(tuple(_bilinear_poly(e, n) for e in row) for row in _product_vectors(n)))
 
 
 def product_entries(n: int) -> list[SparsePoly]:
@@ -92,29 +110,55 @@ def product_entries(n: int) -> list[SparsePoly]:
     return [p for row in product_matrix(n).entries for p in row]
 
 
+def _difference(a, b):
+    """a - b; for vectors (dicts) a new dict without the keys that cancel."""
+    if not isinstance(a, dict):
+        return a - b
+    out = dict(a)
+    _add_into(out, b, -1)
+    return out
+
+
 def _at_generator_places(e: Sequence[Sequence]) -> list:
     """The off-diagonal entries of a square matrix, row-major, then the
     differences of consecutive diagonal entries."""
     n = len(e)
     out = [e[i][j] for i in range(n) for j in range(n) if i != j]
-    out.extend(e[i][i] - e[i + 1][i + 1] for i in range(n - 1))
+    out.extend(_difference(e[i][i], e[i + 1][i + 1]) for i in range(n - 1))
     return out
+
+
+def _generator_vectors(n: int) -> list[dict]:
+    """The graph generators as bilinear vectors, at the generator places of
+    ``_product_vectors``; the off-diagonal ones are X * Y's own entries."""
+    return _at_generator_places(_product_vectors(n))
 
 
 def graph_ideal_generators(n: int) -> list[SparsePoly]:
     """Generators of the inversion-graph ideal: the n(n-1) off-diagonal
     entries of X * Y (row-major) plus the n - 1 consecutive diagonal
     differences."""
-    return _at_generator_places(product_matrix(n).entries)
+    return [_bilinear_poly(g, n) for g in _generator_vectors(n)]
+
+
+def _up_to_sign(vec: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Keys and coefficients of vec or -vec, whichever is positive at the
+    largest key: a choice made by the key set alone, so two vectors have
+    the same form exactly when they are equal up to sign."""
+    keys = tuple(sorted(vec))
+    sign = -1 if keys and vec[keys[-1]] < 0 else 1
+    return keys, tuple(sign * vec[k] for k in keys)
 
 
 def swap_symmetry_holds(n: int) -> bool:
-    """Generator set is stable (up to sign) under exchanging X and Y. The swap
-    is linear and injective, so the swapped sign classes equal the original
-    ones once each lies among them; one swapped generator is held at a time."""
-    gens = graph_ideal_generators(n)
-    originals = {g.sign_normalized().canonical() for g in gens}
-    return all(swap_sides(g).sign_normalized().canonical() in originals for g in gens)
+    """Generator set is stable (up to sign) under exchanging X and Y, which
+    exchanges the two slots of every bilinear key. The swap is linear and
+    injective, so the swapped sign classes equal the original ones once
+    each lies among them; one swapped generator is held at a time."""
+    v = n * (n + 1) // 2
+    gens = _generator_vectors(n)
+    originals = set(map(_up_to_sign, gens))
+    return all(_up_to_sign({k % v * v + k // v: c for k, c in g.items()}) in originals for g in gens)
 
 
 # ------------------------------------------------------------- span comparison
@@ -122,17 +166,39 @@ def swap_symmetry_holds(n: int) -> bool:
 def spans_product_entries(n: int) -> bool:
     """Graph generators plus the (1,1) product entry span every entry of X*Y.
 
-    All vectors live in the bidegree-(1,1) coefficient space, so span
-    equality is three equal ranks; the union's comes from extending the
-    left basis by the right vectors, so the left ones are reduced once.
+    The torus (X, Y) -> (D X D, D^-1 Y D^-1) gives X[i,j] the weight
+    e_i + e_j and Y[i,j] the weight -e_i - e_j, so entry (i, j) of X * Y
+    has weight e_i - e_j. Each generator must have one weight, in all its
+    terms, and joins that class; each entry joins the class of its place.
+    The spans are equal when they are in every class, and then every term
+    of an entry has its place's weight, for it lies in the span of
+    generators that have it. An off-diagonal class holds one entry, which
+    the generators hold as it is, so only the weight-0 class is ranked: the
+    n diagonal entries against the n - 1 differences and the (1,1) entry,
+    three equal ranks, the union's from extending the left basis by the
+    right vectors. A weight is one int, whose base-8 digit at index i is the
+    (balanced) coefficient of e_i.
     """
-    prod = product_matrix(n)
-    right = [p.terms for row in prod.entries for p in row]
-    basis = _reduce_into({}, [g.terms for g in _at_generator_places(prod.entries)] + right[:1])
-    r_left = len(basis)
-    r_right = sparse_rank(right)
-    r_union = len(_reduce_into(basis, right))
-    return r_left == r_right == r_union
+    v = n * (n + 1) // 2
+    weight = [(1 << 3 * x.row - 3) + (1 << 3 * x.col - 3) for x in map(_var, range(0, 2 * v, 2))]
+    prod = _product_vectors(n)
+    classes: dict[int, tuple[list, list]] = {}  # weight -> (generators, entries)
+    for i, row in enumerate(prod):
+        for j, e in enumerate(row):
+            classes.setdefault((1 << 3 * i) - (1 << 3 * j), ([], []))[1].append(e)
+    for g in _generator_vectors(n) + [prod[0][0]]:
+        weights = {weight[k // v] - weight[k % v] for k in g}
+        if len(weights) > 1:
+            return False
+        if weights:
+            classes.setdefault(weights.pop(), ([], []))[0].append(g)
+    for left, right in classes.values():
+        if left != right:
+            basis = _reduce_into({}, left)
+            r_left = len(basis)
+            if not r_left == len(_reduce_into({}, right)) == len(_reduce_into(basis, right)):
+                return False
+    return True
 
 
 # ------------------------------------------------------- graph vanishing checks
@@ -157,13 +223,39 @@ def _invertible_symmetric(rng: random.Random, n: int) -> tuple[list[list[int]], 
 
 
 def _is_symmetric(rows: Sequence[Sequence]) -> bool:
-    return all(rows[i][j] == rows[j][i] for i in range(len(rows)) for j in range(i))
+    return list(zip(*rows)) == list(map(tuple, rows))
 
 
-def _product(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    """Exact matrix product of int/Fraction matrices; b is transposed once."""
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+def _max_abs(rows: Sequence[Sequence[int]]) -> int:
+    return max(map(abs, chain.from_iterable(rows)), default=0)
+
+
+def _field_bits(bound: int) -> int:
+    """The narrowest balanced field that holds every int of absolute value
+    at most bound: f bits hold -2^(f-1) < x < 2^(f-1)."""
+    return bound.bit_length() + 1
+
+
+def _product_rows(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], f: int) -> list[int]:
+    """The rows of the int matrix product a * b, row i packed as the one int
+    sum_j (a * b)[i][j] << f * j: each row of b is packed once, and row i is
+    sum_k a[i][k] * (packed row k of b), len(b) big-int products. When every
+    entry fits a balanced f-bit field (``_field_bits``), the fields read the
+    entries back (``_unpacked``) and a row is 0 only when all its entries are."""
+    shifts = range(0, f * len(b[0]), f) if b else ()
+    packed = [sum(map(lshift, row, shifts)) for row in b]
+    return [sum(map(mul, row, packed)) for row in a]
+
+
+def _unpacked(row: int, f: int, cols: int) -> list[int]:
+    """The cols balanced f-bit fields of a packed row, lowest first."""
+    out = []
+    for _ in range(cols):
+        x = row & (1 << f) - 1
+        x -= x >> f - 1 << f  # the top bit of a field is its sign
+        out.append(x)
+        row = row - x >> f
+    return out
 
 
 class PairChecks(NamedTuple):
@@ -219,8 +311,9 @@ def symbolic_checks(n: int) -> PairChecks:
     p11 = entry_class(next(entries))  # and dropped before P[1,2] is formed
     p12 = entry_class(next(entries)) if n > 1 else 0
     shadow = [[(p11 if p11 < 3 else 3 + i) if i == j else p12 for j in range(n)] for i in range(n)]
-    gens = graph_ideal_generators(n)
-    residual = next((_NONZERO + str(g) for g, v in zip(gens, _at_generator_places(shadow)) if v), None)
+    gens = _generator_vectors(n)
+    places = _at_generator_places(shadow)
+    residual = next((_NONZERO + str(_bilinear_poly(g, n)) for g, v in zip(gens, places) if v), None)
     diagonal = _monomial(xvar(i, i) for i in range(1, n + 1))
     return PairChecks(len(gens), residual, det.get(diagonal) == 1 and (p11, p12) == (1, 0))
 
@@ -230,22 +323,30 @@ def numeric_checks(n: int, trials: int, seed: int) -> PairChecks:
 
     Sample t is a random integer symmetric M with det M != 0, drawn from
     ``seed * 1_000_003 + t``, with det M and adj M from one elimination,
-    and P = M * adj M formed once. The adjugate identity compares P with
-    det M * Id. At X = M, Y = adj M each generator of X * Y takes the
-    value of P at its place. Trials run in order, in the calling thread;
-    the first failing trial names the residual.
+    and P = M * adj M formed once, as packed rows (``_product_rows``). The
+    adjugate identity asks row i to be det M << f * i; the fields are wide
+    for det M too, so a row minus its target is 0 only when every field of
+    it is, and the rows are unpacked only when one differs. At X = M,
+    Y = adj M each generator of X * Y takes the value of P at its place.
+    Trials run in order, in the calling thread; the first failing trial
+    names the residual.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    gens = graph_ideal_generators(n)
+    gens = _generator_vectors(n)
 
     def trial(t: int) -> tuple[Optional[str], bool]:
         m, det, adj = _invertible_symmetric(random.Random(seed * 1_000_003 + t), n)
-        p = _product(m, adj)
-        identity = p == [[det if i == j else 0 for j in range(n)] for i in range(n)]
+        f = _field_bits(max(n * _max_abs(m) * _max_abs(adj), abs(det)))
+        rows = _product_rows(m, adj, f)
+        identity = all(row == det << f * i for i, row in enumerate(rows))
+        if identity:
+            p = [[det if i == j else 0 for j in range(n)] for i in range(n)]
+        else:
+            p = [_unpacked(row, f, n) for row in rows]
         for g, v in zip(gens, _at_generator_places(p)):
             if v:
-                return f"trial {t}: generator {g} evaluates to nonzero", identity
+                return f"trial {t}: generator {_bilinear_poly(g, n)} evaluates to nonzero", identity
         return None, identity
 
     residual, identity = None, True
@@ -424,7 +525,7 @@ def _pair_valid(n: int, r: int, m: Sequence[Sequence[int]], w: Sequence[Sequence
         and _is_symmetric(w)
         and _rank_at_least(m, r, 0)
         and _rank_at_least(w, n - r, r)
-        and not any(v for row in _product(m, w) for v in row)
+        and not any(_product_rows(m, w, _field_bits(n * _max_abs(m) * _max_abs(w))))
     )
 
 

@@ -2,12 +2,33 @@
 
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import NamedTuple
 
 from invdeg import symbolic
 from invdeg.exact import InvariantViolation, matrix_rank
-from invdeg.poly import _FIELD_BITS, SparsePoly, SymbolicMatrix, _as_poly, _slot, generic_sym_matrix, mat_mul, xvar
+from invdeg.poly import _FIELD_BITS, SparsePoly, SymbolicMatrix, _as_poly, _decode, _slot, generic_sym_matrix
+from invdeg.poly import mat_mul, xvar
 from invdeg.symbolic import PairChecks, graph_ideal_generators
+
+
+def exact_product(a, b):
+    """Exact matrix product of int/Fraction matrices, entry by entry; b is
+    transposed once."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def bilinear_vector(p: SparsePoly, n: int) -> dict:
+    """The bilinear vector of a polynomial whose every monomial is one X
+    variable times one Y variable: key s * n(n+1)/2 + t for the variables in
+    fields 2s and 2t + 1."""
+    out = {}
+    for key, c in p.terms.items():
+        x, y = sorted(_decode(key), key=lambda slot: slot % 2)  # X owns the even fields
+        assert x % 2 == 0 and y % 2 == 1, str(p)
+        out[x // 2 * (n * (n + 1) // 2) + y // 2] = c
+    return out
 
 
 def lagrange_fit(points: list[tuple[int, int]]) -> tuple[Fraction, ...]:

@@ -22,6 +22,7 @@ import invdeg.psi as psi
 import invdeg.symbolic as symbolic
 from invdeg.cli import main
 from invdeg.multidegree import multidegree_table
+from invdeg.poly import generic_sym_matrix, mat_mul
 
 try:
     import tomllib
@@ -399,8 +400,8 @@ def test_verify_numeric_fails_both_checks_on_a_wrong_adjugate(capsys, monkeypatc
     }
     if len(cells) == 2 or cells[0][0] == cells[0][1]:
         # adj stays symmetric: the first residual is the one that evaluating
-        # each generator at (M, adj) finds
-        gens = symbolic.graph_ideal_generators(3)
+        # each generator, read off X * Y from mat_mul, at (M, adj) finds
+        gens = symbolic._at_generator_places(mat_mul(generic_sym_matrix(3, "X"), generic_sym_matrix(3, "Y")).entries)
         residuals = (
             f"trial {t}: generator {g} evaluates to nonzero"
             for t in range(4)

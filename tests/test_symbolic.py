@@ -3,7 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import lcm
 
 import pytest
@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import invdeg.poly as poly
 import invdeg.symbolic as symbolic
 from invdeg.cli import main
-from invdeg.exact import InvariantViolation, _eliminate, _rank_mod, matrix_rank
+from invdeg.exact import InvariantViolation, _eliminate, _rank_mod, matrix_rank, sparse_rank
 from invdeg.poly import (
     SparsePoly,
     SymbolicMatrix,
@@ -35,7 +35,6 @@ from invdeg.symbolic import (
     product_entries,
     product_matrix,
     spans_product_entries,
-    sparse_rank,
     swap_symmetry_holds,
     verify_graph_vanishing,
     witness_pair_valid,
@@ -45,6 +44,8 @@ from oracles import (
     InversePair,
     adjugate_from_det,
     adjugate_sym,
+    bilinear_vector,
+    exact_product,
     exact_witness_verdict,
     invariant_but_wrong,
     inverse_pair,
@@ -141,10 +142,8 @@ def test_poly_substitute_missing_variable():
         p.substitute({xvar(1, 1): 1})
 
 
-def test_poly_sign_normalized_and_str():
+def test_poly_str():
     x = var(xvar(1, 1))
-    p = -3 * x + 1
-    assert p.sign_normalized() == 3 * x - 1
     assert str(SparsePoly()) == "0"
     assert str(2 * x * x) == "2*X[1,1]^2"
 
@@ -333,7 +332,7 @@ def test_sparse_poly_keeps_a_copy_of_the_callers_dict():
 
 
 def test_polynomials_are_read_only_so_the_kept_product_cannot_change():
-    # product_matrix is cached: a write through a handed-out entry would reach every later check
+    # X * Y is kept for every check of a run: a handed-out entry is packed from it and read-only
     assert swap_symmetry_holds(3)
     with pytest.raises(TypeError):
         product_entries(3)[1].terms[5] = 1
@@ -693,13 +692,14 @@ def test_numeric_verify_draws_one_sample_per_trial(capsys, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["symbolic", "numeric"])
 def test_verify_builds_one_product_matrix(capsys, monkeypatch, mode):
-    # every check asks product_matrix for X * Y, and it is multiplied out once
-    calls = []
-    monkeypatch.setattr(symbolic, "mat_mul", lambda a, b: calls.append(a.n) or mat_mul(a, b))
-    product_matrix.cache_clear()
+    # every check asks _product_vectors for X * Y, and its bilinear vectors are built once
+    packed = []
+    monkeypatch.setattr(symbolic, "mat_mul", lambda a, b: packed.append(a.n) or mat_mul(a, b), raising=False)
+    symbolic._product_vectors.cache_clear()
     assert main(["verify", "--n", "4", "--mode", mode, "--trials", "3", "--format", "csv"]) == 0
     assert "fail" not in capsys.readouterr().out
-    assert calls == [4]
+    assert symbolic._product_vectors.cache_info().misses == 1
+    assert packed == []
 
 
 def test_adjugate_from_det_matches_the_minor_dp():
@@ -834,9 +834,8 @@ def test_symbolic_checks_hold_no_whole_product(monkeypatch):
     # and X * Y is built before counting starts
     product_matrix(5)
     calls = Counter()
-    for name in ("mat_mul", "adjugate"):
-        fn = getattr(symbolic, name)
-        monkeypatch.setattr(symbolic, name, lambda *a, fn=fn, name=name: calls.update([name]) or fn(*a))
+    for name, fn in (("mat_mul", mat_mul), ("adjugate", adjugate)):
+        monkeypatch.setattr(symbolic, name, lambda *a, fn=fn, name=name: calls.update([name]) or fn(*a), raising=False)
     assert symbolic.symbolic_checks(5) == PairChecks(24, None, True)
     assert calls == Counter()
 
@@ -856,7 +855,7 @@ def test_passing_run_forms_only_p11_and_p12(monkeypatch, n):
             yield entry
 
     monkeypatch.setattr(poly, "_mul_into", lambda *a: products.append(1) or mul_into(*a))
-    monkeypatch.setattr(symbolic, "mat_mul", lambda *a: products.append(1) or mat_mul(*a))
+    monkeypatch.setattr(symbolic, "mat_mul", lambda *a: products.append(1) or mat_mul(*a), raising=False)
     monkeypatch.setattr(symbolic, "_p11_p12", counted_entries)
     got = symbolic.symbolic_checks(n)
     assert products == []
@@ -998,6 +997,20 @@ def test_generators_bidegree():
             assert p.bidegree() == (1, 1)
 
 
+def test_product_vectors_pack_to_the_mat_mul_product():
+    # X * Y from its bilinear vectors, term for term and generator text byte for byte
+    for n in range(1, 7):
+        oracle = mat_mul(generic_sym_matrix(n, "X"), generic_sym_matrix(n, "Y")).entries
+        vectors = symbolic._product_vectors(n)
+        assert [[poly._bilinear_poly(e, n).terms for e in row] for row in vectors] == [
+            [p.terms for p in row] for row in oracle
+        ], n
+        assert product_matrix(n).entries == oracle
+        texts = [str(g) for g in symbolic._at_generator_places(oracle)]
+        assert [str(g) for g in graph_ideal_generators(n)] == texts, n
+        assert [str(poly._bilinear_poly(g, n)) for g in symbolic._generator_vectors(n)] == texts, n
+
+
 def test_diagonal_differences_span_all_pairs():
     # consecutive differences are a basis choice; they must span every pairwise one
     for n in range(2, 7):
@@ -1031,9 +1044,9 @@ def test_swap_sides_and_symmetry():
 ])
 def test_swap_symmetry_verdict(monkeypatch, gens, stable):
     g = var(xvar(1, 1)) * var(yvar(1, 2)) - 2 * var(xvar(2, 2)) * var(yvar(1, 1))
-    h = var(xvar(1, 2)) * var(yvar(1, 2)) + var(xvar(1, 1))  # swap(h) is neither h nor -h
+    h = var(xvar(1, 2)) * var(yvar(1, 2)) + var(xvar(1, 1)) * var(yvar(2, 2))  # swap(h) is neither h nor -h
     polys = {"g": g, "-swap(g)": -swap_sides(g), "swap(g)": swap_sides(g), "h": h}
-    monkeypatch.setattr(symbolic, "graph_ideal_generators", lambda n: [polys[name] for name in gens])
+    monkeypatch.setattr(symbolic, "_generator_vectors", lambda n: [bilinear_vector(polys[name], n) for name in gens])
     assert swap_symmetry_holds(2) is stable
 
 
@@ -1043,27 +1056,46 @@ def test_spans_product_entries():
 
 
 def test_span_check_fails_on_a_smaller_or_different_span(monkeypatch):
-    places = symbolic._at_generator_places
-    monkeypatch.setattr(symbolic, "_at_generator_places", lambda e: places(e)[:-1])
+    vectors = symbolic._generator_vectors
+    monkeypatch.setattr(symbolic, "_generator_vectors", lambda n: vectors(n)[:-1])
     assert spans_product_entries(1)  # n = 1 has no difference to drop
     for n in range(2, 5):
         assert not spans_product_entries(n)
     # X[1,1]*Y[1,1] for the last difference keeps the rank but not the span
     swapped_in = var(xvar(1, 1)) * var(yvar(1, 1))
-    monkeypatch.setattr(symbolic, "_at_generator_places", lambda e: places(e)[:-1] + [swapped_in])
+    monkeypatch.setattr(symbolic, "_generator_vectors", lambda n: vectors(n)[:-1] + [bilinear_vector(swapped_in, n)])
     for n in range(2, 5):
         prod = product_matrix(n)
-        left = [g.terms for g in symbolic._at_generator_places(prod.entries)] + [prod.entries[0][0].terms]
+        left = [g.terms for g in graph_ideal_generators(n)[:-1] + [swapped_in, prod.entries[0][0]]]
         assert sparse_rank(left) == sparse_rank([p.terms for row in prod.entries for p in row])
         assert not spans_product_entries(n)
 
 
 def test_span_check_builds_one_product(monkeypatch):
-    calls = []
-    monkeypatch.setattr(symbolic, "mat_mul", lambda a, b: calls.append(a.n) or mat_mul(a, b))
-    product_matrix.cache_clear()
+    packed = []
+    monkeypatch.setattr(symbolic, "mat_mul", lambda a, b: packed.append(a.n) or mat_mul(a, b), raising=False)
+    symbolic._product_vectors.cache_clear()
     assert spans_product_entries(4)
-    assert calls == [4]
+    assert symbolic._product_vectors.cache_info().misses == 1
+    assert packed == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("source, target, term", [
+    ((0, 1), (1, 0), (xvar(1, 1), yvar(1, 2))),  # weight e_1 - e_2
+    ((1, 0), (0, 1), (xvar(1, 2), yvar(1, 1))),  # weight e_2 - e_1
+], ids=["into_2_1", "into_1_2"])
+def test_span_check_fails_on_a_term_of_a_wrong_weight(monkeypatch, n, source, target, term):
+    # one term of X * Y moved to an entry of the opposite weight: the
+    # generators follow the entries, so the spans alone stay equal
+    vectors = [[dict(e) for e in row] for row in symbolic._product_vectors(n)]
+    key = bilinear_vector(var(term[0]) * var(term[1]), n).popitem()[0]
+    vectors[target[0]][target[1]][key] = vectors[source[0]][source[1]].pop(key)
+    monkeypatch.setattr(symbolic, "_product_vectors", lambda n: vectors)
+    left = symbolic._at_generator_places(vectors) + [vectors[0][0]]
+    right = [e for row in vectors for e in row]
+    assert sparse_rank(left) == sparse_rank(right) == sparse_rank(left + right)
+    assert not spans_product_entries(n)
 
 
 # ------------------------------------------------------------ graph vanishing
@@ -1118,9 +1150,9 @@ def test_fast_paths_run_only_on_the_standard_list(monkeypatch, change):
     n = 4
     gens = change(graph_ideal_generators(n))
     assert gens != graph_ideal_generators(n)
+    vectors = [bilinear_vector(g, n) for g in gens]
     calls = Counter()
-    canonical, substitute, decode = SparsePoly.canonical, SparsePoly.substitute, poly._decode
-    monkeypatch.setattr(SparsePoly, "canonical", lambda self: calls.update(["canonical"]) or canonical(self))
+    substitute, decode = SparsePoly.substitute, poly._decode
     monkeypatch.setattr(SparsePoly, "substitute", lambda self, a: calls.update(["substitute"]) or substitute(self, a))
     monkeypatch.setattr(poly, "_decode", lambda key: calls.update(["decode"]) or decode(key))
     # the generators take their images from P by position: nothing is decoded, looked up or substituted
@@ -1129,7 +1161,7 @@ def test_fast_paths_run_only_on_the_standard_list(monkeypatch, change):
     assert calls == Counter()
     # there is no second path: any other list only names the places of P, and still nothing is decoded,
     # looked up or substituted
-    monkeypatch.setattr(symbolic, "graph_ideal_generators", lambda n: gens)
+    monkeypatch.setattr(symbolic, "_generator_vectors", lambda n: vectors)
     assert verify_graph_vanishing(n, mode="symbolic").generators == len(gens)
     assert verify_graph_vanishing(n, mode="numeric", trials=3, seed=1).trials == 3
     assert calls == Counter()
@@ -1143,7 +1175,37 @@ def test_product_matches_the_triple_sum(data):
     a = [data.draw(st.lists(entry, min_size=inner, max_size=inner)) for _ in range(rows)]
     b = [data.draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(inner)]
     naive = [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)] for i in range(rows)]
-    assert symbolic._product(a, b) == naive
+    assert exact_product(a, b) == naive
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packed_rows_match_the_exact_product(data):
+    rows, inner, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70))
+    a = [data.draw(st.lists(entry, min_size=inner, max_size=inner)) for _ in range(rows)]
+    b = [data.draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(inner)]
+    expected = exact_product(a, b)
+    f = symbolic._field_bits(inner * symbolic._max_abs(a) * symbolic._max_abs(b))
+    packed = symbolic._product_rows(a, b, f)
+    assert [symbolic._unpacked(row, f, cols) for row in packed] == expected
+    assert [row == 0 for row in packed] == [not any(row) for row in expected]
+
+
+@pytest.mark.parametrize("rows, inner, cols", [(1, 1, 1), (0, 3, 2), (2, 3, 4)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_rows_at_the_field_bound(rows, inner, cols, sign):
+    # every entry of a * b is +-inner * 2^140, the bound itself: its field holds
+    # it, and a field one bit narrower reads the positive one wrong
+    a = [[sign * 2**70] * inner for _ in range(rows)]
+    b = [[2**70] * cols for _ in range(inner)]
+    bound = inner * 2**140
+    expected = [[sign * bound] * cols for _ in range(rows)]
+    assert exact_product(a, b) == expected
+    f = symbolic._field_bits(bound)
+    assert [symbolic._unpacked(row, f, cols) for row in symbolic._product_rows(a, b, f)] == expected
+    narrow = [symbolic._unpacked(row, f - 1, cols) for row in symbolic._product_rows(a, b, f - 1)]
+    assert (narrow == expected) is (rows == 0 or sign < 0 and inner == 1)
 
 
 def _pair_by_formula(a, adj, d, e, r):
@@ -1367,9 +1429,24 @@ def test_witness_of_one_rank_less_fails():
     for n in range(1, 7):
         family = list(symbolic._witness_family(n, n))
         for (r, _, w, _), (_, m_less, _, _) in zip(family, family[1:]):
-            assert not any(v for row in symbolic._product(m_less, w) for v in row)
+            assert not any(v for row in exact_product(m_less, w) for v in row)
             assert not symbolic._pair_valid(n, r, m_less, w), (n, r)
             assert not exact_witness_verdict(n, r, m_less, w)
+
+
+def test_witness_with_one_symmetric_pair_of_w_changed_fails():
+    # W + E_ij + E_ji keeps the symmetry and, here, the rank bounds: the exact zero product decides
+    n = 5
+    for r, m, w, _ in symbolic._witness_family(n, "witness:0:0"):
+        if r == 0:
+            continue  # M = 0 leaves every product zero
+        for i, j in combinations_with_replacement(range(n), 2):
+            changed = [row[:] for row in w]
+            changed[i][j] += 1
+            changed[j][i] = changed[i][j]
+            assert symbolic._rank_at_least(changed, n - r, r), (r, i, j)
+            assert any(map(any, exact_product(m, changed))), (r, i, j)
+            assert not symbolic._pair_valid(n, r, m, changed), (r, i, j)
 
 
 def test_witness_block_bounds_are_the_leading_block_of_m_and_the_trailing_block_of_w(monkeypatch):
