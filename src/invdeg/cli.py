@@ -15,7 +15,9 @@ list of same-shaped int records, such as psi's (i, j, value) pairs, travels
 as one ``_Records`` value: JSON and CSV fill one %-template per record, so no
 record becomes a dict or passes a per-cell check. A command imports only the
 engine it runs, and only the JSON renderer loads a stdlib module (``json``'s
-string quoting), so start-up loads no more than the run executes.
+string quoting), so start-up loads no more than the run executes. A plain
+command line is read off the grammar table without argparse, which loads only
+for help and usage errors, and for abbreviations, ``--opt=value`` and repeats.
 
 Identical invocations produce byte-identical stdout. Verification runs in one
 thread; ``--threads`` is still accepted and validated, changes nothing, and
@@ -30,26 +32,22 @@ producer killed by that signal), with nothing on stderr.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .exact import InvariantViolation
 
 if TYPE_CHECKING:
+    import argparse
     from fractions import Fraction
 
 
 class UsageError(Exception):
     """Bad command line; maps to exit code 1."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # argparse would exit 2 here
-        raise UsageError(message)
 
 
 class _Report(NamedTuple):
@@ -80,42 +78,7 @@ class _Records(NamedTuple):
     rows: Iterable[tuple[int, ...]]
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="invdeg", description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--threads",
-        default="1",
-        help="accepted for compatibility (N or auto) and ignored: verification runs in one thread",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_psi = sub.add_parser("psi", help="psi value tables")
-    p_psi.add_argument("--n", type=int, required=True)
-
-    p_multi = sub.add_parser("multidegree", help="multidegree coefficient lists")
-    p_multi.add_argument("--n", type=int, required=True)
-
-    p_ml = sub.add_parser("mldeg", help="ML-degree tables and polynomials")
-    which = p_ml.add_mutually_exclusive_group(required=True)
-    which.add_argument("--n-max", type=int)
-    which.add_argument("--d", type=int)
-    check = p_ml.add_mutually_exclusive_group()
-    check.add_argument("--poly", action="store_true", help="interpolate the polynomial in n for fixed d")
-    check.add_argument("--window", type=int, help="difference-check sample count, not with --poly (default d + 10)")
-
-    p_ver = sub.add_parser("verify", help="run the certificate suite")
-    p_ver.add_argument("--n", type=int, required=True)
-    p_ver.add_argument("--mode", default="symbolic", choices=("symbolic", "numeric"))
-    p_ver.add_argument("--trials", type=int, default=100)
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--symbolic-cap", type=int, default=4)
-
-    for command_parser in (p_psi, p_multi, p_ml, p_ver):
-        command_parser.add_argument("--format", default="json", choices=sorted(_RENDERERS))
-    return parser
-
-
-def _validate(ns: argparse.Namespace) -> None:
+def _validate(ns: SimpleNamespace) -> None:
     """Reject a bad invocation and fill in ``window``.
 
     ``--threads`` must be a positive integer or ``auto``; its value is not
@@ -296,7 +259,7 @@ def _latex_poly_in_n(coeffs: tuple[Fraction, ...]) -> str:
 
 # ------------------------------------------------------------------- commands
 
-def _cmd_psi(ns: argparse.Namespace) -> _Report:
+def _cmd_psi(ns: SimpleNamespace) -> _Report:
     from .psi import psi_table
 
     n = ns.n
@@ -330,7 +293,7 @@ def _cmd_psi(ns: argparse.Namespace) -> _Report:
     )
 
 
-def _cmd_multidegree(ns: argparse.Namespace) -> _Report:
+def _cmd_multidegree(ns: SimpleNamespace) -> _Report:
     from .multidegree import multidegree_table
 
     n = ns.n
@@ -370,7 +333,7 @@ def _cmd_multidegree(ns: argparse.Namespace) -> _Report:
     )
 
 
-def _cmd_mldeg(ns: argparse.Namespace) -> _Report:
+def _cmd_mldeg(ns: SimpleNamespace) -> _Report:
     from .mldegree import finite_difference_check, ml_polynomial, ml_table
 
     if ns.n_max is not None:
@@ -435,7 +398,7 @@ def _cmd_mldeg(ns: argparse.Namespace) -> _Report:
     )
 
 
-def _cmd_verify(ns: argparse.Namespace) -> _Report:
+def _cmd_verify(ns: SimpleNamespace) -> _Report:
     from .symbolic import (
         numeric_checks,
         spans_product_entries,
@@ -501,10 +464,106 @@ _DISPATCH = {
 }
 
 
+# --------------------------------------------------------------- command line
+
+class _Option(NamedTuple):
+    kind: object  # int, str, a tuple of choices, or bool for a flag
+    default: object = None
+    required: bool = False
+    help: Optional[str] = None
+    group: Optional[str] = None  # options of one group exclude each other
+
+
+# The grammar, stated once: the global options, then each command's summary
+# and options in the order help lists them. A group is required when its
+# options are.
+_GLOBAL = {
+    "--threads": _Option(str, "1", help="accepted for compatibility (N or auto) and ignored: verification runs in one thread"),
+}
+_FORMAT = {"--format": _Option(tuple(sorted(_RENDERERS)), "json")}
+_COMMANDS = {
+    "psi": ("psi value tables", {"--n": _Option(int, required=True), **_FORMAT}),
+    "multidegree": ("multidegree coefficient lists", {"--n": _Option(int, required=True), **_FORMAT}),
+    "mldeg": ("ML-degree tables and polynomials", {
+        "--n-max": _Option(int, required=True, group="which"), "--d": _Option(int, required=True, group="which"),
+        "--poly": _Option(bool, False, help="interpolate the polynomial in n for fixed d", group="check"),
+        "--window": _Option(int, help="difference-check sample count, not with --poly (default d + 10)", group="check"),
+        **_FORMAT,
+    }),
+    "verify": ("run the certificate suite", {
+        "--n": _Option(int, required=True), "--mode": _Option(("symbolic", "numeric"), "symbolic"),
+        "--trials": _Option(int, 100), "--seed": _Option(int, 0), "--symbolic-cap": _Option(int, 4), **_FORMAT,
+    }),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the grammar, with usage errors raised as
+    ``UsageError``. It parses only what ``_match`` declines: help, usage
+    errors, abbreviations, ``--opt=value`` and repeated options."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> None:  # argparse would exit 2 here
+            raise UsageError(message)
+
+    def add(parser, options: dict) -> None:
+        groups: dict = {}
+        for flag, o in options.items():
+            if o.group is not None and o.group not in groups:
+                groups[o.group] = parser.add_mutually_exclusive_group(required=o.required)
+            kind = {"action": "store_true"} if o.kind is bool else {"choices" if type(o.kind) is tuple else "type": o.kind}
+            target = parser if o.group is None else groups[o.group]
+            target.add_argument(flag, default=o.default, required=o.required and o.group is None, help=o.help, **kind)
+
+    parser = Parser(prog="invdeg", description=__doc__.splitlines()[0])
+    add(parser, _GLOBAL)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (summary, options) in _COMMANDS.items():
+        add(sub.add_parser(command, help=summary), options)
+    return parser
+
+
+def _match(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """What ``build_parser().parse_args(argv)`` gives for a plain line, read
+    without argparse; None for any other. A plain line is ``[--threads V]
+    COMMAND`` and options of COMMAND, each spelled in full and given at most
+    once, each value not starting with ``-``, passing ``int()`` for an int
+    option and one of the choices for a choice; the required options are
+    given, and each exclusive group holds at most one, one if required."""
+    values: dict = {}
+    command, options = None, _GLOBAL
+    tokens = iter(argv)
+    for token in tokens:
+        if command is None and token in _COMMANDS:
+            command, options = token, _COMMANDS[token][1]
+            continue
+        o = options.get(token)
+        if o is None or token in values:
+            return None
+        value = True if o.kind is bool else next(tokens, "-")
+        if o.kind is not bool:
+            if value.startswith("-") or type(o.kind) is tuple and value not in o.kind:
+                return None
+            if o.kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+        values[token] = value
+    given = [o.group or flag for flag, o in options.items() if flag in values]
+    if command is None or len(set(given)) < len(given):
+        return None
+    if any(o.required and (o.group or flag) not in given for flag, o in options.items()):
+        return None
+    dests = {flag[2:].replace("-", "_"): values.get(flag, o.default) for flag, o in {**_GLOBAL, **options}.items()}
+    return SimpleNamespace(command=command, **dests)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        ns = parser.parse_args(argv)
+        ns = _match(argv) or SimpleNamespace(**vars(build_parser().parse_args(argv)))
         _validate(ns)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,15 +1,58 @@
 """Slow, independent routes that tests check the engines against."""
 
+import argparse
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
 from typing import NamedTuple
 
-from invdeg import symbolic
+from invdeg import cli, symbolic
 from invdeg.exact import InvariantViolation, matrix_rank
 from invdeg.poly import _FIELD_BITS, SparsePoly, SymbolicMatrix, _as_poly, _decode, _slot, generic_sym_matrix
 from invdeg.poly import mat_mul, xvar
 from invdeg.symbolic import PairChecks, graph_ideal_generators
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> None:  # argparse would exit 2 here
+        raise cli.UsageError(message)
+
+
+def build_parser() -> _Parser:
+    """The command-line parser written out by hand, argument by argument,
+    as the reference for the one ``cli`` builds from its grammar table."""
+    parser = _Parser(prog="invdeg", description=cli.__doc__.splitlines()[0])
+    parser.add_argument(
+        "--threads",
+        default="1",
+        help="accepted for compatibility (N or auto) and ignored: verification runs in one thread",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_psi = sub.add_parser("psi", help="psi value tables")
+    p_psi.add_argument("--n", type=int, required=True)
+
+    p_multi = sub.add_parser("multidegree", help="multidegree coefficient lists")
+    p_multi.add_argument("--n", type=int, required=True)
+
+    p_ml = sub.add_parser("mldeg", help="ML-degree tables and polynomials")
+    which = p_ml.add_mutually_exclusive_group(required=True)
+    which.add_argument("--n-max", type=int)
+    which.add_argument("--d", type=int)
+    check = p_ml.add_mutually_exclusive_group()
+    check.add_argument("--poly", action="store_true", help="interpolate the polynomial in n for fixed d")
+    check.add_argument("--window", type=int, help="difference-check sample count, not with --poly (default d + 10)")
+
+    p_ver = sub.add_parser("verify", help="run the certificate suite")
+    p_ver.add_argument("--n", type=int, required=True)
+    p_ver.add_argument("--mode", default="symbolic", choices=("symbolic", "numeric"))
+    p_ver.add_argument("--trials", type=int, default=100)
+    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--symbolic-cap", type=int, default=4)
+
+    for command_parser in (p_psi, p_multi, p_ml, p_ver):
+        command_parser.add_argument("--format", default="json", choices=["csv", "json", "latex"])
+    return parser
 
 
 def exact_product(a, b):

@@ -511,7 +511,13 @@ def test_psi_run_loads_only_the_psi_engine():
     code, loaded = _modules_loaded_by("psi", "--n", "1")
     assert code == 0 and "invdeg.psi" in loaded
     unwanted = {"dataclasses", "inspect", "invdeg.poly", "invdeg.symbolic", "invdeg.mldegree", "invdeg.multidegree"}
-    assert loaded & unwanted == set()
+    assert loaded & (unwanted | {"argparse", "gettext", "locale"}) == set()
+
+
+def test_a_line_only_argparse_reads_loads_it():
+    # --opt=value is left to argparse; this run shows the check above can see the import
+    code, loaded = _modules_loaded_by("psi", "--n=1")
+    assert code == 0 and "argparse" in loaded
 
 
 @pytest.mark.parametrize("args", [

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -231,6 +232,20 @@ def test_nested_inverses_match_gauss_jordan():
     assert [len(c) for c in inverses] == list(range(2, 27, 2))
     for big in range(1, 26, 2):
         assert inverses[big // 2] == _eliminate(multidegree._pair_matrix(big))[2], big
+
+
+def test_nested_inverses_are_signed_binomials_and_pair_complements():
+    # C_N, the inverse of the leading block on 0..N for odd N, in closed form:
+    # signed binomials on the border row and the last column, and inside,
+    # signed psi of a pair's complement (Jacobi's identity on 2-subsets)
+    inverses = list(multidegree._nested_inverses(multidegree._pair_matrix(61)))
+    for big in range(1, 62, 2):
+        c = inverses[big // 2]
+        assert c[0] == [0] + [(-1) ** j * comb(big, j) for j in range(1, big + 1)], big
+        assert [row[big] for row in c] == [(-1) ** (i + 1) * comb(big - 1, i) for i in range(big + 1)], big
+        if big <= 21:
+            for i in range(1, big):
+                assert c[i][i + 1 : big] == [(-1) ** (i + j) * p_alpha((i, j), big) for j in range(i + 1, big)], big
 
 
 @pytest.mark.parametrize("i, j", [(0, 1), (2, 5), (3, 6), (1, 10)])

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -181,6 +182,12 @@ def test_p_alpha_counts_linear_sequence():
     # complement of {1} in {1..n} has psi equal to n
     for n in range(1, 10):
         assert p_alpha((1,), n) == n
+
+
+def test_p_alpha_of_a_singleton_is_a_binomial():
+    # psi of {1..n} without j is C(n, j), a polynomial in n of degree j
+    for n in range(1, 26):
+        assert [p_alpha((j,), n) for j in range(1, n + 1)] == [comb(n, j) for j in range(1, n + 1)], n
 
 
 def diffs(values):
